@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vcount_core::{Checkpoint, CheckpointConfig, Observation};
+use vcount_core::{Action, ActionKind, Checkpoint, CheckpointConfig};
 use vcount_obs::{EventRecord, EventSink, NullSink, ProtocolEvent};
 use vcount_roadnet::builders::{grid, manhattan, ManhattanConfig};
 use vcount_roadnet::{covering_cycle, edge_covering_cycle, shortest_path, NodeId};
@@ -75,7 +75,13 @@ fn bench_protocol_events(c: &mut Criterion) {
         let mut cp = Checkpoint::new(&net, center, CheckpointConfig::default());
         let mut cmds = Vec::new();
         let mut events = Vec::new();
-        cp.activate_as_seed(0.0, &mut cmds);
+        cp.apply(
+            &Action {
+                at_s: 0.0,
+                kind: ActionKind::Seed,
+            },
+            &mut cmds,
+        );
         cp.drain_events_into(&mut events);
         let mut t = 1.0;
         let mut veh = 0u64;
@@ -83,14 +89,16 @@ fn bench_protocol_events(c: &mut Criterion) {
             t += 1.0;
             veh += 1;
             cmds.clear();
-            cp.handle(
-                Observation::Entered {
-                    vehicle: VehicleId(veh),
-                    via: Some(via),
-                    class: car,
-                    label: None,
+            cp.apply(
+                &Action {
+                    at_s: t,
+                    kind: ActionKind::Entered {
+                        vehicle: VehicleId(veh),
+                        via: Some(via),
+                        class: car,
+                        label: None,
+                    },
                 },
-                t,
                 &mut cmds,
             );
             events.clear();
@@ -107,7 +115,13 @@ fn bench_protocol_events(c: &mut Criterion) {
             let mut cp = Checkpoint::new(&net, center, CheckpointConfig::default());
             let mut cmds = Vec::new();
             let mut events = Vec::new();
-            cp.activate_as_seed(0.0, &mut cmds);
+            cp.apply(
+                &Action {
+                    at_s: 0.0,
+                    kind: ActionKind::Seed,
+                },
+                &mut cmds,
+            );
             cp.drain_events_into(&mut events);
             let mut sink = NullSink;
             let mut t = 1.0;
@@ -116,14 +130,16 @@ fn bench_protocol_events(c: &mut Criterion) {
                 t += 1.0;
                 veh += 1;
                 cmds.clear();
-                cp.handle(
-                    Observation::Entered {
-                        vehicle: VehicleId(veh),
-                        via: Some(via),
-                        class: car,
-                        label: None,
+                cp.apply(
+                    &Action {
+                        at_s: t,
+                        kind: ActionKind::Entered {
+                            vehicle: VehicleId(veh),
+                            via: Some(via),
+                            class: car,
+                            label: None,
+                        },
                     },
-                    t,
                     &mut cmds,
                 );
                 let mut n = 0usize;

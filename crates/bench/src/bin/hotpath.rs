@@ -67,10 +67,6 @@ struct Case {
     events_per_sec: f64,
     /// Peak vehicles simultaneously inside during the measured steps.
     peak_vehicles: usize,
-    /// Worker shards driving the case (`0` for legacy unsharded cases —
-    /// equivalent to 1; the sharded `…_sN` family records it explicitly).
-    #[serde(default)]
-    shards: usize,
 }
 
 /// The committed artifact: current cases plus an optional embedded
@@ -92,7 +88,6 @@ struct Report {
 
 const SCHEMA: &str = "vcount-hotpath-bench/v1";
 
-#[allow(clippy::too_many_arguments)]
 fn run_case(
     name: &str,
     cols: usize,
@@ -101,7 +96,6 @@ fn run_case(
     seed: u64,
     warmup: u64,
     steps: u64,
-    shards: usize,
 ) -> Case {
     let net = grid(cols, rows, 150.0, 2, 10.0);
     let cfg = SimConfig {
@@ -111,7 +105,6 @@ fn run_case(
         ..Default::default()
     };
     let mut sim = Simulator::new(net, cfg, Demand::at_volume(demand_pct));
-    sim.set_detect_shards(shards);
     for _ in 0..warmup {
         sim.step();
     }
@@ -135,7 +128,6 @@ fn run_case(
         events,
         events_per_sec: events as f64 / wall_s.max(1e-12),
         peak_vehicles: peak,
-        shards,
     }
 }
 
@@ -183,7 +175,6 @@ fn run_exchange_case(
     warmup: u64,
     steps: u64,
     faults: Option<FaultPlan>,
-    shards: usize,
     fanout: bool,
 ) -> Case {
     let scenario = if fanout {
@@ -191,7 +182,7 @@ fn run_exchange_case(
     } else {
         engine_scenario(cols, rows, demand_pct, seed)
     };
-    let mut builder = Runner::builder(&scenario).shards(shards);
+    let mut builder = Runner::builder(&scenario);
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
@@ -220,7 +211,6 @@ fn run_exchange_case(
         events,
         events_per_sec: events as f64 / wall_s.max(1e-12),
         peak_vehicles: peak,
-        shards,
     }
 }
 
@@ -450,7 +440,6 @@ fn run_service_case(
         events,
         events_per_sec: events as f64 / wall_s.max(1e-12),
         peak_vehicles: peak,
-        shards: 1,
     }
 }
 
@@ -503,7 +492,6 @@ fn run_replay_case(
         events: applied,
         events_per_sec: applied as f64 / wall_s.max(1e-12),
         peak_vehicles: 0,
-        shards: 1,
     }
 }
 
@@ -520,9 +508,6 @@ struct CaseSpec {
     /// Message-plane stress case (see [`fanout_scenario`]); implies
     /// `engine`.
     fanout: bool,
-    /// `0` = legacy unsharded case (no name suffix, runs as 1 shard); a
-    /// nonzero value names the case `…_sN` and drives N worker shards.
-    shards: usize,
     /// Nonzero = `vcountd` service case: this many concurrent tenants fed
     /// round-robin through the wire path (see [`run_service_case`]).
     service_runs: usize,
@@ -530,11 +515,6 @@ struct CaseSpec {
 
 impl CaseSpec {
     fn name(&self) -> String {
-        let shard_suffix = if self.shards > 0 {
-            format!("_s{}", self.shards)
-        } else {
-            String::new()
-        };
         if self.service_runs > 0 {
             return format!(
                 "service_runs{}_{}x{}_v{:.0}",
@@ -543,21 +523,18 @@ impl CaseSpec {
         }
         if self.replay {
             return format!(
-                "actions_replay{}x{}_v{:.0}{shard_suffix}",
+                "actions_replay{}x{}_v{:.0}",
                 self.cols, self.rows, self.demand_pct
             );
         }
         if self.fanout {
             // A ring map: `cols` is the node count, `rows` is unused.
-            return format!(
-                "fanout_ring{}_v{:.0}{shard_suffix}",
-                self.cols, self.demand_pct
-            );
+            return format!("fanout_ring{}_v{:.0}", self.cols, self.demand_pct);
         }
         let prefix = if self.engine { "exchange" } else { "grid" };
         let suffix = if self.faults { "_faults" } else { "" };
         format!(
-            "{prefix}{}x{}_v{:.0}{suffix}{shard_suffix}",
+            "{prefix}{}x{}_v{:.0}{suffix}",
             self.cols, self.rows, self.demand_pct
         )
     }
@@ -599,7 +576,6 @@ impl CaseSpec {
                 warmup,
                 steps,
                 self.faults.then(bench_fault_plan),
-                self.shards.max(1),
                 self.fanout,
             )
         } else {
@@ -611,7 +587,6 @@ impl CaseSpec {
                 seed,
                 warmup,
                 steps,
-                self.shards.max(1),
             )
         }
     }
@@ -772,7 +747,6 @@ fn main() {
                     faults: false,
                     replay: false,
                     fanout: false,
-                    shards: 0,
                     service_runs: 0,
                 });
             }
@@ -797,7 +771,6 @@ fn main() {
                 faults: false,
                 replay: false,
                 fanout: false,
-                shards: 0,
                 service_runs: 0,
             });
         }
@@ -812,7 +785,6 @@ fn main() {
         faults: true,
         replay: false,
         fanout: false,
-        shards: 0,
         service_runs: 0,
     });
     // The machine-only action-replay case (both modes, same name):
@@ -825,7 +797,6 @@ fn main() {
         faults: false,
         replay: true,
         fanout: false,
-        shards: 0,
         service_runs: 0,
     });
     // The message-plane stress case (both modes, same name, so the smoke
@@ -842,7 +813,6 @@ fn main() {
         faults: false,
         replay: false,
         fanout: true,
-        shards: 0,
         service_runs: 0,
     });
     // The `vcountd` service case (both modes, same name, so the smoke
@@ -860,51 +830,8 @@ fn main() {
         faults: false,
         replay: false,
         fanout: false,
-        shards: 0,
         service_runs: 2,
     });
-    // The sharded family: same grid and seed at 1/2/4 worker shards, so
-    // the committed baseline records how region sharding scales (on a
-    // single-core host the _s2/_s4 cases document the bookkeeping
-    // overhead instead of a speedup). The small _s2 case runs in smoke
-    // mode too, so CI guards the sharded code path on every push.
-    specs.push(CaseSpec {
-        cols: 3,
-        rows: 3,
-        demand_pct: 60.0,
-        engine: false,
-        faults: false,
-        replay: false,
-        fanout: false,
-        shards: 2,
-        service_runs: 0,
-    });
-    if !smoke {
-        for &shards in &[1usize, 2, 4] {
-            specs.push(CaseSpec {
-                cols: 25,
-                rows: 25,
-                demand_pct: 60.0,
-                engine: false,
-                faults: false,
-                replay: false,
-                fanout: false,
-                shards,
-                service_runs: 0,
-            });
-        }
-        specs.push(CaseSpec {
-            cols: 10,
-            rows: 10,
-            demand_pct: 60.0,
-            engine: true,
-            faults: false,
-            replay: false,
-            fanout: false,
-            shards: 4,
-            service_runs: 0,
-        });
-    }
 
     let mut cases = Vec::new();
     for spec in &specs {

@@ -29,15 +29,7 @@ USAGE:
   vcount run SCENARIO.json [--goal constitution|collection] [--progress]
               [--trace FILE.jsonl] [--trace-filter KIND,KIND,...]
               [--snapshot-every N] [--snapshot-out FILE] [--faults PLAN.json]
-              [--shards N] [--eager-decode]
       Run a scenario to convergence and print the metrics as JSON.
-      --eager-decode disables the exchange's lazy decode, parsing even
-      messages whose recipient is down — a decode-strategy knob only:
-      the event stream, counts, and metrics are byte-identical; only the
-      wire.decoded / wire.skipped_decode telemetry split changes.
-      --shards N partitions the road graph into N regions driven by N
-      worker shards — a throughput knob only: the event stream, counts,
-      and metrics are byte-identical for every N (DESIGN.md §8bis).
       --progress streams wave progress to stderr. --trace streams every
       protocol event as JSON lines; --trace-filter restricts it to the
       named event kinds (e.g. label_emitted,report_sent).
@@ -57,10 +49,8 @@ USAGE:
 
   vcount run --resume SNAPSHOT.json [--goal G] [--progress] [--trace ...]
       Resume a run frozen by --snapshot-every. The snapshot embeds its
-      scenario and any fault plan, so neither argument is given; --shards
-      overrides the snapshot's shard count (sound, because the count never
-      affects semantics). (--record-actions cannot resume: a trace must
-      cover a whole run.)
+      scenario and any fault plan, so neither argument is given.
+      (--record-actions cannot resume: a trace must cover a whole run.)
 
   vcount replay TRACE.json
       Re-drive the pure protocol machines from an action trace recorded
@@ -107,9 +97,8 @@ USAGE:
       stream and counts `vcount run` produces.
 
   vcount feed SCENARIO.json (--socket PATH | --connect HOST:PORT | --emit FILE)
-              [--run ID] [--goal constitution|collection] [--shards N]
-              [--eager-decode] [--faults PLAN.json] [--trace FILE.jsonl]
-              [--server-trace FILE.jsonl]
+              [--run ID] [--goal constitution|collection] [--faults PLAN.json]
+              [--trace FILE.jsonl] [--server-trace FILE.jsonl]
       Drive a scenario through the service as a simulator-fed client:
       Start the run, push one observation batch per tick (resending
       after any Throttled backpressure), then Finish with ground truth
@@ -161,13 +150,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         "resume",
         "faults",
         "record-actions",
-        "shards",
-        "eager-decode",
     ])?;
-    // 0 = unspecified: new runs default to one shard, resumes keep the
-    // snapshot's count.
-    let shards = args.flag_or("shards", 0usize)?;
-    let eager_decode = args.switch("eager-decode");
     let goal = match args.flag("goal").unwrap_or("collection") {
         "constitution" => Goal::Constitution,
         "collection" => Goal::Collection,
@@ -213,7 +196,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
             if record_path.is_some() {
                 return Err(
-                    "--record-actions cannot be combined with --resume (an action trace must                      cover a whole run)"
+                    "--record-actions cannot be combined with --resume (an action trace must \
+                     cover a whole run)"
                         .into(),
                 );
             }
@@ -225,13 +209,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
             let text =
                 std::fs::read_to_string(snap_path).map_err(|e| format!("{snap_path}: {e}"))?;
-            let mut snap =
-                EngineSnapshot::from_json(&text).map_err(|e| format!("{snap_path}: {e}"))?;
-            if shards > 0 {
-                // Safe to override: the shard count is a throughput knob,
-                // never a semantics knob (DESIGN.md §8bis).
-                snap.shards = shards;
-            }
+            let snap = EngineSnapshot::from_json(&text).map_err(|e| format!("{snap_path}: {e}"))?;
             let max = snap.scenario.max_time_s;
             (
                 Runner::resume_with(&snap, sinks, DEFAULT_RING_CAPACITY),
@@ -243,9 +221,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let scenario: Scenario =
                 serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-            let mut builder = Runner::builder(&scenario)
-                .shards(shards.max(1))
-                .record_actions(record_path.is_some());
+            let mut builder = Runner::builder(&scenario).record_actions(record_path.is_some());
             for sink in sinks {
                 builder = builder.sink(sink);
             }
@@ -253,17 +229,11 @@ pub fn run(args: &Args) -> Result<(), String> {
                 builder = builder.faults(plan);
             }
             let runner = builder
-                .eager_decode(eager_decode)
                 .try_build()
                 .map_err(|e| format!("fault plan: {e}"))?;
             (runner, scenario.max_time_s)
         }
     };
-    if eager_decode {
-        // On the resume path the knob is applied post-restore: the decode
-        // strategy is not part of the snapshot.
-        runner.set_eager_decode(true);
-    }
     let metrics = drive(
         &mut runner,
         max_time_s,
@@ -464,8 +434,6 @@ pub fn feed(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "run",
         "goal",
-        "shards",
-        "eager-decode",
         "faults",
         "emit",
         "socket",
@@ -501,8 +469,6 @@ pub fn feed(args: &Args) -> Result<(), String> {
         "collection" => Goal::Collection,
         other => return Err(format!("unknown goal `{other}`")),
     };
-    let shards = args.flag_or("shards", 0usize)?;
-    let eager_decode = args.switch("eager-decode");
     let faults = load_fault_plan(args)?;
     let mut client = match dest {
         Dest::Emit(emit) => FeedTransport::in_process(emit)?,
@@ -517,13 +483,13 @@ pub fn feed(args: &Args) -> Result<(), String> {
     };
 
     // The feeder owns the traffic substrate; the service owns the engine.
-    let mut source = SimulatorSource::from_scenario(&scenario, shards.max(1));
+    let mut source = SimulatorSource::from_scenario(&scenario, 1);
     let start = ServiceRequest::Start {
         run: run.clone(),
         scenario: Box::new(scenario),
         goal: Some(goal),
-        shards,
-        eager_decode,
+        shards: 0,
+        eager_decode: false,
         faults,
         trace: args.flag("server-trace").map(String::from),
     };

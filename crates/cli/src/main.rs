@@ -6,7 +6,6 @@
 //! vcount run SCENARIO.json [--goal constitution|collection] [--progress]
 //!             [--trace FILE.jsonl] [--trace-filter KINDS]
 //!             [--snapshot-every N] [--snapshot-out FILE] [--faults PLAN.json]
-//!             [--shards N]
 //! vcount run --resume SNAPSHOT.json [--goal G] [--progress] [--trace ...]
 //! vcount replay TRACE.json
 //! vcount sweep [--volumes PCTS] [--seed-counts KS] [--replicates N]

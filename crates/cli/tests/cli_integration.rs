@@ -104,13 +104,37 @@ fn run_rejects_missing_file() {
 
 #[test]
 fn unknown_flag_is_rejected() {
+    // A typo, and the retired `run` knobs: sharding and forced eager
+    // decode no longer exist.
+    for (args, flag) in [
+        (&["map", "--preset", "paper", "--porgress"][..], "porgress"),
+        (&["run", "x.json", "--shards", "2"][..], "shards"),
+        (&["run", "x.json", "--eager-decode"][..], "eager-decode"),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `--{flag}`")),
+            "got: {err}"
+        );
+    }
+}
+
+#[test]
+fn record_actions_cannot_resume() {
     let out = bin()
-        .args(["map", "--preset", "paper", "--porgress"])
+        .args(["run", "--resume", "snap.json", "--record-actions", "t.json"])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag `--porgress`"), "got: {err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert_eq!(
+        first,
+        "error: --record-actions cannot be combined with --resume \
+         (an action trace must cover a whole run)"
+    );
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! [`CheckpointMachine`] topology view plus a serializable
 //! [`CheckpointState`], driven by `process(state, action) → dispatches`.
 //! This module keeps the deployment-facing [`Checkpoint`] type: it owns
-//! one machine + state pair and the event buffer, mints [`Action`]s from
-//! caller [`Observation`]s (the caller supplies `now` and every channel
-//! outcome), and buffers emitted [`ProtocolEvent`]s until the harness
+//! one machine + state pair and the event buffer, feeds it caller-built
+//! [`Action`]s (the caller supplies `now` and every channel outcome), and
+//! buffers emitted [`ProtocolEvent`]s until the harness
 //! drains them with [`Checkpoint::drain_events_into`]. Commands are
 //! appended to a caller-provided scratch vector, keeping the hot path
 //! allocation-free.
@@ -15,7 +15,6 @@ use crate::command::Command;
 use crate::config::{CheckpointConfig, ProtocolVariant};
 use crate::counter::Counters;
 use crate::machine::{Action, CheckpointMachine, Dispatches};
-use crate::observation::Observation;
 use vcount_obs::ProtocolEvent;
 use vcount_roadnet::{EdgeId, NodeId, RoadNetwork};
 use vcount_v2x::Label;
@@ -65,26 +64,12 @@ impl Checkpoint {
     // Unified dispatch
     // ------------------------------------------------------------------
 
-    /// Processes one [`Observation`] at time `now`, appending the
-    /// transport commands it produced to `cmds` (nothing is cleared — the
-    /// caller owns and drains the scratch). This is the protocol's single
-    /// entry point; side effects beyond the appended commands are counter
-    /// updates and buffered [`ProtocolEvent`]s (see
+    /// Feeds one [`Action`] to the pure machine, appending the transport
+    /// commands it produced to `cmds` (nothing is cleared — the caller
+    /// owns and drains the scratch) and buffering its events. This is the
+    /// protocol's single entry point; side effects beyond the appended
+    /// commands are counter updates and buffered [`ProtocolEvent`]s (see
     /// [`Checkpoint::drain_events_into`]).
-    pub fn handle(&mut self, obs: Observation, now: f64, cmds: &mut Vec<Command>) {
-        self.apply(
-            &Action {
-                at_s: now,
-                kind: obs.into(),
-            },
-            cmds,
-        );
-    }
-
-    /// Feeds one pre-built [`Action`] to the pure machine, appending the
-    /// commands it dispatched to `cmds` and buffering its events. This is
-    /// what the engine's record/replay path drives; [`Checkpoint::handle`]
-    /// is a thin [`Observation`]-minting wrapper over it.
     pub fn apply(&mut self, action: &Action, cmds: &mut Vec<Command>) {
         let mut out = Dispatches {
             commands: cmds,
@@ -101,31 +86,13 @@ impl Checkpoint {
     }
 
     // ------------------------------------------------------------------
-    // Phase 1 & 3: activation
-    // ------------------------------------------------------------------
-
-    /// Phase 1: initialize this checkpoint as a seed (and data sink). All
-    /// inbound counting starts; labels become pending on every outbound
-    /// direction. Commands (pred announces on one-way topologies) are
-    /// appended to `cmds`.
-    pub fn activate_as_seed(&mut self, now: f64, cmds: &mut Vec<Command>) {
-        self.apply(
-            &Action {
-                at_s: now,
-                kind: crate::machine::ActionKind::Seed,
-            },
-            cmds,
-        );
-    }
-
-    // ------------------------------------------------------------------
     // Phase 2: labelling departures
     // ------------------------------------------------------------------
 
     /// Phase 2: a vehicle is joining outbound direction `onto`; returns the
     /// label to hand it when one is pending. The caller performs the lossy
     /// handoff exchange and reports the outcome with an
-    /// [`Observation::Departed`].
+    /// [`ActionKind::Departed`](crate::ActionKind::Departed) action.
     pub fn offer_label(&self, onto: EdgeId) -> Option<Label> {
         self.machine.offer_label(&self.state, onto)
     }
@@ -261,6 +228,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::ActionKind;
     use vcount_obs::EventKind;
     use vcount_roadnet::builders::fig1_triangle;
     use vcount_roadnet::Interaction;
@@ -281,19 +249,17 @@ mod tests {
         (net, cps)
     }
 
-    /// Drives one observation through a fresh command scratch (tests value
+    /// Drives one action through a fresh command scratch (tests value
     /// readability over scratch reuse).
-    fn handle(cp: &mut Checkpoint, obs: Observation, now: f64) -> Vec<Command> {
+    fn handle(cp: &mut Checkpoint, kind: ActionKind, now: f64) -> Vec<Command> {
         let mut cmds = Vec::new();
-        cp.handle(obs, now, &mut cmds);
+        cp.apply(&Action { at_s: now, kind }, &mut cmds);
         cmds
     }
 
     /// Seed activation through a fresh command scratch.
     fn seed(cp: &mut Checkpoint, now: f64) -> Vec<Command> {
-        let mut cmds = Vec::new();
-        cp.activate_as_seed(now, &mut cmds);
-        cmds
+        handle(cp, ActionKind::Seed, now)
     }
 
     /// Feeds an entry observation with a throwaway vehicle id.
@@ -306,7 +272,7 @@ mod tests {
     ) -> Vec<Command> {
         handle(
             cp,
-            Observation::Entered {
+            ActionKind::Entered {
                 vehicle: VehicleId(77),
                 via,
                 class,
@@ -456,16 +422,15 @@ mod tests {
         let e = |a: u32, b: u32| net.edge_between(NodeId(a), NodeId(b)).unwrap();
         let deliver = |cp: &mut Checkpoint, onto: EdgeId, t: f64| {
             let label = cp.offer_label(onto).unwrap();
-            let mut cmds = Vec::new();
-            cp.handle(
-                Observation::Departed {
+            handle(
+                cp,
+                ActionKind::Departed {
                     vehicle: VehicleId(7),
                     onto,
                     delivered: true,
                     matches_filter: true,
                 },
                 t,
-                &mut cmds,
             );
             label
         };
@@ -515,7 +480,7 @@ mod tests {
         // Transport 2's report to 1, then 1's to the seed.
         let cmds = handle(
             &mut cps[1],
-            Observation::Report {
+            ActionKind::Report {
                 from: NodeId(2),
                 total: 0,
                 seq: 1,
@@ -532,7 +497,7 @@ mod tests {
         );
         handle(
             &mut cps[0],
-            Observation::Report {
+            ActionKind::Report {
                 from: NodeId(1),
                 total: 1,
                 seq: 1,
@@ -553,7 +518,7 @@ mod tests {
         drain(&mut cps[0]);
         handle(
             &mut cps[0],
-            Observation::Departed {
+            ActionKind::Departed {
                 vehicle: VehicleId(3),
                 onto: e01,
                 delivered: false,
@@ -574,7 +539,7 @@ mod tests {
         assert!(cps[0].offer_label(e01).is_some());
         handle(
             &mut cps[0],
-            Observation::Departed {
+            ActionKind::Departed {
                 vehicle: VehicleId(4),
                 onto: e01,
                 delivered: true,
@@ -602,7 +567,7 @@ mod tests {
         let e01 = net.edge_between(NodeId(0), NodeId(1)).unwrap();
         handle(
             &mut cps[0],
-            Observation::Departed {
+            ActionKind::Departed {
                 vehicle: VehicleId(3),
                 onto: e01,
                 delivered: false,
@@ -642,9 +607,9 @@ mod tests {
         let (_, mut cps) = triangle_checkpoints(CheckpointConfig::default());
         seed(&mut cps[0], 0.0);
         drain(&mut cps[0]);
-        handle(&mut cps[0], Observation::Adjust { plus: 2, minus: 1 }, 1.0);
+        handle(&mut cps[0], ActionKind::Adjust { plus: 2, minus: 1 }, 1.0);
         assert_eq!(cps[0].local_count(), 1);
-        handle(&mut cps[0], Observation::Adjust { plus: 0, minus: 3 }, 2.0);
+        handle(&mut cps[0], ActionKind::Adjust { plus: 0, minus: 3 }, 2.0);
         assert_eq!(cps[0].local_count(), -2);
         let events = drain(&mut cps[0]);
         assert!(matches!(
@@ -675,7 +640,7 @@ mod tests {
         let exit = |cp: &mut Checkpoint, t: f64| {
             handle(
                 cp,
-                Observation::BorderExit {
+                ActionKind::BorderExit {
                     vehicle: VehicleId(9),
                     class: CAR,
                 },
@@ -719,7 +684,7 @@ mod tests {
         enter(&mut cp, 1.0, None, CAR, None);
         handle(
             &mut cp,
-            Observation::BorderExit {
+            ActionKind::BorderExit {
                 vehicle: VehicleId(9),
                 class: CAR,
             },
@@ -764,7 +729,7 @@ mod tests {
         status.observe(NodeId(2), true);
         handle(
             &mut cp,
-            Observation::PatrolStatus {
+            ActionKind::PatrolStatus {
                 vehicle: VehicleId(2),
                 status,
             },
@@ -791,7 +756,7 @@ mod tests {
         status.observe(NodeId(2), true);
         handle(
             &mut cps[0],
-            Observation::PatrolStatus {
+            ActionKind::PatrolStatus {
                 vehicle: VehicleId(2),
                 status,
             },
@@ -817,7 +782,7 @@ mod tests {
         let l = cp0.offer_label(e01).unwrap();
         handle(
             &mut cp0,
-            Observation::Departed {
+            ActionKind::Departed {
                 vehicle: VehicleId(1),
                 onto: e01,
                 delivered: true,
@@ -829,7 +794,7 @@ mod tests {
         let l_back = cp1.offer_label(e10).unwrap();
         handle(
             &mut cp1,
-            Observation::Departed {
+            ActionKind::Departed {
                 vehicle: VehicleId(2),
                 onto: e10,
                 delivered: true,
@@ -844,7 +809,7 @@ mod tests {
         // 1 reports 0 vehicles; 0 aggregates.
         handle(
             &mut cp0,
-            Observation::Report {
+            ActionKind::Report {
                 from: b,
                 total: 0,
                 seq: 1,
@@ -862,7 +827,7 @@ mod tests {
         drain(&mut cps[0]);
         handle(
             &mut cps[0],
-            Observation::Report {
+            ActionKind::Report {
                 from: NodeId(1),
                 total: 5,
                 seq: 1,
@@ -873,7 +838,7 @@ mod tests {
         // Stale report is ignored, no event.
         handle(
             &mut cps[0],
-            Observation::Report {
+            ActionKind::Report {
                 from: NodeId(1),
                 total: 99,
                 seq: 0,
@@ -884,7 +849,7 @@ mod tests {
         // Higher sequence supersedes.
         handle(
             &mut cps[0],
-            Observation::Report {
+            ActionKind::Report {
                 from: NodeId(1),
                 total: 4,
                 seq: 2,

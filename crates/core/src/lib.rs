@@ -14,8 +14,8 @@
 //!   draws no RNG and reads no clock; every effectful input arrives
 //!   inside the [`machine::Action`].
 //! * [`checkpoint::Checkpoint`] — the effectful shell deployments drive:
-//!   it mints actions from [`observation::Observation`]s and buffers the
-//!   emitted events.
+//!   it feeds [`machine::Action`]s to its machine and buffers the emitted
+//!   events.
 //! * [`machine::Replayer`] — re-drives recorded action streams without
 //!   any simulator, pinning determinism via [`machine::DispatchDigest`].
 //! * [`config`] — protocol variants and the specified-type filter.
@@ -23,8 +23,8 @@
 //!   components.
 //! * [`baseline`] — the unsynchronized baselines the paper argues against.
 //!
-//! A harness feeds [`observation::Observation`]s to
-//! [`checkpoint::Checkpoint::handle`] and performs the transport
+//! A harness feeds [`machine::Action`]s to
+//! [`checkpoint::Checkpoint::apply`] and performs the transport
 //! [`command::Command`]s appended to its scratch buffer; alongside, the
 //! machine buffers structured [`vcount_obs::ProtocolEvent`]s for
 //! observability sinks. `vcount-sim` wires it to the traffic and V2X
@@ -39,7 +39,6 @@ pub mod command;
 pub mod config;
 pub mod counter;
 pub mod machine;
-pub mod observation;
 
 pub use baseline::{ClassDedupCounter, NaiveIntervalCounter};
 pub use checkpoint::{Checkpoint, CheckpointState, InboundState, LabelState};
@@ -47,5 +46,4 @@ pub use command::Command;
 pub use config::{CheckpointConfig, ProtocolVariant};
 pub use counter::Counters;
 pub use machine::{Action, ActionKind, CheckpointMachine, DispatchDigest, Dispatches, Replayer};
-pub use observation::Observation;
 pub use vcount_obs::{EventKind, ProtocolEvent};

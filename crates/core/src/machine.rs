@@ -24,7 +24,6 @@
 use crate::command::Command;
 use crate::config::{CheckpointConfig, ProtocolVariant};
 use crate::counter::Counters;
-use crate::observation::Observation;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -112,8 +111,8 @@ pub struct Action {
 /// The protocol's action taxonomy: the seven observation arrivals (label
 /// deliveries and handoffs, report/patrol deliveries, border crossings,
 /// overtake adjustments), seed activation, and the fault transitions.
-/// Mirrors [`Observation`] plus the inputs that used to bypass
-/// `Checkpoint::handle` (seeding, crash/recover).
+/// Everything checkpoint equipment observes, plus seeding and the fault
+/// transitions; [`crate::Checkpoint::apply`] is the only way in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ActionKind {
     /// Phase 1: activate this checkpoint as a seed (and data sink).
@@ -193,42 +192,6 @@ pub enum ActionKind {
         /// The image to restore, captured by the effectful fault layer.
         image: Option<Box<CheckpointState>>,
     },
-}
-
-impl From<Observation> for ActionKind {
-    fn from(obs: Observation) -> ActionKind {
-        match obs {
-            Observation::Entered {
-                vehicle,
-                via,
-                class,
-                label,
-            } => ActionKind::Entered {
-                vehicle,
-                via,
-                class,
-                label,
-            },
-            Observation::Departed {
-                vehicle,
-                onto,
-                delivered,
-                matches_filter,
-            } => ActionKind::Departed {
-                vehicle,
-                onto,
-                delivered,
-                matches_filter,
-            },
-            Observation::BorderExit { vehicle, class } => ActionKind::BorderExit { vehicle, class },
-            Observation::PatrolStatus { vehicle, status } => {
-                ActionKind::PatrolStatus { vehicle, status }
-            }
-            Observation::Announce { from, pred } => ActionKind::Announce { from, pred },
-            Observation::Report { from, total, seq } => ActionKind::Report { from, total, seq },
-            Observation::Adjust { plus, minus } => ActionKind::Adjust { plus, minus },
-        }
-    }
 }
 
 /// Caller-owned output buffers one [`CheckpointMachine::process`] call

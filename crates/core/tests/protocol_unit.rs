@@ -1,10 +1,10 @@
 //! Hand-driven protocol scenarios exercising the extensions: one-way
 //! streets (Theorem 2), multi-seed waves, report re-issue ordering, and
-//! open-system interaction accounting — all through the unified
-//! [`Checkpoint::handle`] entry point.
+//! open-system interaction accounting — all through the single
+//! [`Checkpoint::apply`] entry point.
 
 use vcount_core::{
-    Checkpoint, CheckpointConfig, Command, InboundState, Observation, ProtocolEvent,
+    Action, ActionKind, Checkpoint, CheckpointConfig, Command, InboundState, ProtocolEvent,
     ProtocolVariant,
 };
 use vcount_roadnet::{EdgeId, Interaction, NodeId, Point, RoadNetwork};
@@ -16,18 +16,16 @@ const CAR: VehicleClass = VehicleClass {
     body: BodyType::Suv,
 };
 
-/// Drives one observation through a fresh command scratch.
-fn handle(cp: &mut Checkpoint, obs: Observation, now: f64) -> Vec<Command> {
+/// Drives one action through a fresh command scratch.
+fn handle(cp: &mut Checkpoint, kind: ActionKind, now: f64) -> Vec<Command> {
     let mut cmds = Vec::new();
-    cp.handle(obs, now, &mut cmds);
+    cp.apply(&Action { at_s: now, kind }, &mut cmds);
     cmds
 }
 
 /// Seed activation through a fresh command scratch.
 fn seed(cp: &mut Checkpoint, now: f64) -> Vec<Command> {
-    let mut cmds = Vec::new();
-    cp.activate_as_seed(now, &mut cmds);
-    cmds
+    handle(cp, ActionKind::Seed, now)
 }
 
 /// Drains the buffered events into a fresh vector.
@@ -50,7 +48,7 @@ fn enter(cp: &mut Checkpoint, now: f64, via: Option<EdgeId>, label: Option<Label
     drain(cp);
     let commands = handle(
         cp,
-        Observation::Entered {
+        ActionKind::Entered {
             vehicle: VehicleId(1),
             via,
             class: CAR,
@@ -82,7 +80,7 @@ fn deliver(cp: &mut Checkpoint, now: f64, onto: EdgeId) -> Label {
     let label = cp.offer_label(onto).unwrap();
     handle(
         cp,
-        Observation::Departed {
+        ActionKind::Departed {
             vehicle: VehicleId(1),
             onto,
             delivered: true,
@@ -159,7 +157,7 @@ fn one_way_wave_propagates_and_stabilizes() {
     // Child discovery across one-way links: deliver the announces.
     handle(
         &mut cu,
-        Observation::Announce {
+        ActionKind::Announce {
             from: v,
             pred: Some(u),
         },
@@ -167,7 +165,7 @@ fn one_way_wave_propagates_and_stabilizes() {
     );
     handle(
         &mut cv,
-        Observation::Announce {
+        ActionKind::Announce {
             from: w,
             pred: Some(v),
         },
@@ -175,7 +173,7 @@ fn one_way_wave_propagates_and_stabilizes() {
     );
     let cmds = handle(
         &mut cw,
-        Observation::Announce {
+        ActionKind::Announce {
             from: u,
             pred: None,
         },
@@ -258,7 +256,7 @@ fn late_loss_compensation_triggers_re_report() {
     assert!(out.commands.is_empty());
     let cmds = handle(
         &mut cu,
-        Observation::Report {
+        ActionKind::Report {
             from: x,
             total: 0,
             seq: 1,
@@ -275,7 +273,7 @@ fn late_loss_compensation_triggers_re_report() {
     );
     handle(
         &mut cs,
-        Observation::Report {
+        ActionKind::Report {
             from: u,
             total: 1,
             seq: 1,
@@ -288,7 +286,7 @@ fn late_loss_compensation_triggers_re_report() {
     // compensation lands after u's report, so u must re-report.
     let cmds = handle(
         &mut cu,
-        Observation::Departed {
+        ActionKind::Departed {
             vehicle: VehicleId(2),
             onto: e(u, x),
             delivered: false,
@@ -307,7 +305,7 @@ fn late_loss_compensation_triggers_re_report() {
     // An out-of-order stale report (seq 1) must not clobber seq 2.
     handle(
         &mut cs,
-        Observation::Report {
+        ActionKind::Report {
             from: u,
             total: 1,
             seq: 1,
@@ -316,7 +314,7 @@ fn late_loss_compensation_triggers_re_report() {
     );
     handle(
         &mut cs,
-        Observation::Report {
+        ActionKind::Report {
             from: u,
             total: 0,
             seq: 2,
@@ -327,7 +325,7 @@ fn late_loss_compensation_triggers_re_report() {
     // Replaying the stale one after the fresh one is ignored.
     handle(
         &mut cs,
-        Observation::Report {
+        ActionKind::Report {
             from: u,
             total: 1,
             seq: 1,
@@ -360,7 +358,7 @@ fn open_border_checkpoint_full_lifecycle() {
     assert!(enter(&mut cb, 2.0, None, None).counted); // from outside
     handle(
         &mut cb,
-        Observation::BorderExit {
+        ActionKind::BorderExit {
             vehicle: VehicleId(1),
             class: CAR,
         },

@@ -15,14 +15,6 @@ use vcount_v2x::{Announce, Message, Report};
 /// scenario's transport mode, draining the caller's scratch buffer.
 pub fn dispatch(ctx: &mut StepCtx<'_>, from: NodeId, cmds: &mut Vec<Command>) {
     for cmd in cmds.drain(..) {
-        // Attribute the route before picking a transport: every command
-        // targets exactly one destination checkpoint, so this counts each
-        // cross-region (cross-shard) message once.
-        match cmd {
-            Command::SendPredAnnounce { to, .. } | Command::SendReport { to, .. } => {
-                ctx.exchange.note_route(from, to);
-            }
-        }
         match cmd {
             Command::SendPredAnnounce { to, pred } => {
                 let msg = Message::Announce(Announce { to, from, pred });

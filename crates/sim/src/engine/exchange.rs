@@ -9,7 +9,8 @@
 //! payload is parsed only when its recipient actually consumes it —
 //! deliveries to crashed checkpoints and chaos-dropped duplicates are
 //! discarded unparsed and counted under `skipped_decode` instead of
-//! `decoded` (`--eager-decode` forces the old parse-everything behavior;
+//! `decoded` ([`Exchange::set_eager_decode`] forces the old
+//! parse-everything behavior as a reference path;
 //! `tests/lazy_decode_identity.rs` proves the event stream cannot tell
 //! the difference).
 //!
@@ -21,7 +22,6 @@
 //! restore, so the snapshot wire format is unchanged from the owned-
 //! payload era.
 
-use super::shard::RegionPartition;
 use super::{audit, StepCtx};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -93,17 +93,10 @@ pub struct WireCounters {
     pub relay_messages: u64,
     /// Carried labels silently overwritten by a second handoff to the same
     /// vehicle — always a protocol anomaly (each overwrite loses a label).
-    #[serde(default)]
     pub label_overwrites: u64,
-    /// Messages routed across a region (shard) boundary — barrier trades
-    /// under `--shards N`. Depends on the partition, so identity checks
-    /// across shard counts must normalize it (like wall-clock fields).
-    #[serde(default)]
-    pub cross_shard: u64,
     /// Messages discarded without parsing — lazy decode's dividend. A
     /// message lands here instead of `decoded` when its recipient was
     /// down (crashed/blacked out) or the payload was a dropped duplicate.
-    #[serde(default)]
     pub skipped_decode: u64,
 }
 
@@ -164,13 +157,9 @@ pub struct Exchange {
     due_reports_scratch: Vec<Routed>,
     /// Reused due-patrol buffer (see `due_reports_scratch`).
     due_patrol_scratch: Vec<Routed>,
-    /// The region partition routing is attributed against (single-region
-    /// unless the runner shards the engine). Not serialized: it is a pure
-    /// function of `(nodes, shards)` and is re-derived on restore.
-    partition: RegionPartition,
-    /// Parse discarded deliveries anyway (`--eager-decode`): a decode-
-    /// strategy knob, not simulation state — never serialized, and the
-    /// event stream is byte-identical either way.
+    /// Parse discarded deliveries anyway (the reference path the lazy
+    /// plane is tested against): not simulation state — never
+    /// serialized, and the event stream is byte-identical either way.
     eager_decode: bool,
     counters: WireCounters,
 }
@@ -217,21 +206,9 @@ impl Exchange {
             batch: DeliveryBatch::sized(nodes),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
-            partition: RegionPartition::single(nodes),
             eager_decode: false,
             counters: WireCounters::default(),
         }
-    }
-
-    /// Installs the region partition routing is attributed against (the
-    /// runner calls this when assembling a sharded engine).
-    pub fn set_partition(&mut self, partition: RegionPartition) {
-        self.partition = partition;
-    }
-
-    /// The active region partition.
-    pub fn partition(&self) -> &RegionPartition {
-        &self.partition
     }
 
     /// Forces discarded deliveries to be parsed anyway, restoring the
@@ -240,16 +217,6 @@ impl Exchange {
     /// event stream (`tests/lazy_decode_identity.rs`).
     pub fn set_eager_decode(&mut self, eager: bool) {
         self.eager_decode = eager;
-    }
-
-    /// Attributes one routed message `from → to`: a route crossing a
-    /// region boundary is a cross-shard barrier trade. Pure bookkeeping —
-    /// routing itself never depends on the partition, which is what keeps
-    /// the event stream byte-identical across shard counts.
-    pub fn note_route(&mut self, from: NodeId, to: NodeId) {
-        if self.partition.crosses(from, to) {
-            self.counters.cross_shard += 1;
-        }
     }
 
     /// Grows the per-vehicle queues to cover `n` vehicles (open-system
@@ -779,7 +746,6 @@ impl Exchange {
             batch: DeliveryBatch::sized(nodes),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
-            partition: RegionPartition::single(nodes),
             eager_decode: false,
             counters: snap.counters,
         }
@@ -965,20 +931,6 @@ mod tests {
         assert_eq!(ex.drop_origin_watches(NodeId(1)), 0);
         assert!(ex.watch_mut(EdgeId(0)).is_none());
         assert!(ex.watch_mut(EdgeId(1)).is_some(), "other origin survives");
-    }
-
-    #[test]
-    fn note_route_counts_only_cross_region_traffic() {
-        use crate::engine::shard::RegionPartition;
-        let mut ex = Exchange::new(1, 4);
-        // Default single-region partition: nothing crosses.
-        ex.note_route(NodeId(0), NodeId(3));
-        assert_eq!(ex.counters().cross_shard, 0);
-        ex.set_partition(RegionPartition::new(4, 2));
-        ex.note_route(NodeId(0), NodeId(1)); // local to region 0
-        ex.note_route(NodeId(1), NodeId(2)); // crosses 0 → 1
-        ex.note_route(NodeId(3), NodeId(0)); // crosses 1 → 0
-        assert_eq!(ex.counters().cross_shard, 2);
     }
 
     #[test]

@@ -35,14 +35,12 @@ pub mod audit;
 pub mod dispatch;
 pub mod exchange;
 pub mod observe;
-pub mod shard;
 pub mod snapshot;
 
 pub use audit::{audit, AuditLog};
 pub use dispatch::dispatch;
 pub use exchange::{exchange, Envelope, Exchange, ExchangeSnapshot, Watch, WireCounters};
 pub use observe::observe;
-pub use shard::{RegionPartition, ShardSnapshot};
 pub use snapshot::{EngineSnapshot, SNAPSHOT_SCHEMA};
 
 use crate::oracle::Oracle;

@@ -11,25 +11,9 @@ use vcount_roadnet::NodeId;
 use vcount_traffic::SimSnapshot;
 use vcount_v2x::VehicleId;
 
-/// Schema tag stamped on every serialized snapshot. `/v4` adds the
-/// `skipped_decode` wire counter (zero-copy lazy-decode plane); `/v3`
-/// (no `skipped_decode`, defaulting to 0), `/v2` (additionally no shard
-/// count, implying 1) and `/v1` (additionally no fault layer) snapshots
-/// are still accepted on read.
-pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v4";
-
-/// Previous schema tag, still accepted by [`EngineSnapshot::from_json`]:
-/// a v3 snapshot is a v4 snapshot whose wire counters predate the
-/// `decoded`/`skipped_decode` split (the missing counter defaults to 0).
-pub const SNAPSHOT_SCHEMA_V3: &str = "vcount-engine-snapshot/v3";
-
-/// Still accepted by [`EngineSnapshot::from_json`]:
-/// a v2 snapshot is exactly a v3 snapshot of a single-shard engine.
-pub const SNAPSHOT_SCHEMA_V2: &str = "vcount-engine-snapshot/v2";
-
-/// Oldest schema tag, still accepted by [`EngineSnapshot::from_json`]:
-/// a v1 snapshot is a v2 snapshot with no fault layer.
-pub const SNAPSHOT_SCHEMA_V1: &str = "vcount-engine-snapshot/v1";
+/// Schema tag stamped on every serialized snapshot, and the only one
+/// accepted on read ([`EngineSnapshot::check_schema`]).
+pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v5";
 
 /// Protocol-side RNG seed derivation: decoupled from the traffic stream
 /// but derived from the same scenario seed for whole-run reproducibility.
@@ -70,20 +54,13 @@ pub struct EngineSnapshot {
     pub naive: NaiveIntervalCounter,
     /// The image-recognition dedup baseline.
     pub dedup: ClassDedupCounter,
-    /// The fault plan driving the run, if any (absent in v1 snapshots and
-    /// fault-free runs).
+    /// The fault plan driving the run, if any (absent in fault-free
+    /// runs).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault_plan: Option<crate::faults::FaultPlan>,
     /// The fault layer's mid-run state, if a plan is active.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<crate::faults::FaultSnapshot>,
-    /// Shard (worker) count the run was using. Resume restores it; the
-    /// event stream is byte-identical for every value, so resuming with a
-    /// different count via `--shards` is also sound. v1/v2 snapshots carry
-    /// no shard count: the field defaults to `0` and resume clamps it up
-    /// to the single-shard engine those schemas imply.
-    #[serde(default)]
-    pub shards: usize,
 }
 
 impl EngineSnapshot {
@@ -95,16 +72,21 @@ impl EngineSnapshot {
     /// Parses a snapshot, validating the schema tag.
     pub fn from_json(s: &str) -> Result<EngineSnapshot, String> {
         let snap: EngineSnapshot = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if snap.schema != SNAPSHOT_SCHEMA
-            && snap.schema != SNAPSHOT_SCHEMA_V3
-            && snap.schema != SNAPSHOT_SCHEMA_V2
-            && snap.schema != SNAPSHOT_SCHEMA_V1
-        {
-            return Err(format!(
-                "unsupported snapshot schema {:?} (expected {SNAPSHOT_SCHEMA:?})",
-                snap.schema
-            ));
-        }
+        snap.check_schema()?;
         Ok(snap)
+    }
+
+    /// Rejects any tag but [`SNAPSHOT_SCHEMA`]. Every path that accepts a
+    /// snapshot from outside the process — a file or a service `Resume` —
+    /// goes through this check.
+    pub fn check_schema(&self) -> Result<(), String> {
+        if self.schema == SNAPSHOT_SCHEMA {
+            Ok(())
+        } else {
+            Err(format!(
+                "unsupported snapshot schema {:?} (expected {SNAPSHOT_SCHEMA:?})",
+                self.schema
+            ))
+        }
     }
 }

@@ -128,11 +128,6 @@ pub struct RunTelemetry {
     /// Relay/patrol deliveries reordered by chaos injection.
     #[serde(default)]
     pub chaos_reorders: u64,
-    /// Messages routed across a region (shard) boundary — barrier trades
-    /// under `--shards N`. Varies with the shard count (the only telemetry
-    /// field that does); identity comparisons must normalize it.
-    #[serde(default)]
-    pub cross_shard_messages: u64,
     /// Open segment watches closed because their origin checkpoint
     /// crashed (each is an explicit degradation, never a silent miscount).
     #[serde(default)]
@@ -176,7 +171,6 @@ impl RunTelemetry {
             chaos_duplicates: 0,
             chaos_delays: 0,
             chaos_reorders: 0,
-            cross_shard_messages: 0,
             watches_dropped: 0,
             traffic_step_secs: 0.0,
             protocol_secs: 0.0,
@@ -235,7 +229,6 @@ impl RunTelemetry {
         self.chaos_duplicates += other.chaos_duplicates;
         self.chaos_delays += other.chaos_delays;
         self.chaos_reorders += other.chaos_reorders;
-        self.cross_shard_messages += other.cross_shard_messages;
         self.watches_dropped += other.watches_dropped;
         self.traffic_step_secs += other.traffic_step_secs;
         self.protocol_secs += other.protocol_secs;

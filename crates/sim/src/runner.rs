@@ -102,10 +102,6 @@ pub struct Runner {
     recorder: ActionRecorder,
     /// Reused command scratch for [`engine::apply_action`].
     cmd_scratch: Vec<Command>,
-    /// Engine shard (worker) count. Drives the traffic detection fan-out
-    /// and the exchange's region partition; the event stream is
-    /// byte-identical for every value (see DESIGN.md §8bis).
-    shards: usize,
 }
 
 /// Chained-setter construction of a [`Runner`]: scenario first, then
@@ -130,7 +126,6 @@ pub struct RunnerBuilder {
     goal: Goal,
     faults: Option<FaultPlan>,
     record: bool,
-    shards: usize,
     eager_decode: bool,
     external: bool,
 }
@@ -145,7 +140,6 @@ impl RunnerBuilder {
             goal: Goal::Collection,
             faults: None,
             record: false,
-            shards: 1,
             eager_decode: false,
             external: false,
         }
@@ -164,22 +158,13 @@ impl RunnerBuilder {
     }
 
     /// Forces every discarded delivery to be parsed anyway, disabling the
-    /// exchange's lazy decode. A decode-strategy knob, never a semantics
-    /// knob: the event stream is byte-identical either way (pinned by
-    /// `tests/lazy_decode_identity.rs`); only the `messages_decoded` /
-    /// `messages_skipped_decode` telemetry split and the work done change.
+    /// exchange's lazy decode — the reference path the lazy plane is
+    /// tested against. The event stream is byte-identical either way
+    /// (pinned by `tests/lazy_decode_identity.rs`); only the
+    /// `messages_decoded` / `messages_skipped_decode` telemetry split and
+    /// the work done change.
     pub fn eager_decode(mut self, on: bool) -> Self {
         self.eager_decode = on;
-        self
-    }
-
-    /// Number of engine shards (worker threads). The road graph is split
-    /// into that many contiguous regions and overtake detection fans out
-    /// across them; `1` (the default) runs fully inline. Any value
-    /// produces a byte-identical event stream — shards are a throughput
-    /// knob, never a semantics knob.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -254,10 +239,9 @@ impl RunnerBuilder {
             self.ring_capacity,
             self.faults,
             self.record,
-            self.shards,
             self.external,
         )?;
-        runner.set_eager_decode(self.eager_decode);
+        runner.exchange.set_eager_decode(self.eager_decode);
         Ok(runner)
     }
 
@@ -282,16 +266,14 @@ impl Runner {
         ring_capacity: usize,
         fault_plan: Option<FaultPlan>,
         record: bool,
-        shards: usize,
         external: bool,
     ) -> Result<Self, String> {
-        let shards = shards.max(1);
         let net = scenario.map.build(scenario.closed);
         net.validate().expect("scenario map must be valid");
         let source: Box<dyn ObservationSource> = if external {
             Box::new(ExternalSource::new())
         } else {
-            Box::new(SimulatorSource::from_scenario(scenario, shards))
+            Box::new(SimulatorSource::from_scenario(scenario, 1))
         };
         let n = net.node_count();
         let cps: Vec<Checkpoint> = net
@@ -332,8 +314,7 @@ impl Runner {
         };
         // Vehicle-indexed capacity starts at zero and grows as batches
         // announce the population (capacity is not semantics).
-        let mut exchange = Exchange::new(0, n);
-        exchange.set_partition(engine::RegionPartition::new(n, shards));
+        let exchange = Exchange::new(0, n);
         let mut runner = Runner {
             scenario: scenario.clone(),
             net,
@@ -358,7 +339,6 @@ impl Runner {
             faults,
             recorder: ActionRecorder::new(record),
             cmd_scratch: Vec::new(),
-            shards,
         };
         for s in seeds {
             runner.with_ctx(0.0, |ctx| engine::apply_action(ctx, s, ActionKind::Seed));
@@ -411,11 +391,10 @@ impl Runner {
             net.node_count(),
             "snapshot checkpoint count must match the scenario map"
         );
-        let shards = snap.shards.max(1);
         let source: Box<dyn ObservationSource> = if external {
             Box::new(ExternalSource::with_sim_state(snap.sim.clone()))
         } else {
-            Box::new(SimulatorSource::resume_from(&scenario, &snap.sim, shards))
+            Box::new(SimulatorSource::resume_from(&scenario, &snap.sim))
         };
         let mut cps: Vec<Checkpoint> = net
             .node_ids()
@@ -430,8 +409,7 @@ impl Runner {
         );
         let channel = scenario.channel.build();
         channel.restore_state(snap.channel_state);
-        let mut exchange = Exchange::restore(&snap.exchange);
-        exchange.set_partition(engine::RegionPartition::new(snap.checkpoints.len(), shards));
+        let exchange = Exchange::restore(&snap.exchange);
         Runner {
             transport: scenario.transport,
             filter: scenario.protocol.filter,
@@ -459,18 +437,11 @@ impl Runner {
             },
             recorder: ActionRecorder::new(false),
             cmd_scratch: Vec::new(),
-            shards,
         }
     }
 
     /// Freezes the deployment at the current step boundary. The snapshot
     /// embeds the scenario, so [`Runner::resume`] needs nothing else.
-    ///
-    /// On a sharded engine the region-owned state (checkpoints and per-node
-    /// exchange queues) is decomposed into per-shard snapshots and
-    /// recomposed into the monolithic on-disk form, asserting the
-    /// round-trip is exact — a self-check that regional ownership covers
-    /// the whole engine state.
     pub fn snapshot(&self) -> EngineSnapshot {
         self.try_snapshot()
             .expect("source must hold traffic state to snapshot")
@@ -485,7 +456,7 @@ impl Runner {
              supply one (service: a Snapshot request carries it) before freezing"
                 .to_string()
         })?;
-        let snap = EngineSnapshot {
+        Ok(EngineSnapshot {
             schema: engine::SNAPSHOT_SCHEMA.to_string(),
             scenario: self.scenario.clone(),
             seeds: self.seeds.clone(),
@@ -499,20 +470,7 @@ impl Runner {
             dedup: self.dedup.clone(),
             fault_plan: self.faults.plan().cloned(),
             faults: self.faults.snapshot(),
-            shards: self.shards,
-        };
-        if self.shards > 1 {
-            let parts = engine::shard::decompose(
-                self.exchange.partition(),
-                &snap.checkpoints,
-                &snap.exchange,
-            );
-            let (cps, reports, patrol) = engine::shard::compose(parts);
-            assert_eq!(cps, snap.checkpoints, "shard composition lost state");
-            assert_eq!(reports, snap.exchange.pending_reports);
-            assert_eq!(patrol, snap.exchange.pending_patrol);
-        }
-        Ok(snap)
+        })
     }
 
     /// Hands externally produced ground truth to the observation source
@@ -528,18 +486,6 @@ impl Runner {
     /// no-op on the in-process simulator).
     pub fn provide_sim_state(&mut self, snap: SimSnapshot) {
         self.source.provide_sim_state(snap);
-    }
-
-    /// The engine's shard (worker) count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Toggles eager decode on the live exchange (see
-    /// [`RunnerBuilder::eager_decode`]); also usable on a resumed runner —
-    /// the strategy is not part of the snapshot.
-    pub fn set_eager_decode(&mut self, on: bool) {
-        self.exchange.set_eager_decode(on);
     }
 
     /// Builds a stage context over this runner's state and runs `f` in it.
@@ -830,7 +776,6 @@ impl Runner {
         t.messages_skipped_decode = wire.skipped_decode;
         t.wire_bytes = wire.bytes;
         t.label_overwrites = wire.label_overwrites;
-        t.cross_shard_messages = wire.cross_shard;
         let fc = self.faults.counters();
         t.chaos_duplicates = fc.chaos_duplicates;
         t.chaos_delays = fc.chaos_delays;

@@ -27,7 +27,7 @@
 //!   [`ServiceResponse::Throttled`] — it is *not* enqueued and *not*
 //!   dropped silently; the producer must resend it after draining.
 //! * **Snapshots keep their schema.** A tenant freezes into the same
-//!   [`EngineSnapshot`] (schema v4) a batch run produces, and a frozen
+//!   [`EngineSnapshot`] (schema v5) a batch run produces, and a frozen
 //!   run restarts via [`ServiceRequest::Resume`] to a byte-identical
 //!   continuation.
 
@@ -85,7 +85,9 @@ pub enum ServiceRequest {
         /// Goal the run drives toward (default: collection).
         #[serde(default)]
         goal: Option<Goal>,
-        /// Engine shard count (0 or absent → 1).
+        /// Accepted and ignored, kept for wire compatibility with feeders
+        /// that still send it: the engine runs a single region, and the
+        /// count never changed the output.
         #[serde(default)]
         shards: usize,
         /// Disable lazy decode (a differential knob, not semantics).
@@ -104,7 +106,7 @@ pub enum ServiceRequest {
     Resume {
         /// New run id (must not exist).
         run: String,
-        /// The frozen engine state (schema v4, scenario embedded; boxed —
+        /// The frozen engine state (schema v5, scenario embedded; boxed —
         /// a snapshot dwarfs every other request).
         snapshot: Box<EngineSnapshot>,
         /// Goal the resumed run drives toward (default: collection).
@@ -209,7 +211,7 @@ pub enum ServiceResponse {
     Snapshot {
         /// Target run id.
         run: String,
-        /// The snapshot (schema v4, scenario embedded; boxed — it dwarfs
+        /// The snapshot (schema v5, scenario embedded; boxed — it dwarfs
         /// every other response).
         snapshot: Box<EngineSnapshot>,
     },
@@ -352,20 +354,11 @@ impl RunManager {
                 run,
                 scenario,
                 goal,
-                shards,
+                shards: _,
                 eager_decode,
                 faults,
                 trace,
-            } => self.start(
-                run,
-                scenario,
-                goal,
-                shards,
-                eager_decode,
-                faults,
-                trace,
-                out,
-            ),
+            } => self.start(run, scenario, goal, eager_decode, faults, trace, out),
             ServiceRequest::Resume {
                 run,
                 snapshot,
@@ -395,7 +388,6 @@ impl RunManager {
         run: String,
         scenario: Box<Scenario>,
         goal: Option<Goal>,
-        shards: usize,
         eager_decode: bool,
         faults: Option<FaultPlan>,
         trace: Option<String>,
@@ -424,7 +416,6 @@ impl RunManager {
         let built = catch_panic_message(AssertUnwindSafe(move || {
             let mut builder = Runner::builder(&scenario)
                 .external(true)
-                .shards(shards.max(1))
                 .eager_decode(eager_decode)
                 .sink(Box::new(BufferSink(buffer)));
             if let Some(sink) = trace_sink {
@@ -471,6 +462,15 @@ impl RunManager {
         if self.tenants.contains_key(&run) {
             out.push(ServiceResponse::Error {
                 message: format!("run {run:?} already exists"),
+                run,
+            });
+            return;
+        }
+        // The wire snapshot bypassed `EngineSnapshot::from_json`, so its
+        // tag is checked here, before any trace file is opened.
+        if let Err(e) = snapshot.check_schema() {
+            out.push(ServiceResponse::Error {
+                message: format!("resume failed: {e}"),
                 run,
             });
             return;

@@ -359,12 +359,12 @@ pub struct SimulatorSource {
 
 impl SimulatorSource {
     /// Builds the simulator a scenario describes — map, demand, patrol
-    /// cars, detection shards — ready to produce batch 1.
-    pub fn from_scenario(scenario: &Scenario, shards: usize) -> Self {
+    /// cars — ready to produce batch 1. The second parameter is ignored;
+    /// it stays so existing two-argument callers keep compiling.
+    pub fn from_scenario(scenario: &Scenario, _shards: usize) -> Self {
         let net = scenario.map.build(scenario.closed);
         net.validate().expect("scenario map must be valid");
         let mut sim = Simulator::new(net, scenario.sim.clone(), scenario.demand.clone());
-        sim.set_detect_shards(shards.max(1));
         if scenario.patrol.cars > 0 {
             let cycle = edge_covering_cycle(sim.net(), NodeId(0))
                 .expect("validated map admits an edge-covering patrol cycle");
@@ -381,11 +381,10 @@ impl SimulatorSource {
     /// Restores the simulator from a snapshot (resume path). The restored
     /// population counts as already announced — the engine rebuilds its
     /// class table from the same snapshot.
-    pub fn resume_from(scenario: &Scenario, snap: &SimSnapshot, shards: usize) -> Self {
+    pub fn resume_from(scenario: &Scenario, snap: &SimSnapshot) -> Self {
         let net = scenario.map.build(scenario.closed);
         net.validate().expect("snapshot scenario map must be valid");
-        let mut sim = Simulator::restore(net, scenario.sim.clone(), scenario.demand.clone(), snap);
-        sim.set_detect_shards(shards.max(1));
+        let sim = Simulator::restore(net, scenario.sim.clone(), scenario.demand.clone(), snap);
         let announced = sim.vehicles().len();
         SimulatorSource::wrap(sim, scenario.protocol.filter, announced)
     }

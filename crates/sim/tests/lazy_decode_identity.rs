@@ -3,7 +3,7 @@
 //! protocol event stream, the final counts, and the per-checkpoint
 //! machine states must be *byte-identical* between lazy decode (the
 //! default: discarded deliveries are never parsed) and forced eager
-//! decode (`--eager-decode`: the pre-zero-copy parse-everything
+//! decode (`RunnerBuilder::eager_decode`: the pre-zero-copy parse-everything
 //! behavior) — including under a fault plan that exercises every discard
 //! path: crashes (dropped queued/carried messages and labels), a radio
 //! blackout window, and duplicate/delay/reorder message chaos.

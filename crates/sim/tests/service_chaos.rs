@@ -229,7 +229,7 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
         ),
         ServiceResponse::Stopped { .. }
     ));
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim, 1);
+    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
     assert!(matches!(
         wire_call(
             &mut client,

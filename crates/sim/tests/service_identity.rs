@@ -9,7 +9,7 @@
 //! The only fields allowed to differ are the wall-clock phase timings: the
 //! service never runs the traffic substrate (the feeder does), so its
 //! `traffic_step_secs` is legitimately zero. They are normalized out
-//! before comparison, exactly as the sharding tests do.
+//! before comparison.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,7 @@ fn fnv_digest(lines: &[String]) -> u64 {
     h
 }
 
-/// A 4×4 closed grid, as the sharding identity tests use.
+/// A 4×4 closed grid.
 fn grid_scenario(variant: ProtocolVariant, seed: u64) -> Scenario {
     let mut s = Scenario {
         map: MapSpec::Grid {
@@ -573,7 +573,7 @@ fn service_snapshot_restart_resumes_byte_identically() {
     // restores its simulator from the same snapshot.
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim, 1);
+    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
     call(
         &mut mgr,
         ServiceRequest::Resume {

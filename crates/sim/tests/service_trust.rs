@@ -420,7 +420,7 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     // Restart: fresh manager, default (inline) pumping, resumed feeder.
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim, 1);
+    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
     assert!(matches!(
         call(
             &mut mgr,
@@ -463,6 +463,98 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     assert_eq!(stitched, reference);
     assert_eq!(metrics.global_count, ref_metrics.global_count);
     assert_eq!(metrics.steps, ref_metrics.steps);
+}
+
+/// A Resume carrying a snapshot whose schema tag is not the current one —
+/// an invented `/v0` or the retired `/v4` — is refused at the service
+/// edge, exactly as `EngineSnapshot::from_json` refuses it from a file: an
+/// Error, no tenant, no events. A live tenant on the same manager (the one
+/// the snapshot was taken from) stays byte-identical to its solo run.
+#[test]
+fn resume_with_a_foreign_schema_tag_is_an_error() {
+    let scen = grid_scenario(139);
+    let (reference, _) = capture_batch(&scen);
+
+    let mut mgr = RunManager::new(ServiceConfig::default());
+    let mut events = Vec::new();
+    assert!(matches!(
+        call(&mut mgr, start_request("live", &scen), &mut events),
+        ServiceResponse::Started { .. }
+    ));
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    let mut batch = ObservationBatch::default();
+    for _ in 0..40 {
+        assert!(source.next_batch(&mut batch));
+        match call(&mut mgr, observe("live", &batch), &mut events) {
+            ServiceResponse::Accepted { done, .. } => assert!(!done),
+            other => panic!("Observe answered with {other:?}"),
+        }
+    }
+    let snap = match call(
+        &mut mgr,
+        ServiceRequest::Snapshot {
+            run: "live".into(),
+            sim: source.sim_state(),
+        },
+        &mut events,
+    ) {
+        ServiceResponse::Snapshot { snapshot, .. } => snapshot,
+        other => panic!("Snapshot answered with {other:?}"),
+    };
+
+    for tag in ["vcount-engine-snapshot/v0", "vcount-engine-snapshot/v4"] {
+        let mut stale = snap.clone();
+        stale.schema = tag.to_string();
+        let before = events.len();
+        let resp = call(
+            &mut mgr,
+            ServiceRequest::Resume {
+                run: "stale".into(),
+                snapshot: stale,
+                goal: Some(Goal::Collection),
+                trace: None,
+            },
+            &mut events,
+        );
+        match resp {
+            ServiceResponse::Error { run, message } => {
+                assert_eq!(run, "stale");
+                assert!(
+                    message.starts_with("resume failed: unsupported snapshot schema"),
+                    "{tag}: got {message:?}"
+                );
+            }
+            other => panic!("{tag}: Resume answered with {other:?}"),
+        }
+        assert_eq!(
+            events.len(),
+            before,
+            "{tag}: a refused Resume emitted events"
+        );
+        assert_eq!(mgr.runs().collect::<Vec<_>>(), ["live"]);
+    }
+
+    let mut done = false;
+    while !done && source.next_batch(&mut batch) {
+        match call(&mut mgr, observe("live", &batch), &mut events) {
+            ServiceResponse::Accepted { done: d, .. } => done = d,
+            other => panic!("Observe answered with {other:?}"),
+        }
+    }
+    call(
+        &mut mgr,
+        ServiceRequest::Finish {
+            run: "live".into(),
+            truth: source.truth(),
+        },
+        &mut events,
+    );
+    assert_eq!(
+        fnv_digest(&events),
+        fnv_digest(&reference),
+        "the live tenant diverged beside refused Resumes"
+    );
+    assert_eq!(events, reference);
 }
 
 /// The adversarial daemon test, over a real TCP connection: one feeder

@@ -164,9 +164,13 @@ fn snapshot_rejects_wrong_schema() {
     let mut runner = Runner::builder(&scen).build();
     runner.step();
     let mut snap = runner.snapshot();
-    snap.schema = "vcount-engine-snapshot/v0".to_string();
-    let err = EngineSnapshot::from_json(&snap.to_json()).unwrap_err();
-    assert!(err.contains("unsupported snapshot schema"), "{err}");
+    assert!(EngineSnapshot::from_json(&snap.to_json()).is_ok());
+    // Every retired tag is refused, not just an invented one.
+    for v in 0..=4 {
+        snap.schema = format!("vcount-engine-snapshot/v{v}");
+        let err = EngineSnapshot::from_json(&snap.to_json()).unwrap_err();
+        assert!(err.contains("unsupported snapshot schema"), "v{v}: {err}");
+    }
 }
 
 #[test]

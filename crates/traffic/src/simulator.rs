@@ -62,26 +62,14 @@ pub struct Simulator {
     signals: Option<SignalPlan>,
     /// Scratch buffer reused across steps.
     scratch_pos: Vec<f64>,
-    /// Per-worker overtake-detection scratch, one entry per detection
-    /// shard (lazily grown; see [`Simulator::set_detect_shards`]).
-    detect: Vec<DetectScratch>,
-    /// Worker threads overtake detection fans out over (1 = inline).
-    detect_shards: usize,
-    /// Minimum in-transit population before sharded detection actually
-    /// spawns threads; below it the same ranges run inline.
-    detect_parallel_min: usize,
+    /// Overtake-detection scratch.
+    detect: DetectScratch,
     /// Scratch: route candidates under consideration at an intersection.
     route_scratch: Vec<EdgeId>,
 }
 
-/// Default in-transit population below which sharded overtake detection
-/// runs inline instead of spawning scoped threads: under roughly this many
-/// vehicles the per-step spawn/join overhead exceeds the detection work.
-pub const DETECT_PARALLEL_MIN: usize = 4096;
-
-/// Per-worker scratch for overtake detection: everything
-/// [`DetectScratch::detect_range`] needs besides the shared simulator
-/// view. Excluded from snapshots like every other scratch buffer — the
+/// Scratch for overtake detection: everything [`DetectScratch::detect`]
+/// needs besides the simulator view. Excluded from snapshots like every other scratch buffer — the
 /// epoch-stamped rank table is self-validating, so a fresh instance
 /// produces the same events as a warmed one.
 #[derive(Debug, Default)]
@@ -105,33 +93,25 @@ struct DetectScratch {
     inv_sort: Vec<u32>,
     /// Scratch: merge buffer of the inversion count.
     inv_merge: Vec<u32>,
-    /// Overtake events found in this shard's edge range, in edge order;
-    /// drained into the simulator's event list after the join.
-    events: Vec<TrafficEvent>,
 }
 
 impl DetectScratch {
-    /// Detects overtakes over the contiguous edge range starting at
-    /// `first_edge`, whose previous-order slots are `prev_range`, pushing
-    /// events (in edge order) into `self.events`. Per-edge detection
-    /// depends only on that edge's previous order and the simulator's
-    /// current state, read through a shared borrow — so disjoint ranges
-    /// run concurrently, and concatenating the shard buffers in range
-    /// order reproduces the sequential scan byte for byte.
-    fn detect_range(
+    /// Detects overtakes on every edge, in edge order, replacing each
+    /// `prev_order` slot with the edge's current order and appending the
+    /// overtake events to `events`.
+    fn detect(
         &mut self,
         sim: &Simulator,
-        first_edge: usize,
-        prev_range: &mut [Vec<VehicleId>],
+        prev_order: &mut [Vec<VehicleId>],
+        events: &mut Vec<TrafficEvent>,
     ) {
-        self.events.clear();
         if self.rank_of.len() < sim.vehicles.len() {
             self.rank_of.resize(sim.vehicles.len(), 0);
             self.rank_stamp.resize(sim.vehicles.len(), 0);
         }
         let mut order = std::mem::take(&mut self.order);
-        for (off, slot) in prev_range.iter_mut().enumerate() {
-            let edge = EdgeId((first_edge + off) as u32);
+        for (ei, slot) in prev_order.iter_mut().enumerate() {
+            let edge = EdgeId(ei as u32);
             sim.in_transit_into(edge, &mut order);
             // `slot` now holds the current order; `order` holds the
             // previous one (and donates its capacity to the next edge).
@@ -162,7 +142,7 @@ impl DetectScratch {
             if inversions == 0 {
                 continue;
             }
-            let (vehicles, events) = (&self.inv_vehicles, &mut self.events);
+            let vehicles = &self.inv_vehicles;
             for_each_inversion(&self.inv_ranks, inversions, |i, j| {
                 // prev: i ahead of j; inversion means j is now ahead.
                 events.push(TrafficEvent::Overtake {
@@ -203,9 +183,7 @@ impl Simulator {
             prev_order,
             signals,
             scratch_pos: Vec::new(),
-            detect: Vec::new(),
-            detect_shards: 1,
-            detect_parallel_min: DETECT_PARALLEL_MIN,
+            detect: DetectScratch::default(),
             route_scratch: Vec::new(),
         };
         sim.populate();
@@ -262,33 +240,9 @@ impl Simulator {
             cfg,
             demand,
             scratch_pos: Vec::new(),
-            detect: Vec::new(),
-            detect_shards: 1,
-            detect_parallel_min: DETECT_PARALLEL_MIN,
+            detect: DetectScratch::default(),
             route_scratch: Vec::new(),
         }
-    }
-
-    /// Sets how many worker threads overtake detection fans out over
-    /// (contiguous edge ranges; 1 runs inline with no threads spawned).
-    /// Purely a throughput knob: the event stream is byte-identical for
-    /// every value, and the setting is not part of [`SimSnapshot`].
-    pub fn set_detect_shards(&mut self, shards: usize) {
-        self.detect_shards = shards.max(1);
-    }
-
-    /// Worker threads overtake detection currently fans out over.
-    pub fn detect_shards(&self) -> usize {
-        self.detect_shards
-    }
-
-    /// Overrides the in-transit population below which sharded detection
-    /// runs its ranges inline instead of spawning threads (default
-    /// [`DETECT_PARALLEL_MIN`]). Like the shard count itself, purely a
-    /// throughput knob: the event stream is identical either way. Tests
-    /// set it to 0 to force the threaded path on tiny fixtures.
-    pub fn set_detect_parallel_min(&mut self, min_vehicles: usize) {
-        self.detect_parallel_min = min_vehicles;
     }
 
     /// The road network being simulated.
@@ -658,54 +612,15 @@ impl Simulator {
     /// changed. Only on steps with inversions — rare by construction —
     /// are the inverted pairs enumerated, in the exact order of the
     /// historical all-pairs scan so the event stream is byte-identical.
-    ///
-    /// With `detect_shards > 1` the edge space is split into that many
-    /// contiguous ranges, each detected by its own scoped worker thread
-    /// against the shared (immutable) simulator state; the per-shard event
-    /// buffers are then concatenated in range order, which reproduces the
-    /// sequential scan exactly (see [`DetectScratch::detect_range`]).
     fn detect_overtakes(&mut self) {
-        let n_edges = self.prev_order.len();
-        let mut shards = self.detect_shards.clamp(1, n_edges.max(1));
-        // Per-step thread spawn costs tens of microseconds; below a few
-        // thousand in-transit vehicles that overhead dwarfs the detection
-        // work itself, so run the whole range inline. The fallback cannot
-        // change the event stream — a single whole-range scan emits exactly
-        // what the concatenated shard ranges would.
-        if shards > 1 {
-            let in_transit: usize = self.prev_order.iter().map(Vec::len).sum();
-            if in_transit < self.detect_parallel_min {
-                shards = 1;
-            }
-        }
-        while self.detect.len() < shards {
-            self.detect.push(DetectScratch::default());
-        }
         // Take the mutable pieces out so the simulator itself can be
-        // reborrowed immutably and shared across the workers.
+        // reborrowed immutably by the scan.
         let mut prev = std::mem::take(&mut self.prev_order);
-        let mut scratches = std::mem::take(&mut self.detect);
-        if shards == 1 {
-            scratches[0].detect_range(self, 0, &mut prev);
-        } else {
-            let sim: &Simulator = self;
-            std::thread::scope(|scope| {
-                let mut rest = &mut prev[..];
-                let mut first = 0usize;
-                for (s, scratch) in scratches.iter_mut().take(shards).enumerate() {
-                    let len = n_edges / shards + usize::from(s < n_edges % shards);
-                    let (chunk, tail) = rest.split_at_mut(len);
-                    rest = tail;
-                    let start = first;
-                    first += len;
-                    scope.spawn(move || scratch.detect_range(sim, start, chunk));
-                }
-            });
-        }
-        for scratch in scratches.iter_mut().take(shards) {
-            self.events.append(&mut scratch.events);
-        }
-        self.detect = scratches;
+        let mut scratch = std::mem::take(&mut self.detect);
+        let mut events = std::mem::take(&mut self.events);
+        scratch.detect(self, &mut prev, &mut events);
+        self.events = events;
+        self.detect = scratch;
         self.prev_order = prev;
     }
 
@@ -1013,48 +928,6 @@ mod tests {
             let a = full.step().to_vec();
             let b = resumed.step().to_vec();
             assert_eq!(a, b, "resumed stream diverged at step {}", resumed.steps());
-        }
-    }
-
-    #[test]
-    fn detect_shards_do_not_change_the_event_stream() {
-        // `parallel_min: 0` forces real scoped threads even on this tiny
-        // fixture; the default threshold exercises the inline fallback.
-        let run = |shards: usize, parallel_min: usize| {
-            let net = grid(4, 4, 200.0, 2, 10.0);
-            let mut sim = Simulator::new(
-                net,
-                SimConfig {
-                    seed: 31,
-                    detect_overtakes: true,
-                    speed_factor_range: (0.4, 1.0),
-                    ..Default::default()
-                },
-                Demand::at_volume(80.0),
-            );
-            sim.set_detect_shards(shards);
-            sim.set_detect_parallel_min(parallel_min);
-            let mut log = Vec::new();
-            for _ in 0..300 {
-                log.extend(sim.step().iter().copied());
-            }
-            log
-        };
-        let base = run(1, 0);
-        assert!(
-            base.iter()
-                .any(|e| matches!(e, TrafficEvent::Overtake { .. })),
-            "fixture must actually exercise overtake detection"
-        );
-        // 64 exceeds the edge count, exercising the clamp to n_edges.
-        for shards in [2usize, 3, 4, 64] {
-            for parallel_min in [0usize, DETECT_PARALLEL_MIN] {
-                assert_eq!(
-                    run(shards, parallel_min),
-                    base,
-                    "{shards} shards (parallel_min {parallel_min}) diverged"
-                );
-            }
         }
     }
 

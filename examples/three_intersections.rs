@@ -2,7 +2,7 @@
 //! intersections, where checkpoint "1" (our node 0) is the seed and sink.
 //!
 //! This example drives the checkpoint state machines directly (no traffic
-//! simulator) through the unified [`Checkpoint::handle`] entry point and
+//! simulator) through the single [`Checkpoint::apply`] entry point and
 //! prints the exact phase transitions of Alg. 1 and the collection of
 //! Alg. 2, mirroring panels (a)–(d) of the figure. The emitted
 //! [`ProtocolEvent`] stream of this walkthrough is pinned by the
@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example three_intersections`
 
 use vcount::core::{
-    Checkpoint, CheckpointConfig, Command, Observation, ProtocolEvent, ProtocolVariant,
+    Action, ActionKind, Checkpoint, CheckpointConfig, Command, ProtocolEvent, ProtocolVariant,
 };
 use vcount::roadnet::builders::fig1_triangle;
 use vcount::roadnet::{EdgeId, NodeId};
@@ -23,16 +23,16 @@ const CAR: VehicleClass = VehicleClass {
     body: BodyType::Sedan,
 };
 
-fn handle(cp: &mut Checkpoint, obs: Observation, t: f64) -> Vec<Command> {
+fn handle(cp: &mut Checkpoint, kind: ActionKind, t: f64) -> Vec<Command> {
     let mut cmds = Vec::new();
-    cp.handle(obs, t, &mut cmds);
+    cp.apply(&Action { at_s: t, kind }, &mut cmds);
     cmds
 }
 
 fn enter(cp: &mut Checkpoint, t: f64, vehicle: u64, via: EdgeId, label: Option<Label>) {
     handle(
         cp,
-        Observation::Entered {
+        ActionKind::Entered {
             vehicle: VehicleId(vehicle),
             via: Some(via),
             class: CAR,
@@ -46,7 +46,7 @@ fn deliver(cp: &mut Checkpoint, t: f64, vehicle: u64, onto: EdgeId) -> Label {
     let label = cp.offer_label(onto).expect("label pending");
     handle(
         cp,
-        Observation::Departed {
+        ActionKind::Departed {
             vehicle: VehicleId(vehicle),
             onto,
             delivered: true,
@@ -71,7 +71,13 @@ fn main() {
     // (a) Initialization from the seed.
     println!("(a) seed checkpoint n0 initializes: p(0)=∅, s(0)={{n1, n2}}");
     let mut seed_cmds = Vec::new();
-    cps[0].activate_as_seed(0.0, &mut seed_cmds);
+    cps[0].apply(
+        &Action {
+            at_s: 0.0,
+            kind: ActionKind::Seed,
+        },
+        &mut seed_cmds,
+    );
     println!("    n0 counts inbound 0←1 and 0←2; labels pending on 0→1, 0→2\n");
 
     // Uncounted traffic flows into the seed and is counted (phase 5).
@@ -108,7 +114,7 @@ fn main() {
     let l02 = deliver(&mut cps[0], 84.0, 3, e(0, 2));
     let cmds2 = handle(
         &mut cps[2],
-        Observation::Entered {
+        ActionKind::Entered {
             vehicle: VehicleId(3),
             via: Some(e(0, 2)),
             class: CAR,
@@ -134,7 +140,7 @@ fn main() {
     println!("    n2 reports c(2)={total} to p(2)={to}");
     let cmds1 = handle(
         &mut cps[1],
-        Observation::Report {
+        ActionKind::Report {
             from: NodeId(2),
             total,
             seq,
@@ -147,7 +153,7 @@ fn main() {
     println!("    n1 reports c(1)+c(2)={total} to p(1)={to}");
     handle(
         &mut cps[0],
-        Observation::Report {
+        ActionKind::Report {
             from: NodeId(1),
             total,
             seq,

@@ -1,7 +1,7 @@
 //! Golden trace of the paper's Fig. 1 walkthrough.
 //!
 //! Replays exactly the script of `examples/three_intersections.rs` through
-//! [`Checkpoint::handle`] and pins the complete [`ProtocolEvent`] stream each
+//! [`Checkpoint::apply`] and pins the complete [`ProtocolEvent`] stream each
 //! checkpoint emits: activation and wave propagation (Alg. 1 phases 1–4),
 //! counting at the seed and at n1 (phase 5), the backwash stopping every
 //! inbound direction, and the report chain 2 → 1 → 0 of Alg. 2. Any change
@@ -9,8 +9,7 @@
 //! expected sequence.
 
 use vcount::core::{
-    Action, ActionKind, Checkpoint, CheckpointConfig, Command, Observation, ProtocolVariant,
-    Replayer,
+    Action, ActionKind, Checkpoint, CheckpointConfig, Command, ProtocolVariant, Replayer,
 };
 use vcount::roadnet::builders::fig1_triangle;
 use vcount::roadnet::{EdgeId, NodeId};
@@ -23,16 +22,16 @@ const CAR: VehicleClass = VehicleClass {
     body: BodyType::Sedan,
 };
 
-fn handle(cp: &mut Checkpoint, obs: Observation, t: f64) -> Vec<Command> {
+fn handle(cp: &mut Checkpoint, kind: ActionKind, t: f64) -> Vec<Command> {
     let mut cmds = Vec::new();
-    cp.handle(obs, t, &mut cmds);
+    cp.apply(&Action { at_s: t, kind }, &mut cmds);
     cmds
 }
 
 fn enter(cp: &mut Checkpoint, t: f64, vehicle: u64, via: EdgeId, label: Option<Label>) {
     handle(
         cp,
-        Observation::Entered {
+        ActionKind::Entered {
             vehicle: VehicleId(vehicle),
             via: Some(via),
             class: CAR,
@@ -46,7 +45,7 @@ fn deliver(cp: &mut Checkpoint, t: f64, vehicle: u64, onto: EdgeId) -> Label {
     let label = cp.offer_label(onto).expect("label pending");
     handle(
         cp,
-        Observation::Departed {
+        ActionKind::Departed {
             vehicle: VehicleId(vehicle),
             onto,
             delivered: true,
@@ -70,7 +69,13 @@ fn walkthrough() -> Vec<Vec<(f64, ProtocolEvent)>> {
 
     // (a) seed initialization + three vehicles counted at n0.
     let mut seed_cmds = Vec::new();
-    cps[0].activate_as_seed(0.0, &mut seed_cmds);
+    cps[0].apply(
+        &Action {
+            at_s: 0.0,
+            kind: ActionKind::Seed,
+        },
+        &mut seed_cmds,
+    );
     for (vehicle, via, t) in [(1, e(1, 0), 1.0), (2, e(2, 0), 1.5), (3, e(1, 0), 2.0)] {
         enter(&mut cps[0], t, vehicle, via, None);
     }
@@ -92,7 +97,7 @@ fn walkthrough() -> Vec<Vec<(f64, ProtocolEvent)>> {
     let l02 = deliver(&mut cps[0], 84.0, 3, e(0, 2));
     let cmds2 = handle(
         &mut cps[2],
-        Observation::Entered {
+        ActionKind::Entered {
             vehicle: VehicleId(3),
             via: Some(e(0, 2)),
             class: CAR,
@@ -107,7 +112,7 @@ fn walkthrough() -> Vec<Vec<(f64, ProtocolEvent)>> {
     };
     let cmds1 = handle(
         &mut cps[1],
-        Observation::Report {
+        ActionKind::Report {
             from: NodeId(2),
             total,
             seq,
@@ -119,7 +124,7 @@ fn walkthrough() -> Vec<Vec<(f64, ProtocolEvent)>> {
     };
     handle(
         &mut cps[0],
-        Observation::Report {
+        ActionKind::Report {
             from: NodeId(1),
             total,
             seq,
