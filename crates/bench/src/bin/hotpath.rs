@@ -330,7 +330,8 @@ fn run_service_case(
             let mut events = 0u64;
             let mut done = false;
             for resp in &self.out {
-                // Responses are re-serialized as `serve_stream` would; the
+                // Responses are re-serialized one by one, as the daemon's
+                // request → frame function does for every mode; the
                 // black_box keeps the encoder on the clock.
                 let json = serde_json::to_string(resp).expect("response serializes");
                 std::hint::black_box(json.len());

@@ -3,7 +3,6 @@
 use crate::args::Args;
 use crate::{build_scenario, drive, SnapshotCfg};
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 use vcount_obs::{EventFilter, EventSink, JsonlSink};
 use vcount_roadnet::builders::{manhattan, ManhattanConfig};
 use vcount_roadnet::travel_time_diameter;
@@ -323,7 +322,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
         (false, Some(0)) => return Err("--max-conns must be at least 1".into()),
         (false, n) => n,
     };
-    let mgr = Arc::new(Mutex::new(RunManager::new(cfg)));
+    let mut mgr = RunManager::new(cfg);
     let listener = match (args.flag("socket"), args.flag("listen")) {
         (Some(_), Some(_)) => return Err("--socket and --listen are mutually exclusive".into()),
         (None, None) => {
@@ -332,7 +331,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
             }
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            return serve_stream(&mgr, stdin.lock(), stdout.lock());
+            return serve_stream(&mut mgr, stdin.lock(), stdout.lock());
         }
         (Some(path), None) => Listener::bind_unix(path)?,
         (None, Some(addr)) => Listener::bind_tcp(addr)?,
@@ -342,7 +341,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // the socket file is removed (a no-op for TCP).
     let _cleanup = args.flag("socket").map(SocketCleanup);
     eprintln!("vcountd listening on {}", listener.local_addr());
-    serve_connections(&listener, &mgr, max_conns)
+    serve_connections(&listener, &mut mgr, max_conns)
 }
 
 /// The feeder's connection to a service: a dialed socket (Unix or TCP,

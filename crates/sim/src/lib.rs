@@ -30,9 +30,9 @@
 //!   validation (a malformed feeder gets an `Error`, never a panic),
 //!   live per-run snapshot/restart;
 //! * [`server`] — the daemon around the manager: Unix-socket and TCP
-//!   listeners behind one framing contract, a thread-per-connection
-//!   accept loop over a shared `Mutex<RunManager>`, disconnect and
-//!   shutdown flush guards;
+//!   listeners behind one framing contract, one owner thread answering
+//!   every request while per-connection threads do only socket I/O (one
+//!   write per response frame), disconnect and shutdown flush guards;
 //! * [`replay`] — action record/replay: a recorded run's protocol-input
 //!   stream re-drives the pure machines without the simulator, pinning
 //!   byte-identical dispatches and final counts.

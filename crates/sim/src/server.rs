@@ -9,35 +9,44 @@
 //!
 //! ## Concurrency model
 //!
-//! [`serve_connections`] accepts connections and serves each on its own
-//! thread over one shared `Arc<Mutex<RunManager>>`:
+//! [`serve_connections`] keeps the manager on the calling thread, the
+//! *owner*: the only thread that parses, handles and serializes. Every
+//! accepted connection gets a thread that does socket I/O only, and hands
+//! each request line to the owner over a channel:
 //!
-//! * **One lock per request.** A connection thread locks the manager,
-//!   applies one request, and releases the lock before writing the
-//!   responses — requests from concurrent feeders interleave at request
-//!   granularity, and each tenant's event stream stays byte-identical to
+//! * **One owner, one request at a time.** The owner answers requests in
+//!   arrival order, so concurrent feeders interleave at request
+//!   granularity and each tenant's event stream stays byte-identical to
 //!   its solo run (tenants share the manager, never state).
-//! * **Per-connection write serialization.** Every connection owns its
-//!   stream writer exclusively: a request's Event lines and terminal
-//!   response are written by the one thread that read the request, so
-//!   interleaved tenants can never corrupt each other's framing.
+//! * **One frame, one write.** The owner turns a request into its whole
+//!   frame — the Event lines, then the terminal line — in one buffer, and
+//!   the thread that read the request writes it with one `write_all` and
+//!   one flush, so interleaved tenants can never corrupt each other's
+//!   framing. Every TCP stream, accepted or dialed, has `TCP_NODELAY`
+//!   set: no frame waits on Nagle for the peer's delayed ACK.
 //! * **Disconnect and shutdown guards.** When a connection ends — EOF,
-//!   error, or a feeder killed mid-run — that thread flushes every
-//!   tenant's sinks, so server-side trace files are complete and the
-//!   runs stay alive for a reconnect. The accept loop itself joins every
-//!   connection thread and flushes again before returning: graceful
-//!   shutdown never leaves a buffered tail behind.
+//!   error, or a feeder killed mid-run — its thread asks the owner to
+//!   flush every tenant's sinks and waits for the acknowledgement, so
+//!   server-side trace files are complete and the runs stay alive for a
+//!   reconnect. The owner serves until the accept loop has stopped and
+//!   every connection has closed, then flushes again before returning:
+//!   graceful shutdown never leaves a buffered tail behind.
 //!
-//! A malformed or hostile feeder is answered with
-//! [`ServiceResponse::Error`] by the manager's wire validation (see
-//! [`crate::service`]) and at worst kills its own connection thread —
-//! never the daemon, never another tenant.
+//! [`serve_stream`] (stdin mode) builds its frames with the same function,
+//! so there is one request → frame path.
+//!
+//! A malformed or hostile feeder — a line that is not even UTF-8 included
+//! — is answered with [`ServiceResponse::Error`] (see [`crate::service`]
+//! for the wire validation) and keeps its connection; a broken socket ends
+//! only its own connection thread — never the daemon, never another
+//! tenant.
 
 use crate::service::{RunManager, ServiceRequest, ServiceResponse};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
 
 /// Consecutive `accept` failures tolerated before the loop gives up. A
 /// transient error (EMFILE under load, an aborted handshake) must not
@@ -89,9 +98,15 @@ impl Listener {
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| nodelay(s)).map(Conn::Tcp),
         }
     }
+}
+
+/// Sends every write at once: a frame is one write, so Nagle can only
+/// delay it (until the peer's delayed ACK fires, ~40 ms on Linux).
+fn nodelay(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true).map(|()| stream)
 }
 
 /// One accepted (or dialed) connection, transport-erased.
@@ -113,6 +128,7 @@ impl Conn {
     /// Dials a `vcountd` TCP endpoint (`HOST:PORT`).
     pub fn connect_tcp(addr: &str) -> Result<Self, String> {
         TcpStream::connect(addr)
+            .and_then(nodelay)
             .map(Conn::Tcp)
             .map_err(|e| format!("{addr}: {e}"))
     }
@@ -172,9 +188,11 @@ impl WireClient {
     /// contract: zero or more [`ServiceResponse::Event`] lines followed by
     /// exactly one terminal (non-`Event`) response.
     pub fn call(&mut self, req: &ServiceRequest) -> Result<Vec<ServiceResponse>, String> {
-        let json = serde_json::to_string(req).map_err(|e| e.to_string())?;
-        writeln!(self.writer, "{json}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))?;
+        let mut line = serde_json::to_vec(req).map_err(|e| e.to_string())?;
+        line.push(b'\n');
+        self.writer
+            .write_all(&line)
+            .map_err(|e| format!("send: {e}"))?;
         let mut out = Vec::new();
         loop {
             let mut line = String::new();
@@ -196,106 +214,186 @@ impl WireClient {
     }
 }
 
+/// The one request → frame path of both modes: every response to one raw
+/// request line (newline included), serialized as newline-terminated JSON
+/// lines — the Event lines, then the terminal line — into one buffer for
+/// one write. A blank line gets an empty frame. A line that is not UTF-8
+/// parses to no request, and gets the same `malformed request` Error as
+/// any other such line.
+fn frame_request(
+    mgr: &mut RunManager,
+    line: &[u8],
+    out: &mut Vec<ServiceResponse>,
+) -> Result<Vec<u8>, String> {
+    out.clear();
+    match std::str::from_utf8(line).map(str::trim_end) {
+        Ok("") => {}
+        Ok(text) => mgr.handle_line(text, out),
+        Err(e) => out.push(ServiceResponse::Error {
+            run: String::new(),
+            message: format!("malformed request: {e}"),
+        }),
+    }
+    let mut frame = Vec::new();
+    for resp in out.drain(..) {
+        let json = serde_json::to_string(&resp).map_err(|e| e.to_string())?;
+        frame.reserve(json.len() + 1);
+        frame.extend_from_slice(json.as_bytes());
+        frame.push(b'\n');
+    }
+    Ok(frame)
+}
+
+/// Reads request lines from `reader` until EOF, and writes each line's
+/// frame from `answer` on `writer` with one `write_all` and one flush: the
+/// client decides what to send next from these responses (backpressure,
+/// done), so they cannot sit in a buffer.
+fn pump_lines(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    mut answer: impl FnMut(Vec<u8>) -> Result<Vec<u8>, String>,
+) -> Result<(), String> {
+    loop {
+        let mut line = Vec::new();
+        if reader
+            .read_until(b'\n', &mut line)
+            .map_err(|e| format!("read: {e}"))?
+            == 0
+        {
+            return Ok(());
+        }
+        let frame = answer(line)?;
+        if !frame.is_empty() {
+            writer
+                .write_all(&frame)
+                .and_then(|()| writer.flush())
+                .map_err(|e| format!("write: {e}"))?;
+        }
+    }
+}
+
 /// Answers newline-delimited requests from `reader` on `writer` until EOF,
 /// then flushes every tenant's sinks — the disconnect guard: a feeder
-/// going away mid-run leaves complete trace files behind. The manager is
-/// locked once per request, released before the responses are written, so
-/// concurrent connections interleave at request granularity.
+/// going away mid-run leaves complete trace files behind.
 pub fn serve_stream(
-    mgr: &Mutex<RunManager>,
+    mgr: &mut RunManager,
     reader: impl BufRead,
     writer: impl Write,
 ) -> Result<(), String> {
-    let result = pump_requests(mgr, reader, writer);
-    mgr.lock().expect("run manager poisoned").flush_all();
+    let mut out = Vec::new();
+    let result = pump_lines(reader, writer, |line| frame_request(mgr, &line, &mut out));
+    mgr.flush_all();
     result
 }
 
-fn pump_requests(
-    mgr: &Mutex<RunManager>,
-    reader: impl BufRead,
-    mut writer: impl Write,
+/// A frame from the owner, or why it could not build one.
+type Frame = Result<Vec<u8>, String>;
+
+/// What a connection thread asks of the owner.
+enum Job {
+    /// Answer this request line with its frame.
+    Request(Vec<u8>, Sender<Frame>),
+    /// The connection ended: flush every tenant's sinks, then reply.
+    Hangup(Sender<Frame>),
+}
+
+/// The concurrent accept loop: serves each accepted connection on its own
+/// I/O thread while the calling thread owns `mgr` and answers every
+/// request, until `max_conns` connections have been accepted (`None` =
+/// forever) or the listener breaks persistently. One broken feeder ends
+/// at most its own connection thread. On the way out — limit reached or
+/// listener dead — every connection is served to its end and every
+/// tenant's sinks are flushed: graceful shutdown, complete traces.
+pub fn serve_connections(
+    listener: &Listener,
+    mgr: &mut RunManager,
+    max_conns: Option<u64>,
 ) -> Result<(), String> {
-    let mut out = Vec::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
+    let (jobs, inbox) = mpsc::channel();
+    std::thread::scope(|s| {
+        let acceptor = s.spawn(move || accept_loop(s, listener, max_conns, jobs));
+        answer_jobs(mgr, inbox);
+        acceptor.join().expect("the accept loop panicked")
+    })
+}
+
+/// Accepts connections and spawns an I/O thread for each. Returning drops
+/// this loop's handle on the job channel, so the owner stops once the
+/// last connection has hung up.
+fn accept_loop<'scope>(
+    s: &'scope Scope<'scope, '_>,
+    listener: &Listener,
+    max_conns: Option<u64>,
+    jobs: Sender<Job>,
+) -> Result<(), String> {
+    let mut accepted = 0u64;
+    let mut consecutive_errors = 0u32;
+    while max_conns.is_none_or(|n| accepted < n) {
+        match listener.accept() {
+            Ok(conn) => {
+                consecutive_errors = 0;
+                accepted += 1;
+                let jobs = jobs.clone();
+                s.spawn(move || {
+                    if let Err(e) = serve_conn(conn, &jobs) {
+                        eprintln!("connection error: {e}");
+                    }
+                });
+            }
+            Err(e) => {
+                // A transient accept failure must not kill the daemon (or
+                // skip the shutdown path) — log and keep accepting, up to
+                // a persistence limit.
+                eprintln!("accept error: {e}");
+                consecutive_errors += 1;
+                if consecutive_errors >= MAX_CONSECUTIVE_ACCEPT_ERRORS {
+                    return Err(format!("accept failed {consecutive_errors} times: {e}"));
+                }
+            }
         }
-        out.clear();
-        mgr.lock()
-            .expect("run manager poisoned")
-            .handle_line(&line, &mut out);
-        for resp in &out {
-            let json = serde_json::to_string(resp).map_err(|e| e.to_string())?;
-            writeln!(writer, "{json}").map_err(|e| format!("write: {e}"))?;
-        }
-        // Flush per request: the client decides what to send next from
-        // these responses (backpressure, done), so they cannot sit in a
-        // buffer.
-        writer.flush().map_err(|e| format!("write: {e}"))?;
     }
     Ok(())
 }
 
-/// The concurrent accept loop: serves each accepted connection on its own
-/// thread over the shared manager, until `max_conns` connections have been
-/// accepted (`None` = forever) or the listener breaks persistently. One
-/// broken feeder kills at most its own connection thread. On the way out —
-/// limit reached or listener dead — every connection thread is joined and
-/// every tenant's sinks are flushed: graceful shutdown, complete traces.
-pub fn serve_connections(
-    listener: &Listener,
-    mgr: &Arc<Mutex<RunManager>>,
-    max_conns: Option<u64>,
-) -> Result<(), String> {
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    let mut consecutive_errors = 0u32;
-    let mut fatal: Option<String> = None;
-    while max_conns.is_none_or(|n| accepted < n) {
-        let conn = match listener.accept() {
-            Ok(conn) => {
-                consecutive_errors = 0;
-                conn
+/// The owner's loop: answers jobs in arrival order until every connection
+/// thread and the accept loop have dropped their senders, then flushes
+/// every tenant's sinks once more.
+fn answer_jobs(mgr: &mut RunManager, inbox: Receiver<Job>) {
+    let mut out = Vec::new();
+    for job in inbox {
+        // A send fails only when its connection thread is gone, and a gone
+        // connection needs no reply.
+        match job {
+            Job::Request(line, reply) => {
+                let _ = reply.send(frame_request(mgr, &line, &mut out));
             }
-            Err(e) => {
-                // A transient accept failure must not kill the daemon (or
-                // skip the shutdown path below) — log and keep accepting,
-                // up to a persistence limit.
-                eprintln!("accept error: {e}");
-                consecutive_errors += 1;
-                if consecutive_errors >= MAX_CONSECUTIVE_ACCEPT_ERRORS {
-                    fatal = Some(format!("accept failed {consecutive_errors} times: {e}"));
-                    break;
-                }
-                continue;
+            Job::Hangup(reply) => {
+                mgr.flush_all();
+                let _ = reply.send(Ok(Vec::new()));
             }
-        };
-        accepted += 1;
-        let mgr = Arc::clone(mgr);
-        handles.push(std::thread::spawn(move || {
-            let reader = match conn.try_clone() {
-                Ok(r) => BufReader::new(r),
-                Err(e) => {
-                    eprintln!("connection error: socket: {e}");
-                    return;
-                }
-            };
-            if let Err(e) = serve_stream(&mgr, reader, conn) {
-                eprintln!("connection error: {e}");
-            }
-        }));
+        }
     }
-    // Graceful shutdown: every in-flight connection finishes, then every
-    // tenant's sinks are flushed once more (connection threads flush on
-    // their own exit too; flushing twice is harmless).
-    for handle in handles {
-        let _ = handle.join();
+    mgr.flush_all();
+}
+
+/// One connection's I/O thread: hands each request line to the owner and
+/// writes back the frame. When the connection ends — EOF or error — it
+/// waits for the owner to flush every tenant's sinks before exiting.
+fn serve_conn(conn: Conn, jobs: &Sender<Job>) -> Result<(), String> {
+    let (reply, frames) = mpsc::channel();
+    let gone = || "the service stopped".to_string();
+    let result = conn
+        .try_clone()
+        .map_err(|e| format!("socket: {e}"))
+        .and_then(|reader| {
+            pump_lines(BufReader::new(reader), conn, |line| {
+                jobs.send(Job::Request(line, reply.clone()))
+                    .map_err(|_| gone())?;
+                frames.recv().map_err(|_| gone())?
+            })
+        });
+    if jobs.send(Job::Hangup(reply)).is_ok() {
+        let _ = frames.recv();
     }
-    mgr.lock().expect("run manager poisoned").flush_all();
-    match fatal {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    result
 }

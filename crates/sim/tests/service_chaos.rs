@@ -158,10 +158,9 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
 
     let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr();
-    let mgr = Arc::new(Mutex::new(RunManager::new(ServiceConfig::default())));
-    let server_mgr = Arc::clone(&mgr);
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &server_mgr, Some(2)).expect("serve_connections")
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        serve_connections(&listener, &mut mgr, Some(2)).expect("serve_connections")
     });
 
     // Life 1: feeder 1 pushes a prefix, then dies without Finish.

@@ -724,19 +724,19 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
 /// The tentpole contract, over real sockets: two feeders on *concurrent
 /// connections* to one daemon — each tenant's event stream and metrics
 /// must be byte-identical to its own solo batch run, on both transports.
-/// Requests interleave at request granularity under the shared manager
-/// lock; per-connection write serialization keeps each feeder's framing
-/// intact.
+/// Requests interleave at request granularity on the manager's one owner
+/// thread; each frame goes out in one write on its own connection, which
+/// keeps each feeder's framing intact.
 fn concurrent_feeders_match_solo(listener: Listener, dial: impl Fn() -> Conn + Send + Sync) {
     let scen_a = grid_scenario(ProtocolVariant::Simple, 61);
     let scen_b = open_scenario(62);
     let (solo_a, metrics_a) = capture_batch(&scen_a, None, Goal::Collection);
     let (solo_b, metrics_b) = capture_batch(&scen_b, None, Goal::Collection);
 
-    let mgr = Arc::new(Mutex::new(RunManager::new(ServiceConfig::default())));
-    let server_mgr = Arc::clone(&mgr);
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &server_mgr, Some(2)).expect("serve_connections")
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        serve_connections(&listener, &mut mgr, Some(2)).expect("serve_connections");
+        mgr
     });
     let ((events_a, got_a), (events_b, got_b)) = std::thread::scope(|s| {
         let feeder_a = s.spawn(|| drive_wire(dial(), "a", &scen_a));
@@ -746,7 +746,7 @@ fn concurrent_feeders_match_solo(listener: Listener, dial: impl Fn() -> Conn + S
             feeder_b.join().expect("feeder b"),
         )
     });
-    server.join().expect("server thread");
+    let mgr = server.join().expect("server thread");
 
     assert_eq!(
         fnv_digest(&events_a),
@@ -763,7 +763,7 @@ fn concurrent_feeders_match_solo(listener: Listener, dial: impl Fn() -> Conn + S
     assert_metrics_identical(&got_a, &metrics_a, "tenant a metrics");
     assert_metrics_identical(&got_b, &metrics_b, "tenant b metrics");
     assert!(
-        mgr.lock().unwrap().runs().next().is_none(),
+        mgr.runs().next().is_none(),
         "both tenants finished and were removed"
     );
 }

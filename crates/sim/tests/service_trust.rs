@@ -12,9 +12,9 @@ use vcount_core::{CheckpointConfig, ProtocolVariant};
 use vcount_obs::{EventRecord, EventSink};
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::{
-    serve_connections, Conn, Goal, Listener, ObservationBatch, ObservationSource, RunManager,
-    RunMetrics, Runner, Scenario, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource,
-    WireClient,
+    serve_connections, serve_stream, Conn, Goal, Listener, ObservationBatch, ObservationSource,
+    RunManager, RunMetrics, Runner, Scenario, ServiceConfig, ServiceRequest, ServiceResponse,
+    SimulatorSource, WireClient,
 };
 use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
 use vcount_traffic::{Demand, SimConfig, TrafficEvent};
@@ -570,10 +570,10 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
 
     let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr();
-    let mgr = Arc::new(Mutex::new(RunManager::new(ServiceConfig::default())));
-    let server_mgr = Arc::clone(&mgr);
     let server = std::thread::spawn(move || {
-        serve_connections(&listener, &server_mgr, Some(2)).expect("serve_connections")
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        serve_connections(&listener, &mut mgr, Some(2)).expect("serve_connections");
+        mgr
     });
 
     // The adversary, speaking raw bytes on connection 1.
@@ -670,7 +670,7 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
     );
     assert!(matches!(finished, ServiceResponse::Finished { .. }));
     drop(client);
-    server.join().expect("server thread");
+    let mgr = server.join().expect("server thread");
 
     assert_eq!(
         fnv_digest(&events),
@@ -679,5 +679,137 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
     );
     assert_eq!(events, reference);
     // The adversary's half-started run survived the daemon shutdown path.
-    assert_eq!(mgr.lock().unwrap().runs().collect::<Vec<_>>(), ["adv"]);
+    assert_eq!(mgr.runs().collect::<Vec<_>>(), ["adv"]);
+}
+
+/// Reads one request's whole answer off a raw stream: its Event lines up
+/// to and including the terminal response.
+fn read_answer(reader: &mut impl std::io::BufRead) -> Vec<ServiceResponse> {
+    let mut answer = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("read") > 0,
+            "the daemon hung up"
+        );
+        let resp: ServiceResponse = serde_json::from_str(line.trim_end()).expect("response parses");
+        let terminal = !matches!(resp, ServiceResponse::Event { .. });
+        answer.push(resp);
+        if terminal {
+            return answer;
+        }
+    }
+}
+
+/// A request line that is not UTF-8.
+const NOT_UTF8: &[u8] = b"\xff\xfe\n";
+
+fn expect_not_utf8_refused(answer: &[ServiceResponse]) {
+    match answer {
+        [ServiceResponse::Error { run, message }] => {
+            assert!(run.is_empty(), "the Error names run {run:?}");
+            assert!(
+                message.starts_with("malformed request"),
+                "unexpected error message {message:?}"
+            );
+        }
+        other => panic!("a non-UTF-8 line answered with {other:?}"),
+    }
+}
+
+fn expect_started(answer: &[ServiceResponse]) {
+    assert!(
+        matches!(answer.last(), Some(ServiceResponse::Started { .. })),
+        "Start answered with {answer:?}"
+    );
+}
+
+/// A line that is not UTF-8 gets a `malformed request` Error, and the
+/// connection keeps serving: the Start sent after it is answered.
+#[test]
+fn non_utf8_line_is_an_error_and_the_connection_survives() {
+    use std::io::{BufReader, Write};
+    let start = serde_json::to_string(&start_request("after", &grid_scenario(151))).unwrap();
+
+    let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        serve_connections(&listener, &mut mgr, Some(1)).expect("serve_connections");
+        mgr
+    });
+    let mut conn = Conn::connect_tcp(&addr).expect("connect");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    conn.write_all(NOT_UTF8).unwrap();
+    expect_not_utf8_refused(&read_answer(&mut reader));
+    writeln!(conn, "{start}").unwrap();
+    expect_started(&read_answer(&mut reader));
+    drop((conn, reader));
+    let mgr = server.join().expect("server thread");
+    assert_eq!(mgr.runs().collect::<Vec<_>>(), ["after"]);
+}
+
+/// The stdin mode answers the same bytes the same way.
+#[test]
+fn non_utf8_line_is_an_error_in_stdin_mode() {
+    let start = serde_json::to_string(&start_request("after", &grid_scenario(151))).unwrap();
+    let mut input = NOT_UTF8.to_vec();
+    input.extend_from_slice(start.as_bytes());
+    input.push(b'\n');
+    let mut output = Vec::new();
+    let mut mgr = RunManager::new(ServiceConfig::default());
+    serve_stream(&mut mgr, &input[..], &mut output).expect("serve_stream");
+    let mut responses = &output[..];
+    expect_not_utf8_refused(&read_answer(&mut responses));
+    expect_started(&read_answer(&mut responses));
+    assert!(responses.is_empty(), "answers past the Start");
+    assert_eq!(mgr.runs().collect::<Vec<_>>(), ["after"]);
+}
+
+/// A TCP round trip costs no delayed ACK: 40 sequential Observes through
+/// the daemon take well under a second. A frame written in two parts on a
+/// socket without `TCP_NODELAY` waits ~40 ms per request for the peer's
+/// delayed-ACK timer, which would put these 40 at 1.6 s or more.
+#[test]
+fn tcp_round_trips_wait_for_no_delayed_ack() {
+    const ROUND_TRIPS: usize = 40;
+    let scen = grid_scenario(152);
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    let batches: Vec<ObservationBatch> = (0..ROUND_TRIPS)
+        .map(|_| {
+            let mut batch = ObservationBatch::default();
+            assert!(source.next_batch(&mut batch), "the scenario ended early");
+            batch
+        })
+        .collect();
+
+    let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        serve_connections(&listener, &mut mgr, Some(1)).expect("serve_connections");
+    });
+    let conn = Conn::connect_tcp(&addr).expect("connect");
+    match &conn {
+        Conn::Tcp(stream) => assert!(stream.nodelay().expect("nodelay"), "Nagle is on"),
+        Conn::Unix(_) => unreachable!("connect_tcp dialed a Unix socket"),
+    }
+    let mut client = WireClient::new(conn).expect("wire client");
+    let started = client.call(&start_request("rtt", &scen)).expect("Start");
+    expect_started(&started);
+    let t0 = std::time::Instant::now();
+    for batch in &batches {
+        let answer = client.call(&observe("rtt", batch)).expect("Observe");
+        assert!(
+            matches!(answer.last(), Some(ServiceResponse::Accepted { .. })),
+            "Observe answered with {answer:?}"
+        );
+    }
+    let elapsed = t0.elapsed();
+    drop(client);
+    server.join().expect("server thread");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "{ROUND_TRIPS} Observe round trips took {elapsed:?}"
+    );
 }

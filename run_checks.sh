@@ -258,10 +258,10 @@ print(f"malformed-line smoke ok: {len(errors)} explicit Errors, "
       f"good stream byte-identical ({len(lines)} events)")
 EOF
 
-# Concurrent-feeders smoke: one daemon, two tenants over the Unix socket
-# at once — each feeder's returned trace must be byte-identical to its
-# own solo `vcount run --trace`, and the daemon must remove its socket
-# file on exit (DESIGN.md §10).
+# Concurrent-feeders smoke: one daemon, two tenants at once, first over a
+# Unix socket, then over TCP — each feeder's returned trace must be
+# byte-identical to its own solo `vcount run --trace`, and the Unix
+# daemon must remove its socket file on exit (DESIGN.md §10).
 echo "+ vcount serve --socket --max-conns 2 & two concurrent feeds (byte-diff)"
 run cargo run --release -q -p vcount-cli --bin vcount -- \
     scenario --preset closed --volume 40 --seeds 2 --rng 10 --out "$serve_dir/scen_b.json"
@@ -296,16 +296,46 @@ if [ -e "$vcountd_sock" ]; then
     echo "daemon exited without removing $vcountd_sock" >&2
     exit 1
 fi
+# The same two feeders over TCP: the daemon binds an ephemeral port and
+# prints it on its `vcountd listening on` line.
+echo "+ vcount serve --listen 127.0.0.1:0 --max-conns 2 & two concurrent feeds (byte-diff)"
+vcountd_log="$serve_dir/vcountd_tcp.log"
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    serve --listen 127.0.0.1:0 --max-conns 2 2>"$vcountd_log" &
+serve_pid=$!
+vcountd_addr=""
+for _ in $(seq 100); do
+    vcountd_addr="$(sed -n 's/^vcountd listening on //p' "$vcountd_log")"
+    [ -n "$vcountd_addr" ] && break
+    sleep 0.1
+done
+[ -n "$vcountd_addr" ] || { echo "daemon never printed its TCP address" >&2; exit 1; }
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$snap_dir/scen.json" --goal constitution --run a \
+    --connect "$vcountd_addr" --trace "$serve_dir/tcp_feed_a.jsonl" \
+    > "$serve_dir/tcp_mfeed_a.json" &
+feed_a_pid=$!
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$serve_dir/scen_b.json" --goal constitution --run b \
+    --connect "$vcountd_addr" --trace "$serve_dir/tcp_feed_b.jsonl" \
+    > "$serve_dir/tcp_mfeed_b.json" &
+feed_b_pid=$!
+wait "$feed_a_pid"
+wait "$feed_b_pid"
+wait "$serve_pid"
+run cmp "$serve_dir/batch.jsonl" "$serve_dir/tcp_feed_a.jsonl"
+run cmp "$serve_dir/batch_b.jsonl" "$serve_dir/tcp_feed_b.jsonl"
 run python3 - "$serve_dir" <<'EOF'
 import json, sys
 d = sys.argv[1]
-for tag in ("a", "b"):
-    ref = json.load(open(f"{d}/mbatch.json" if tag == "a" else f"{d}/mbatch_b.json"))
-    fed = json.load(open(f"{d}/mfeed_{tag}.json"))
-    assert fed["global_count"] == ref["global_count"], (tag, fed["global_count"])
-    assert fed["oracle_violations"] == 0, (tag, fed)
-print("concurrent-feeders smoke ok: both tenants byte-identical to solo runs, "
-      "socket file cleaned up")
+for transport in ("", "tcp_"):
+    for tag in ("a", "b"):
+        ref = json.load(open(f"{d}/mbatch.json" if tag == "a" else f"{d}/mbatch_b.json"))
+        fed = json.load(open(f"{d}/{transport}mfeed_{tag}.json"))
+        assert fed["global_count"] == ref["global_count"], (transport, tag, fed["global_count"])
+        assert fed["oracle_violations"] == 0, (transport, tag, fed)
+print("concurrent-feeders smoke ok: both tenants byte-identical to solo runs "
+      "over a Unix socket and over TCP, socket file cleaned up")
 EOF
 
 # Bench smoke: the hotpath bin must run end to end, emit well-formed JSON,
