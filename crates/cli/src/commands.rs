@@ -6,13 +6,12 @@ use std::io::Write;
 use vcount_obs::{EventFilter, EventSink, JsonlSink};
 use vcount_roadnet::builders::{manhattan, ManhattanConfig};
 use vcount_roadnet::travel_time_diameter;
-use vcount_sim::runner::DEFAULT_RING_CAPACITY;
 use vcount_sim::service::DEFAULT_QUEUE_CAPACITY;
 use vcount_sim::{
     replay_trace, serve_connections, serve_stream, sweep_with_faults, ActionTrace, Conn,
     EngineSnapshot, FaultPlan, Goal, Listener, ObservationBatch, ObservationSource, RunManager,
-    Runner, Scenario, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource, SweepConfig,
-    WireClient,
+    Runner, RunnerBuilder, Scenario, ServiceConfig, ServiceRequest, ServiceResponse,
+    SimulatorSource, SweepConfig, WireClient,
 };
 
 /// Top-level usage text.
@@ -186,7 +185,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     let faults = load_fault_plan(args)?;
     let record_path = args.flag("record-actions");
-    let (mut runner, max_time_s) = match args.flag("resume") {
+    // `context` names what a build error is about.
+    let (builder, context) = match args.flag("resume") {
         Some(snap_path) => {
             if args.positional(0).is_some() {
                 return Err(
@@ -209,11 +209,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             let text =
                 std::fs::read_to_string(snap_path).map_err(|e| format!("{snap_path}: {e}"))?;
             let snap = EngineSnapshot::from_json(&text).map_err(|e| format!("{snap_path}: {e}"))?;
-            let max = snap.scenario.max_time_s;
-            (
-                Runner::resume_with(&snap, sinks, DEFAULT_RING_CAPACITY),
-                max,
-            )
+            (RunnerBuilder::from_snapshot(snap), snap_path)
         }
         None => {
             let path = args.positional(0).ok_or("missing SCENARIO.json argument")?;
@@ -221,25 +217,18 @@ pub fn run(args: &Args) -> Result<(), String> {
             let scenario: Scenario =
                 serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
             let mut builder = Runner::builder(&scenario).record_actions(record_path.is_some());
-            for sink in sinks {
-                builder = builder.sink(sink);
-            }
             if let Some(plan) = faults {
                 builder = builder.faults(plan);
             }
-            let runner = builder
-                .try_build()
-                .map_err(|e| format!("fault plan: {e}"))?;
-            (runner, scenario.max_time_s)
+            (builder, "fault plan")
         }
     };
-    let metrics = drive(
-        &mut runner,
-        max_time_s,
-        goal,
-        args.switch("progress"),
-        snapshot,
-    )?;
+    let mut runner = sinks
+        .into_iter()
+        .fold(builder, RunnerBuilder::sink)
+        .try_build()
+        .map_err(|e| format!("{context}: {e}"))?;
+    let metrics = drive(&mut runner, goal, args.switch("progress"), snapshot)?;
     if let Some(trace) = trace_path {
         eprintln!("wrote event trace to {trace}");
     }

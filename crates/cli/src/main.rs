@@ -17,6 +17,10 @@
 //! vcount map --preset manhattan|small [--stats]
 //! vcount help
 //! ```
+//!
+//! `vcount run` (with or without `--progress` or `--snapshot-every`) and
+//! `vcount feed` stop on the same goal predicate, `Runner::reached`, and
+//! print the same metrics for the same scenario and fault plan.
 
 use std::process::ExitCode;
 use vcount_roadnet::builders::ManhattanConfig;
@@ -85,22 +89,20 @@ pub(crate) struct SnapshotCfg {
     pub out: String,
 }
 
+/// Steps `runner` until [`Runner::reached`] `goal` or the scenario's
+/// time budget runs out — exactly where [`Runner::run`] stops — writing
+/// progress lines and periodic snapshots on the way, then returns the
+/// final metrics.
 pub(crate) fn drive(
     runner: &mut Runner,
-    max_time_s: f64,
     goal: Goal,
     progress: bool,
     snapshot: Option<SnapshotCfg>,
 ) -> Result<vcount_sim::RunMetrics, String> {
-    if !progress && snapshot.is_none() {
-        return Ok(runner.run(goal, max_time_s));
-    }
-    // Re-implement the run loop with periodic progress lines and/or
-    // snapshot writes.
+    let max_time_s = runner.scenario().max_time_s;
     let mut next_tick = 0.0;
     let mut steps_since_snap = 0u64;
-    loop {
-        runner.step();
+    while runner.time_s() < max_time_s && !runner.reached(goal) && runner.step() {
         if let Some(cfg) = &snapshot {
             steps_since_snap += 1;
             if steps_since_snap >= cfg.every {
@@ -122,15 +124,6 @@ pub(crate) fn drive(
                 p.population
             );
             next_tick = runner.time_s() + 300.0;
-        }
-        let done = match goal {
-            Goal::Constitution => runner.all_stable(),
-            Goal::Collection => {
-                runner.all_stable() && runner.all_collected() && !runner.reports_in_flight()
-            }
-        };
-        if done || runner.time_s() >= max_time_s {
-            break;
         }
     }
     runner.flush_sinks();

@@ -84,10 +84,6 @@ pub struct JsonlSink {
     filter: EventFilter,
     /// First write error, if any (subsequent records are dropped).
     error: Option<std::io::Error>,
-    /// Flush after this many written records (0 = only on explicit `flush`).
-    flush_every: usize,
-    /// Records written since the last flush.
-    since_flush: usize,
 }
 
 impl JsonlSink {
@@ -102,19 +98,7 @@ impl JsonlSink {
             out,
             filter,
             error: None,
-            flush_every: 0,
-            since_flush: 0,
         }
-    }
-
-    /// Flushes the writer after every `n` written records, so a live
-    /// consumer tailing the stream (service mode, `tail -f` on a trace)
-    /// sees events promptly instead of at buffer-fill boundaries.
-    ///
-    /// `n = 0` restores the default: flush only at end of run.
-    pub fn flush_every(mut self, n: usize) -> Self {
-        self.flush_every = n;
-        self
     }
 
     /// Creates the file at `path` (truncating) and streams into it.
@@ -153,18 +137,10 @@ impl EventSink for JsonlSink {
             .and_then(|()| self.out.write_all(b"\n"))
         {
             self.error = Some(e);
-            return;
-        }
-        if self.flush_every > 0 {
-            self.since_flush += 1;
-            if self.since_flush >= self.flush_every {
-                self.flush();
-            }
         }
     }
 
     fn flush(&mut self) {
-        self.since_flush = 0;
         if let Err(e) = self.out.flush() {
             self.error.get_or_insert(e);
         }
@@ -251,19 +227,6 @@ mod tests {
             *self.0.lock().unwrap() += 1;
             Ok(())
         }
-    }
-
-    #[test]
-    fn jsonl_flush_interval_flushes_every_n_records() {
-        let flushes = Arc::new(Mutex::new(0usize));
-        let mut sink = JsonlSink::new(Box::new(FlushCounter(flushes.clone()))).flush_every(3);
-        for i in 0..7 {
-            sink.record(&rec(i as f64, i));
-        }
-        // Two full groups of three; the seventh record is still buffered.
-        assert_eq!(*flushes.lock().unwrap(), 2);
-        sink.flush();
-        assert_eq!(*flushes.lock().unwrap(), 3);
     }
 
     #[test]

@@ -243,20 +243,12 @@ impl Exchange {
         r
     }
 
-    /// Decodes a payload this exchange previously encoded. Payloads are
-    /// self-produced, so a decode failure is a codec bug, not bad input.
-    /// Decodes straight from the borrowed slice — the per-delivery hot
-    /// path stays allocation-free (pinned by `tests/decode_alloc.rs`).
-    pub fn decode_payload(&mut self, payload: &[u8]) -> Message {
-        self.counters.decoded += 1;
-        let mut buf: &[u8] = payload;
-        let msg = Message::decode(&mut buf).expect("exchange-owned payloads always decode");
-        debug_assert!(buf.is_empty(), "trailing bytes in exchange payload");
-        msg
-    }
-
     /// Parses a queued payload at its consumption point and releases the
     /// slot. The only path that pays a decode in the lazy (default) mode.
+    /// Payloads are self-produced, so a decode failure is a codec bug, not
+    /// bad input; the decode reads straight from the slab slot, so the
+    /// per-delivery hot path stays allocation-free (pinned by
+    /// `tests/send_alloc.rs`).
     pub fn consume_payload(&mut self, r: PayloadRef) -> Message {
         self.counters.decoded += 1;
         let msg = self

@@ -237,7 +237,7 @@ impl RunTelemetry {
 }
 
 /// The outcome of one simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Simulated time when every checkpoint's non-interaction counting
     /// stabilized (Alg. 3 constitution / Alg. 5 "complete status"), or

@@ -14,7 +14,13 @@
 //! [`Runner::ingest`]. The runner itself only assembles the deployment,
 //! sequences the stages, and exposes metrics; it holds no message state.
 //! A run can be frozen at any step boundary into an [`EngineSnapshot`]
-//! and resumed to a byte-identical event stream.
+//! and resumed, through [`RunnerBuilder::from_snapshot`], to a
+//! byte-identical event stream.
+//!
+//! Every driver — [`Runner::run`], the CLI's stepping loop, and each
+//! `vcountd` tenant — stops on one predicate of the current state,
+//! [`Runner::reached`], and reports [`Runner::metrics_now`], so how a run
+//! is driven never changes where it stops or what it reports.
 //!
 //! ## Intra-step ordering
 //!
@@ -32,7 +38,7 @@ use crate::faults::{FaultLayer, FaultPlan};
 use crate::metrics::{ProgressSnapshot, RunMetrics, RunTelemetry};
 use crate::oracle::Oracle;
 use crate::replay::{ActionRecorder, ActionTrace, TRACE_SCHEMA};
-use crate::scenario::{Scenario, SeedSpec, TransportMode};
+use crate::scenario::{Scenario, SeedSpec};
 use crate::source::{
     BatchIndex, ClassTable, ExternalSource, ObservationBatch, ObservationSource, SimulatorSource,
     TruthSnapshot,
@@ -44,7 +50,7 @@ use vcount_core::{ActionKind, ClassDedupCounter, Command, NaiveIntervalCounter};
 use vcount_obs::{EventRecord, EventSink, Phase};
 use vcount_roadnet::{NodeId, RoadNetwork};
 use vcount_traffic::{ReplayRng, SimSnapshot, Simulator};
-use vcount_v2x::{AdjustMode, ClassFilter, LossModel, VehicleId};
+use vcount_v2x::{LossModel, VehicleId};
 
 /// Ring-buffer capacity of the always-on post-mortem sink.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -82,9 +88,6 @@ pub struct Runner {
     channel: Box<dyn LossModel + Send>,
     proto_rng: ReplayRng,
     oracle: Oracle,
-    transport: TransportMode,
-    filter: ClassFilter,
-    adjust_mode: AdjustMode,
     seeds: Vec<NodeId>,
     /// The message layer: every in-flight payload lives here.
     exchange: Exchange,
@@ -104,23 +107,25 @@ pub struct Runner {
     cmd_scratch: Vec<Command>,
 }
 
-/// Chained-setter construction of a [`Runner`]: scenario first, then
-/// observability sinks and protocol overrides, then [`RunnerBuilder::build`]
-/// (or [`RunnerBuilder::run`] to execute in one go).
+/// Chained-setter construction of a [`Runner`]: a scenario
+/// ([`Runner::builder`]) or a frozen run ([`RunnerBuilder::from_snapshot`])
+/// first, then observability sinks and deployment knobs, then
+/// [`RunnerBuilder::build`] (or [`RunnerBuilder::run`] to execute in one
+/// go). Protocol settings are scenario fields, not builder setters.
 ///
 /// ```no_run
 /// use vcount_sim::{Goal, Runner, Scenario};
 /// use vcount_roadnet::builders::ManhattanConfig;
 ///
-/// let scenario = Scenario::paper_closed(ManhattanConfig::small(), 60.0, 2, 7);
-/// let metrics = Runner::builder(&scenario)
-///     .compensate_loss(true)
-///     .goal(Goal::Collection)
-///     .run();
+/// let mut scenario = Scenario::paper_closed(ManhattanConfig::small(), 60.0, 2, 7);
+/// scenario.protocol.compensate_loss = true;
+/// let metrics = Runner::builder(&scenario).goal(Goal::Collection).run();
 /// assert_eq!(metrics.oracle_violations, 0);
 /// ```
 pub struct RunnerBuilder {
     scenario: Scenario,
+    /// The frozen run to continue, if any.
+    snapshot: Option<EngineSnapshot>,
     sinks: Vec<Box<dyn EventSink + Send>>,
     ring_capacity: usize,
     goal: Goal,
@@ -135,6 +140,7 @@ impl RunnerBuilder {
     pub fn new(scenario: &Scenario) -> Self {
         RunnerBuilder {
             scenario: scenario.clone(),
+            snapshot: None,
             sinks: Vec::new(),
             ring_capacity: DEFAULT_RING_CAPACITY,
             goal: Goal::Collection,
@@ -145,13 +151,28 @@ impl RunnerBuilder {
         }
     }
 
+    /// Starts from a frozen run: the built runner continues exactly where
+    /// [`Runner::snapshot`] froze it and replays the event stream the
+    /// uninterrupted run would have produced, byte for byte. The snapshot
+    /// is moved in, never copied. It embeds its scenario and fault plan,
+    /// so [`RunnerBuilder::faults`] and [`RunnerBuilder::record_actions`]
+    /// are build errors here. The sinks see only the tail of the run:
+    /// telemetry and post-mortem state are not part of the snapshot.
+    pub fn from_snapshot(snapshot: EngineSnapshot) -> Self {
+        let mut builder = RunnerBuilder::new(&snapshot.scenario);
+        builder.snapshot = Some(snapshot);
+        builder
+    }
+
     /// Builds the runner around an [`ExternalSource`] instead of the
     /// in-process simulator: [`Runner::step`] will not advance on its own,
     /// and observation batches must be pushed via [`Runner::ingest`] —
     /// the `vcountd` service shape. The source is a deployment knob,
     /// never a semantics knob: fed the batches a [`SimulatorSource`] for
     /// the same scenario produces, the event stream is byte-identical to
-    /// the in-process run.
+    /// the in-process run. A resumed external source holds the snapshot's
+    /// traffic state, so the run can be re-frozen before the feeder's
+    /// first refresh.
     pub fn external(mut self, on: bool) -> Self {
         self.external = on;
         self
@@ -197,24 +218,6 @@ impl RunnerBuilder {
         self
     }
 
-    /// Overrides the scenario's collection transport.
-    pub fn transport(mut self, transport: TransportMode) -> Self {
-        self.scenario.transport = transport;
-        self
-    }
-
-    /// Overrides the scenario's overtake adjustment mode (ablations).
-    pub fn adjust_mode(mut self, mode: AdjustMode) -> Self {
-        self.scenario.protocol.adjust_mode = mode;
-        self
-    }
-
-    /// Overrides the scenario's lossy-handoff compensation (Alg. 3 line 3).
-    pub fn compensate_loss(mut self, on: bool) -> Self {
-        self.scenario.protocol.compensate_loss = on;
-        self
-    }
-
     /// The goal [`RunnerBuilder::run`] drives toward (default:
     /// [`Goal::Collection`]).
     pub fn goal(mut self, goal: Goal) -> Self {
@@ -223,25 +226,82 @@ impl RunnerBuilder {
     }
 
     /// Wires the deployment: map, traffic, checkpoints, patrol cars, sinks,
-    /// seed activation at t = 0. Panics on a fault plan that does not fit
-    /// the scenario map; use [`RunnerBuilder::try_build`] to handle that
-    /// gracefully.
+    /// and either seed activation at t = 0 or the snapshot's state. Panics
+    /// where [`RunnerBuilder::try_build`] would return an error.
     pub fn build(self) -> Runner {
-        self.try_build().expect("fault plan must fit the scenario")
+        self.try_build().expect("runner must assemble")
     }
 
-    /// Like [`RunnerBuilder::build`], but reports an invalid fault plan as
-    /// an error instead of panicking.
+    /// Like [`RunnerBuilder::build`], but reports an invalid fault plan,
+    /// a snapshot that does not fit its scenario map, or a knob a resumed
+    /// run cannot take as an error instead of panicking.
     pub fn try_build(self) -> Result<Runner, String> {
-        let mut runner = Runner::assemble(
-            &self.scenario,
-            self.sinks,
-            self.ring_capacity,
-            self.faults,
-            self.record,
-            self.external,
-        )?;
-        runner.exchange.set_eager_decode(self.eager_decode);
+        let RunnerBuilder {
+            scenario,
+            snapshot,
+            sinks,
+            ring_capacity,
+            goal: _,
+            faults,
+            record,
+            eager_decode,
+            external,
+        } = self;
+        if snapshot.is_some() && (faults.is_some() || record) {
+            return Err(
+                "a resumed run keeps its snapshot's fault plan and records no actions".into(),
+            );
+        }
+        let net = scenario.map.build(scenario.closed);
+        net.validate().expect("scenario map must be valid");
+        let n = net.node_count();
+        let source: Box<dyn ObservationSource> = match (&snapshot, external) {
+            (_, true) => Box::new(ExternalSource::new()),
+            (None, false) => Box::new(SimulatorSource::from_scenario(&scenario, 1)),
+            (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)),
+        };
+        let faults = match faults {
+            Some(plan) => FaultLayer::from_plan(plan, n)?,
+            None => FaultLayer::none(),
+        };
+        let cps = net
+            .node_ids()
+            .map(|node| Checkpoint::new(&net, node, scenario.protocol))
+            .collect();
+        let filter = scenario.protocol.filter;
+        let mut runner = Runner {
+            // Protocol-side randomness (seed selection, channel draws) is
+            // decoupled from traffic randomness but derived from the same
+            // seed for whole-run reproducibility. Draw-counted so snapshots
+            // can resume the exact stream position.
+            proto_rng: ReplayRng::seed_from_u64(engine::snapshot::proto_seed(scenario.sim.seed)),
+            channel: scenario.channel.build(),
+            audit: AuditLog::new(scenario.sim.seed, ring_capacity, sinks),
+            naive: NaiveIntervalCounter::new(filter),
+            dedup: ClassDedupCounter::new(filter),
+            scenario,
+            net,
+            source,
+            classes: ClassTable::new(),
+            now: 0.0,
+            steps: 0,
+            cps,
+            oracle: Oracle::new(),
+            seeds: Vec::new(),
+            // Vehicle-indexed capacity starts at zero and grows as batches
+            // announce the population (capacity is not semantics).
+            exchange: Exchange::new(0, n),
+            batch: ObservationBatch::default(),
+            index: BatchIndex::default(),
+            faults,
+            recorder: ActionRecorder::new(record),
+            cmd_scratch: Vec::new(),
+        };
+        match snapshot {
+            None => runner.activate_seeds(),
+            Some(snap) => runner.restore(snap)?,
+        }
+        runner.exchange.set_eager_decode(eager_decode);
         Ok(runner)
     }
 
@@ -260,39 +320,17 @@ impl Runner {
         RunnerBuilder::new(scenario)
     }
 
-    fn assemble(
-        scenario: &Scenario,
-        sinks: Vec<Box<dyn EventSink + Send>>,
-        ring_capacity: usize,
-        fault_plan: Option<FaultPlan>,
-        record: bool,
-        external: bool,
-    ) -> Result<Self, String> {
-        let net = scenario.map.build(scenario.closed);
-        net.validate().expect("scenario map must be valid");
-        let source: Box<dyn ObservationSource> = if external {
-            Box::new(ExternalSource::new())
-        } else {
-            Box::new(SimulatorSource::from_scenario(scenario, 1))
-        };
-        let n = net.node_count();
-        let cps: Vec<Checkpoint> = net
-            .node_ids()
-            .map(|node| Checkpoint::new(&net, node, scenario.protocol))
-            .collect();
-        // Protocol-side randomness (seed selection, channel draws) is
-        // decoupled from traffic randomness but derived from the same seed
-        // for whole-run reproducibility. Draw-counted so snapshots can
-        // resume the exact stream position.
-        let mut proto_rng =
-            ReplayRng::seed_from_u64(engine::snapshot::proto_seed(scenario.sim.seed));
-
-        let seeds: Vec<NodeId> = match &scenario.seeds {
+    /// Selects the scenario's seed checkpoints (drawing from the protocol
+    /// RNG) and activates them at t = 0 — the start of a fresh run.
+    fn activate_seeds(&mut self) {
+        let n = self.net.node_count();
+        let rng = &mut self.proto_rng;
+        self.seeds = match &self.scenario.seeds {
             SeedSpec::Explicit(list) => list.iter().map(|i| NodeId(*i)).collect(),
             SeedSpec::AllBorder => {
-                let border = net.border_nodes();
+                let border = self.net.border_nodes();
                 if border.is_empty() {
-                    vec![NodeId(proto_rng.gen_range(0..n as u32))]
+                    vec![NodeId(rng.gen_range(0..n as u32))]
                 } else {
                     border
                 }
@@ -300,148 +338,49 @@ impl Runner {
             SeedSpec::Random { count } => {
                 let mut ids: Vec<u32> = (0..n as u32).collect();
                 for i in (1..ids.len()).rev() {
-                    let j = proto_rng.gen_range(0..=i);
+                    let j = rng.gen_range(0..=i);
                     ids.swap(i, j);
                 }
                 ids.truncate((*count).max(1).min(n));
                 ids.into_iter().map(NodeId).collect()
             }
         };
-
-        let faults = match fault_plan {
-            Some(plan) => FaultLayer::from_plan(plan, n)?,
-            None => FaultLayer::none(),
-        };
-        // Vehicle-indexed capacity starts at zero and grows as batches
-        // announce the population (capacity is not semantics).
-        let exchange = Exchange::new(0, n);
-        let mut runner = Runner {
-            scenario: scenario.clone(),
-            net,
-            source,
-            classes: ClassTable::new(),
-            now: 0.0,
-            steps: 0,
-            cps,
-            channel: scenario.channel.build(),
-            proto_rng,
-            oracle: Oracle::new(),
-            transport: scenario.transport,
-            filter: scenario.protocol.filter,
-            adjust_mode: scenario.protocol.adjust_mode,
-            seeds: seeds.clone(),
-            exchange,
-            naive: NaiveIntervalCounter::new(scenario.protocol.filter),
-            dedup: ClassDedupCounter::new(scenario.protocol.filter),
-            batch: ObservationBatch::default(),
-            index: BatchIndex::default(),
-            audit: AuditLog::new(scenario.sim.seed, ring_capacity, sinks),
-            faults,
-            recorder: ActionRecorder::new(record),
-            cmd_scratch: Vec::new(),
-        };
-        for s in seeds {
-            runner.with_ctx(0.0, |ctx| engine::apply_action(ctx, s, ActionKind::Seed));
+        for s in self.seeds.clone() {
+            self.with_ctx(0.0, |ctx| engine::apply_action(ctx, s, ActionKind::Seed));
         }
-        Ok(runner)
     }
 
-    /// Resumes a deployment from a snapshot, with no extra sinks and the
-    /// default ring capacity. The resumed run replays the event stream the
-    /// snapshotted run would have produced, byte for byte.
-    pub fn resume(snap: &EngineSnapshot) -> Runner {
-        Runner::resume_with(snap, Vec::new(), DEFAULT_RING_CAPACITY)
-    }
-
-    /// Resumes a deployment from a snapshot with the given sinks and ring
-    /// capacity. The sinks receive only the tail of the run — telemetry
-    /// and post-mortem state are not part of the snapshot.
-    pub fn resume_with(
-        snap: &EngineSnapshot,
-        sinks: Vec<Box<dyn EventSink + Send>>,
-        ring_capacity: usize,
-    ) -> Runner {
-        Runner::resume_core(snap, sinks, ring_capacity, false)
-    }
-
-    /// Resumes a deployment from a snapshot around an [`ExternalSource`]:
-    /// the run continues exactly where it froze, but batches must be
-    /// pushed via [`Runner::ingest`] — the service restart path. The
-    /// source is pre-seeded with the snapshot's traffic state so the run
-    /// can be re-frozen before the feeder's first refresh.
-    pub fn resume_external(
-        snap: &EngineSnapshot,
-        sinks: Vec<Box<dyn EventSink + Send>>,
-        ring_capacity: usize,
-    ) -> Runner {
-        Runner::resume_core(snap, sinks, ring_capacity, true)
-    }
-
-    fn resume_core(
-        snap: &EngineSnapshot,
-        sinks: Vec<Box<dyn EventSink + Send>>,
-        ring_capacity: usize,
-        external: bool,
-    ) -> Runner {
-        let scenario = snap.scenario.clone();
-        let net = scenario.map.build(scenario.closed);
-        net.validate().expect("snapshot scenario map must be valid");
-        assert_eq!(
-            snap.checkpoints.len(),
-            net.node_count(),
-            "snapshot checkpoint count must match the scenario map"
-        );
-        let source: Box<dyn ObservationSource> = if external {
-            Box::new(ExternalSource::with_sim_state(snap.sim.clone()))
-        } else {
-            Box::new(SimulatorSource::resume_from(&scenario, &snap.sim))
-        };
-        let mut cps: Vec<Checkpoint> = net
-            .node_ids()
-            .map(|node| Checkpoint::new(&net, node, scenario.protocol))
-            .collect();
-        for (cp, state) in cps.iter_mut().zip(&snap.checkpoints) {
-            cp.restore_state(state.clone());
+    /// Moves a frozen run's dynamic state into this freshly wired
+    /// deployment of the same scenario.
+    fn restore(&mut self, snap: EngineSnapshot) -> Result<(), String> {
+        if snap.checkpoints.len() != self.cps.len() {
+            return Err("snapshot checkpoint count must match the scenario map".into());
         }
-        let proto_rng = ReplayRng::resume(
-            engine::snapshot::proto_seed(scenario.sim.seed),
-            snap.proto_rng_draws,
-        );
-        let channel = scenario.channel.build();
-        channel.restore_state(snap.channel_state);
-        let exchange = Exchange::restore(&snap.exchange);
-        Runner {
-            transport: scenario.transport,
-            filter: scenario.protocol.filter,
-            adjust_mode: scenario.protocol.adjust_mode,
-            scenario,
-            net,
-            source,
-            classes: ClassTable::from_snapshot(&snap.sim),
-            now: snap.sim.time_s,
-            steps: snap.sim.steps,
-            cps,
-            channel,
-            proto_rng,
-            oracle: Oracle::from_ledger(snap.ledger.clone()),
-            seeds: snap.seeds.clone(),
-            exchange,
-            naive: snap.naive.clone(),
-            dedup: snap.dedup.clone(),
-            batch: ObservationBatch::default(),
-            index: BatchIndex::default(),
-            audit: AuditLog::new(snap.scenario.sim.seed, ring_capacity, sinks),
-            faults: match (&snap.fault_plan, &snap.faults) {
-                (Some(plan), Some(fs)) => FaultLayer::restore(plan.clone(), fs),
-                _ => FaultLayer::none(),
-            },
-            recorder: ActionRecorder::new(false),
-            cmd_scratch: Vec::new(),
+        for (cp, state) in self.cps.iter_mut().zip(snap.checkpoints) {
+            cp.restore_state(state);
         }
+        self.proto_rng = ReplayRng::resume(self.proto_rng.seed(), snap.proto_rng_draws);
+        self.channel.restore_state(snap.channel_state);
+        self.classes = ClassTable::from_snapshot(&snap.sim);
+        self.now = snap.sim.time_s;
+        self.steps = snap.sim.steps;
+        // The in-process simulator was already rebuilt from this state
+        // (and ignores it); an external source keeps it for re-freezing.
+        self.source.provide_sim_state(snap.sim);
+        self.exchange = Exchange::restore(&snap.exchange);
+        self.oracle = Oracle::from_ledger(snap.ledger);
+        self.seeds = snap.seeds;
+        self.naive = snap.naive;
+        self.dedup = snap.dedup;
+        if let (Some(plan), Some(state)) = (snap.fault_plan, &snap.faults) {
+            self.faults = FaultLayer::restore(plan, state);
+        }
+        Ok(())
     }
 
     /// Freezes the deployment at the current step boundary. The snapshot
-    /// embeds the scenario, so [`Runner::resume`] needs nothing else.
+    /// embeds the scenario, so [`RunnerBuilder::from_snapshot`] needs
+    /// nothing else.
     pub fn snapshot(&self) -> EngineSnapshot {
         self.try_snapshot()
             .expect("source must hold traffic state to snapshot")
@@ -491,15 +430,13 @@ impl Runner {
     /// Builds a stage context over this runner's state and runs `f` in it.
     fn with_ctx<R>(&mut self, now: f64, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
         let Runner {
+            scenario,
             net,
             classes,
             cps,
             channel,
             proto_rng,
             oracle,
-            transport,
-            filter,
-            adjust_mode,
             exchange,
             naive,
             dedup,
@@ -518,9 +455,9 @@ impl Runner {
             oracle,
             channel: &**channel,
             proto_rng,
-            transport: *transport,
-            filter: *filter,
-            adjust_mode: *adjust_mode,
+            transport: scenario.transport,
+            filter: scenario.protocol.filter,
+            adjust_mode: scenario.protocol.adjust_mode,
             naive,
             dedup,
             audit,
@@ -529,6 +466,12 @@ impl Runner {
             cmd_scratch,
         };
         f(&mut ctx)
+    }
+
+    /// The scenario this deployment runs (a resumed run's is its
+    /// snapshot's).
+    pub fn scenario(&self) -> &Scenario {
+        &self.scenario
     }
 
     /// The road network under simulation.
@@ -658,61 +601,26 @@ impl Runner {
         // Events are timestamped at the end of the step they occurred in.
         self.now = batch.now;
         self.steps = batch.steps;
-        self.index.rebuild(&batch.events);
-        let Runner {
-            net,
-            classes,
-            cps,
-            channel,
-            proto_rng,
-            oracle,
-            transport,
-            filter,
-            adjust_mode,
-            exchange,
-            naive,
-            dedup,
-            index,
-            audit,
-            faults,
-            recorder,
-            cmd_scratch,
-            ..
-        } = self;
-        let mut ctx = StepCtx {
-            now: batch.now,
-            net,
-            classes,
-            cps,
-            exchange,
-            oracle,
-            channel: &**channel,
-            proto_rng,
-            transport: *transport,
-            filter: *filter,
-            adjust_mode: *adjust_mode,
-            naive,
-            dedup,
-            audit,
-            faults,
-            recorder,
-            cmd_scratch,
-        };
-        let t_protocol = Instant::now();
-        // Fault transitions fire at the step boundary — after the traffic
-        // advance, before any observation — where checkpoint event buffers
-        // are provably drained.
-        crate::faults::fault_step(&mut ctx);
-        engine::observe(&mut ctx, batch, index);
-        ctx.audit
-            .counters
-            .add_phase(Phase::Protocol, t_protocol.elapsed());
+        let mut index = std::mem::take(&mut self.index);
+        index.rebuild(&batch.events);
+        self.with_ctx(batch.now, |ctx| {
+            let t_protocol = Instant::now();
+            // Fault transitions fire at the step boundary — after the
+            // traffic advance, before any observation — where checkpoint
+            // event buffers are provably drained.
+            crate::faults::fault_step(ctx);
+            engine::observe(ctx, batch, &index);
+            ctx.audit
+                .counters
+                .add_phase(Phase::Protocol, t_protocol.elapsed());
 
-        let t_relay = Instant::now();
-        engine::exchange(&mut ctx);
-        ctx.audit
-            .counters
-            .add_phase(Phase::Relay, t_relay.elapsed());
+            let t_relay = Instant::now();
+            engine::exchange(ctx);
+            ctx.audit
+                .counters
+                .add_phase(Phase::Relay, t_relay.elapsed());
+        });
+        self.index = index;
     }
 
     /// Whether any report message is still in transit (on a vehicle,
@@ -722,38 +630,34 @@ impl Runner {
         self.exchange.reports_in_flight()
     }
 
-    /// Runs until `goal` is reached or `max_time_s` elapses, then evaluates
-    /// ground truth and returns the metrics.
+    /// Whether `goal` holds in the current state: the one completion
+    /// predicate every driver stops on — [`Runner::run`], the CLI's
+    /// stepping loop, and each `vcountd` tenant.
     ///
-    /// Collection is declared done when every seed holds a tree total *and*
-    /// no report is in flight *and* the constitution has completed — after
-    /// that point no further label handoff can fail and no watch is open,
-    /// so no re-report can change the collected value.
-    pub fn run(&mut self, goal: Goal, max_time_s: f64) -> RunMetrics {
-        let mut constitution_done: Option<f64> = None;
-        let mut collection_done: Option<f64> = None;
-        while self.now < max_time_s {
-            if !self.step() {
-                break;
-            }
-            if constitution_done.is_none() && self.all_stable() {
-                constitution_done = Some(self.now);
-                if goal == Goal::Constitution {
-                    break;
-                }
-            }
-            if goal == Goal::Collection
-                && constitution_done.is_some()
-                && collection_done.is_none()
-                && self.all_collected()
-                && !self.reports_in_flight()
-            {
-                collection_done = Some(self.now);
-                break;
+    /// [`Goal::Constitution`] holds when every checkpoint is stable.
+    /// [`Goal::Collection`] additionally needs every seed to hold its tree
+    /// total with no report in flight: from then on no label handoff can
+    /// fail and no watch is open, so no re-report can change the collected
+    /// value. The predicate reads state, not history. A crash that reverts
+    /// a checkpoint to a pre-stability image (a `degraded` run) un-reaches
+    /// the goal until it holds again, and a resumed snapshot has reached
+    /// it exactly when the frozen run had.
+    pub fn reached(&self, goal: Goal) -> bool {
+        match goal {
+            Goal::Constitution => self.all_stable(),
+            Goal::Collection => {
+                self.all_stable() && self.all_collected() && !self.reports_in_flight()
             }
         }
+    }
+
+    /// Steps until `goal` is [reached](Runner::reached) or `max_time_s`
+    /// elapses, then flushes the sinks and returns
+    /// [`Runner::metrics_now`].
+    pub fn run(&mut self, goal: Goal, max_time_s: f64) -> RunMetrics {
+        while self.now < max_time_s && !self.reached(goal) && self.step() {}
         self.flush_sinks();
-        self.metrics(constitution_done, collection_done)
+        self.metrics_now()
     }
 
     /// Flushes every configured event sink (called automatically at the end
@@ -821,7 +725,14 @@ impl Runner {
         self.audit.ring.for_vehicle(vehicle.0)
     }
 
-    fn metrics(&self, constitution_done: Option<f64>, collection_done: Option<f64>) -> RunMetrics {
+    /// Metrics derived from the current state, with the goal times taken
+    /// from the checkpoints' own records: `constitution_done_s` is the
+    /// last stabilization once [`Goal::Constitution`] is
+    /// [reached](Runner::reached), `collection_done_s` the last seed's
+    /// collection once [`Goal::Collection`] is. Evaluates ground truth
+    /// (dumping the first violation's attribution chain to stderr) and
+    /// can be called at any time.
+    pub fn metrics_now(&self) -> RunMetrics {
         let violations = self.verify();
         if let Some(v) = violations.first() {
             // Post-mortem: dump the offending vehicle's attribution chain
@@ -850,8 +761,18 @@ impl Runner {
             None
         };
         RunMetrics {
-            constitution_done_s: constitution_done,
-            collection_done_s: collection_done,
+            constitution_done_s: self.reached(Goal::Constitution).then(|| {
+                self.cps
+                    .iter()
+                    .filter_map(Checkpoint::stable_at)
+                    .fold(0.0f64, f64::max)
+            }),
+            collection_done_s: self.reached(Goal::Collection).then(|| {
+                self.seeds
+                    .iter()
+                    .filter_map(|s| self.cps[s.index()].collected_at())
+                    .fold(0.0f64, f64::max)
+            }),
             checkpoint_stable_s: self.cps.iter().filter_map(Checkpoint::stable_at).collect(),
             checkpoint_activated_s: self
                 .cps
@@ -875,27 +796,6 @@ impl Runner {
     /// Baseline counters (ablation access).
     pub fn baselines(&self) -> (u64, u64) {
         (self.naive.total(), self.dedup.total())
-    }
-
-    /// Metrics derived from the current state, using the checkpoints'
-    /// own recorded timestamps (activation/stabilization/collection).
-    /// Unlike [`Runner::run`], which timestamps goal completion when its
-    /// loop observes it, this can be called at any time — e.g. after an
-    /// externally driven stepping loop.
-    pub fn metrics_now(&self) -> RunMetrics {
-        let constitution = self.all_stable().then(|| {
-            self.cps
-                .iter()
-                .filter_map(Checkpoint::stable_at)
-                .fold(0.0f64, f64::max)
-        });
-        let collection = (self.all_collected() && !self.reports_in_flight()).then(|| {
-            self.seeds
-                .iter()
-                .filter_map(|s| self.cps[s.index()].collected_at())
-                .fold(0.0f64, f64::max)
-        });
-        self.metrics(constitution, collection)
     }
 
     /// A point-in-time progress view of the deployment.

@@ -30,11 +30,15 @@
 //!   [`EngineSnapshot`] (schema v5) a batch run produces, and a frozen
 //!   run restarts via [`ServiceRequest::Resume`] to a byte-identical
 //!   continuation.
+//! * **Completion parity.** A tenant stops ingesting where `vcount run`
+//!   stops: once [`Runner::reached`] holds for its goal, or its scenario's
+//!   time budget is spent. The predicate reads state, so a tenant resumed
+//!   from a finished run's snapshot is finished too.
 
 use crate::engine::EngineSnapshot;
 use crate::faults::FaultPlan;
 use crate::metrics::RunMetrics;
-use crate::runner::{Goal, Runner};
+use crate::runner::{Goal, Runner, RunnerBuilder};
 use crate::scenario::Scenario;
 use crate::source::{ObservationBatch, TruthSnapshot};
 use serde::{Deserialize, Serialize};
@@ -260,12 +264,17 @@ struct Tenant {
     runner: Runner,
     queue: VecDeque<ObservationBatch>,
     goal: Goal,
-    max_time_s: f64,
     done: bool,
     events: SharedLines,
 }
 
 impl Tenant {
+    /// Whether the run reached its goal or its scenario's time budget —
+    /// where `vcount run`'s loop stops.
+    fn finished(&self) -> bool {
+        self.runner.reached(self.goal) || self.runner.time_s() >= self.runner.scenario().max_time_s
+    }
+
     /// Ingests up to `budget` queued batches, stopping at the goal (or
     /// the scenario's time budget) exactly where `vcount run`'s loop
     /// would; remaining batches are dropped then — they correspond to
@@ -278,8 +287,7 @@ impl Tenant {
             };
             self.runner.ingest(&batch);
             ingested += 1;
-            self.done =
-                goal_reached(&self.runner, self.goal) || self.runner.time_s() >= self.max_time_s;
+            self.done = self.finished();
         }
         if self.done {
             self.queue.clear();
@@ -298,17 +306,6 @@ impl Tenant {
                 .iter()
                 .map(|b| b.new_classes.len())
                 .sum::<usize>()
-    }
-}
-
-/// Mirrors the completion predicate of the batch driver loops
-/// ([`Runner::run`] and the CLI's progress-driven variant).
-fn goal_reached(runner: &Runner, goal: Goal) -> bool {
-    match goal {
-        Goal::Constitution => runner.all_stable(),
-        Goal::Collection => {
-            runner.all_stable() && runner.all_collected() && !runner.reports_in_flight()
-        }
     }
 }
 
@@ -358,13 +355,27 @@ impl RunManager {
                 eager_decode,
                 faults,
                 trace,
-            } => self.start(run, scenario, goal, eager_decode, faults, trace, out),
+            } => {
+                let mut builder = Runner::builder(&scenario).eager_decode(eager_decode);
+                if let Some(plan) = faults {
+                    builder = builder.faults(plan);
+                }
+                self.open(run, Ok(builder), goal, trace, false, out)
+            }
             ServiceRequest::Resume {
                 run,
                 snapshot,
                 goal,
                 trace,
-            } => self.resume(run, snapshot, goal, trace, out),
+            } => {
+                // The wire snapshot bypassed `EngineSnapshot::from_json`,
+                // so its tag is checked here, before any trace file is
+                // opened.
+                let builder = snapshot
+                    .check_schema()
+                    .map(|()| RunnerBuilder::from_snapshot(*snapshot));
+                self.open(run, builder, goal, trace, true, out)
+            }
             ServiceRequest::Observe { run, batch } => self.observe(run, batch, out),
             ServiceRequest::Pump { budget } => self.pump_all(budget, out),
             ServiceRequest::Snapshot { run, sim } => self.snapshot(run, sim, out),
@@ -382,15 +393,15 @@ impl RunManager {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn start(
+    /// Creates tenant `run` — the one path behind both Start and Resume
+    /// (`resumed`), from a builder or the reason there is none.
+    fn open(
         &mut self,
         run: String,
-        scenario: Box<Scenario>,
+        builder: Result<RunnerBuilder, String>,
         goal: Option<Goal>,
-        eager_decode: bool,
-        faults: Option<FaultPlan>,
         trace: Option<String>,
+        resumed: bool,
         out: &mut Vec<ServiceResponse>,
     ) {
         if self.tenants.contains_key(&run) {
@@ -400,6 +411,17 @@ impl RunManager {
             });
             return;
         }
+        let verb = if resumed { "resume" } else { "start" };
+        let builder = match builder {
+            Ok(builder) => builder,
+            Err(e) => {
+                out.push(ServiceResponse::Error {
+                    message: format!("{verb} failed: {e}"),
+                    run,
+                });
+                return;
+            }
+        };
         let events: SharedLines = Arc::default();
         let trace_sink = match trace_sink(trace.as_deref()) {
             Ok(sink) => sink,
@@ -408,115 +430,43 @@ impl RunManager {
                 return;
             }
         };
-        // Scenario construction is a trust boundary: a wire scenario that
-        // violates an internal contract (an invalid map, an out-of-range
-        // explicit seed) must answer this request with an Error, not kill
-        // the daemon and every other tenant with it.
+        // Construction is a trust boundary: a wire scenario or snapshot
+        // that violates an internal contract (an invalid map, an
+        // out-of-range explicit seed) must answer this request with an
+        // Error, not kill the daemon and every other tenant with it.
         let buffer = events.clone();
         let built = catch_panic_message(AssertUnwindSafe(move || {
-            let mut builder = Runner::builder(&scenario)
-                .external(true)
-                .eager_decode(eager_decode)
-                .sink(Box::new(BufferSink(buffer)));
+            let mut builder = builder.external(true).sink(Box::new(BufferSink(buffer)));
             if let Some(sink) = trace_sink {
                 builder = builder.sink(sink);
             }
-            if let Some(plan) = faults {
-                builder = builder.faults(plan);
-            }
-            builder
-                .try_build()
-                .map(|runner| (runner, scenario.max_time_s))
+            builder.try_build()
         }));
-        let (runner, max_time_s) = match built {
-            Ok(pair) => pair,
+        let runner = match built {
+            Ok(runner) => runner,
             Err(e) => {
                 out.push(ServiceResponse::Error {
-                    message: format!("start failed: {e}"),
+                    message: format!("{verb} failed: {e}"),
                     run,
                 });
                 return;
             }
         };
-        let tenant = Tenant {
+        let mut tenant = Tenant {
             runner,
             queue: VecDeque::new(),
             goal: goal.unwrap_or(Goal::Collection),
-            max_time_s,
             done: false,
             events,
         };
+        // A run resumed from a finished tenant's snapshot is finished too.
+        tenant.done = tenant.finished();
         drain_events(&tenant.events, &run, out);
-        out.push(ServiceResponse::Started { run: run.clone() });
-        self.tenants.insert(run, tenant);
-    }
-
-    fn resume(
-        &mut self,
-        run: String,
-        snapshot: Box<EngineSnapshot>,
-        goal: Option<Goal>,
-        trace: Option<String>,
-        out: &mut Vec<ServiceResponse>,
-    ) {
-        if self.tenants.contains_key(&run) {
-            out.push(ServiceResponse::Error {
-                message: format!("run {run:?} already exists"),
-                run,
-            });
-            return;
-        }
-        // The wire snapshot bypassed `EngineSnapshot::from_json`, so its
-        // tag is checked here, before any trace file is opened.
-        if let Err(e) = snapshot.check_schema() {
-            out.push(ServiceResponse::Error {
-                message: format!("resume failed: {e}"),
-                run,
-            });
-            return;
-        }
-        let events: SharedLines = Arc::default();
-        let trace_sink = match trace_sink(trace.as_deref()) {
-            Ok(sink) => sink,
-            Err(e) => {
-                out.push(ServiceResponse::Error { message: e, run });
-                return;
-            }
-        };
-        let buffer = events.clone();
-        // Same trust boundary as Start: a corrupt snapshot answers with an
-        // Error instead of unwinding through the daemon.
-        let built = catch_panic_message(AssertUnwindSafe(move || {
-            let mut sinks: Vec<Box<dyn EventSink + Send>> = vec![Box::new(BufferSink(buffer))];
-            if let Some(sink) = trace_sink {
-                sinks.push(sink);
-            }
-            let max_time_s = snapshot.scenario.max_time_s;
-            Ok((
-                Runner::resume_external(&snapshot, sinks, crate::runner::DEFAULT_RING_CAPACITY),
-                max_time_s,
-            ))
-        }));
-        let (runner, max_time_s) = match built {
-            Ok(pair) => pair,
-            Err(e) => {
-                out.push(ServiceResponse::Error {
-                    message: format!("resume failed: {e}"),
-                    run,
-                });
-                return;
-            }
-        };
-        let tenant = Tenant {
-            runner,
-            queue: VecDeque::new(),
-            goal: goal.unwrap_or(Goal::Collection),
-            max_time_s,
-            done: false,
-            events,
-        };
-        drain_events(&tenant.events, &run, out);
-        out.push(ServiceResponse::Resumed { run: run.clone() });
+        out.push(if resumed {
+            ServiceResponse::Resumed { run: run.clone() }
+        } else {
+            ServiceResponse::Started { run: run.clone() }
+        });
         self.tenants.insert(run, tenant);
     }
 

@@ -478,16 +478,6 @@ impl ExternalSource {
     pub fn new() -> Self {
         ExternalSource::default()
     }
-
-    /// A source seeded with a snapshot's traffic state (service resume:
-    /// the restored run can be re-frozen before the feeder's first
-    /// refresh).
-    pub fn with_sim_state(snap: SimSnapshot) -> Self {
-        ExternalSource {
-            truth: None,
-            sim_state: Some(snap),
-        }
-    }
 }
 
 impl ObservationSource for ExternalSource {

@@ -5,45 +5,13 @@
 //! per-checkpoint counts, under all three protocol variants and with an
 //! active fault plan (DESIGN.md §8).
 
-use vcount_core::{CheckpointConfig, ProtocolVariant};
+mod common;
+
+use common::small_grid_scenario;
+use vcount_core::ProtocolVariant;
 use vcount_sim::{
     replay_trace, ActionTrace, CrashFault, FaultPlan, Goal, Runner, Scenario, TRACE_SCHEMA,
 };
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig};
-use vcount_v2x::ChannelKind;
-
-fn scenario(variant: ProtocolVariant, seed: u64) -> Scenario {
-    let mut s = Scenario {
-        map: MapSpec::Grid {
-            cols: 3,
-            rows: 3,
-            spacing_m: 120.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: variant != ProtocolVariant::Open,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(variant),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1200.0,
-    };
-    if variant == ProtocolVariant::Extended {
-        // Exercise the patrol-carried queues and status exchange too.
-        s.transport = TransportMode::VehicleWithPatrolFallback;
-        s.patrol = PatrolSpec { cars: 1 };
-    }
-    s
-}
 
 /// Records a run of `scen`, optionally under a fault plan, and returns the
 /// finished action trace.
@@ -62,7 +30,7 @@ fn record(scen: &Scenario, faults: Option<FaultPlan>) -> ActionTrace {
 /// Records, JSON round-trips the trace, replays machine-only, and asserts
 /// byte-identical dispatches and final counts.
 fn roundtrip(variant: ProtocolVariant, seed: u64, faults: Option<FaultPlan>) {
-    let scen = scenario(variant, seed);
+    let scen = small_grid_scenario(variant, seed);
     let trace = record(&scen, faults);
     assert!(
         !trace.records.is_empty(),
@@ -124,7 +92,7 @@ fn faulty_run_trace_replays_machine_only() {
 
 #[test]
 fn recording_off_yields_no_trace() {
-    let scen = scenario(ProtocolVariant::Simple, 15);
+    let scen = small_grid_scenario(ProtocolVariant::Simple, 15);
     let mut runner = Runner::builder(&scen).build();
     for _ in 0..50 {
         runner.step();
@@ -134,7 +102,7 @@ fn recording_off_yields_no_trace() {
 
 #[test]
 fn trace_schema_mismatch_is_rejected() {
-    let scen = scenario(ProtocolVariant::Simple, 16);
+    let scen = small_grid_scenario(ProtocolVariant::Simple, 16);
     let mut trace = record(&scen, None);
     trace.schema = "vcount-action-trace/v0".into();
     let err = ActionTrace::from_json(&trace.to_json()).unwrap_err();
@@ -147,7 +115,7 @@ fn trace_schema_mismatch_is_rejected() {
 fn tampered_trace_is_detected() {
     use vcount_core::ActionKind;
 
-    let scen = scenario(ProtocolVariant::Simple, 17);
+    let scen = small_grid_scenario(ProtocolVariant::Simple, 17);
     let mut trace = record(&scen, None);
     // Inflate one frozen report total: the collection outcome the
     // recording saw no longer reproduces, so dispatches and/or counts

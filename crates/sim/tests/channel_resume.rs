@@ -5,38 +5,16 @@
 //! half of the DESIGN.md §6quater determinism contract that
 //! `snapshot_resume.rs` pins for the protocol state machines.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
+use common::{fnv_digest, VecSink};
 use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
-use vcount_sim::{EngineSnapshot, Runner, Scenario};
+use vcount_sim::{EngineSnapshot, Runner, RunnerBuilder, Scenario};
 use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
 use vcount_traffic::{Demand, SimConfig};
 use vcount_v2x::ChannelKind;
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// FNV-1a over the JSONL stream (one implicit `\n` per line).
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for line in lines {
-        for &b in line.as_bytes() {
-            eat(b);
-        }
-        eat(b'\n');
-    }
-    h
-}
 
 fn bursty_scenario(seed: u64) -> Scenario {
     Scenario {
@@ -100,7 +78,9 @@ fn gilbert_elliott_run_resumes_byte_identical() {
 
     let snap = EngineSnapshot::from_json(&snap_json).expect("snapshot JSON parses");
     let tail = Arc::new(Mutex::new(Vec::new()));
-    let mut resumed = Runner::resume_with(&snap, vec![Box::new(VecSink(tail.clone()))], 4096);
+    let mut resumed = RunnerBuilder::from_snapshot(snap)
+        .sink(Box::new(VecSink(tail.clone())))
+        .build();
     for _ in 0..(total_steps - prefix_steps) {
         resumed.step();
     }
@@ -110,8 +90,8 @@ fn gilbert_elliott_run_resumes_byte_identical() {
     stitched.extend(tail.lock().unwrap().iter().cloned());
 
     assert_eq!(
-        fnv1a(&full),
-        fnv1a(&stitched),
+        fnv_digest(&full),
+        fnv_digest(&stitched),
         "bursty resumed stream digest diverged from the reference"
     );
     assert_eq!(full, stitched, "bursty resumed stream diverged");

@@ -3,25 +3,16 @@
 //! protocol event stream; sweep results are independent of the worker
 //! thread count.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
+use common::{assert_metrics_identical, fnv_digest, VecSink};
 use vcount_core::CheckpointConfig;
-use vcount_obs::{EventRecord, EventSink};
 use vcount_sim::{sweep, Cell, Goal, RunMetrics, Runner, Scenario, SweepConfig};
 use vcount_sim::{MapSpec, SeedSpec};
 use vcount_traffic::{Demand, SimConfig};
 use vcount_v2x::ChannelKind;
-
-/// Collects every record's JSON line — the same encoding `JsonlSink`
-/// writes — so two runs can be compared byte for byte without touching
-/// the filesystem.
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
 
 fn scenario(seed: u64) -> Scenario {
     Scenario {
@@ -57,33 +48,6 @@ fn run_once(seed: u64) -> (RunMetrics, Vec<String>) {
     let metrics = runner.run(Goal::Constitution, 2400.0);
     let stream = events.lock().unwrap().clone();
     (metrics, stream)
-}
-
-/// The wall-clock phase timings are the only nondeterministic fields; zero
-/// them so the rest of the metrics can be compared exactly.
-fn normalized(mut m: RunMetrics) -> RunMetrics {
-    m.telemetry.traffic_step_secs = 0.0;
-    m.telemetry.protocol_secs = 0.0;
-    m.telemetry.relay_secs = 0.0;
-    m
-}
-
-fn assert_metrics_identical(a: &RunMetrics, b: &RunMetrics, what: &str) {
-    let (a, b) = (normalized(a.clone()), normalized(b.clone()));
-    assert_eq!(a.constitution_done_s, b.constitution_done_s, "{what}");
-    assert_eq!(a.collection_done_s, b.collection_done_s, "{what}");
-    assert_eq!(a.checkpoint_stable_s, b.checkpoint_stable_s, "{what}");
-    assert_eq!(a.checkpoint_activated_s, b.checkpoint_activated_s, "{what}");
-    assert_eq!(a.global_count, b.global_count, "{what}");
-    assert_eq!(a.true_population, b.true_population, "{what}");
-    assert_eq!(a.oracle_violations, b.oracle_violations, "{what}");
-    assert_eq!(a.handoff_failures, b.handoff_failures, "{what}");
-    assert_eq!(a.overtake_adjustments, b.overtake_adjustments, "{what}");
-    assert_eq!(a.baseline_naive, b.baseline_naive, "{what}");
-    assert_eq!(a.baseline_dedup, b.baseline_dedup, "{what}");
-    assert_eq!(a.elapsed_s, b.elapsed_s, "{what}");
-    assert_eq!(a.steps, b.steps, "{what}");
-    assert_eq!(a.telemetry, b.telemetry, "{what}");
 }
 
 #[test]
@@ -133,4 +97,12 @@ fn sweep_results_independent_of_thread_count() {
             assert_metrics_identical(ra, rb, "sweep replicate metrics");
         }
     }
+}
+
+/// The shared stream digest is FNV-1a-64 (offset basis
+/// 0xcbf29ce484222325, prime 0x100000001b3) over each line plus its `\n`.
+#[test]
+fn fnv_digest_is_fnv1a_64() {
+    assert_eq!(fnv_digest(&["a"]), 0x089b_dc07_b544_e7b2);
+    assert_eq!(fnv_digest::<&str>(&[]), 0xcbf2_9ce4_8422_2325);
 }

@@ -17,14 +17,16 @@
 //! exact, and a crash firing *after* a snapshot/resume replays
 //! byte-identically.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
+use common::VecSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
 use vcount_sim::{Blackout, ChaosFault, CrashFault, FaultPlan};
-use vcount_sim::{EngineSnapshot, Goal, Runner, Scenario};
+use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder, Scenario};
 use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
 use vcount_traffic::{Demand, SimConfig};
 use vcount_v2x::ChannelKind;
@@ -154,14 +156,6 @@ fn randomized_plans_never_miscount_silently() {
     assert!(degraded_runs > 0, "no run degraded; plans too gentle");
     assert!(exact_runs > 0, "no run stayed exact; plans too violent");
     assert!(crashes_fired > 0, "no crash ever fired");
-}
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
 }
 
 fn capture(scen: &Scenario, plan: Option<FaultPlan>, steps: usize) -> Vec<String> {
@@ -332,7 +326,9 @@ fn resume_replays_a_crash_scheduled_after_the_snapshot() {
         "fault layer missing from the snapshot"
     );
     let tail = Arc::new(Mutex::new(Vec::new()));
-    let mut resumed = Runner::resume_with(&snap, vec![Box::new(VecSink(tail.clone()))], 4096);
+    let mut resumed = RunnerBuilder::from_snapshot(snap)
+        .sink(Box::new(VecSink(tail.clone())))
+        .build();
     for _ in 0..(total_steps - prefix_steps) {
         resumed.step();
     }

@@ -9,56 +9,14 @@
 //! shared-`due_scratch` implementation actually had. A counting global
 //! allocator pins the fix: after one warm-up take per slot, a window of
 //! paired take/recycle cycles must not allocate at all.
-//!
-//! This is the only test in this file on purpose, and the counter only
-//! ticks while the measuring thread raises a thread-local flag: libtest's
-//! harness threads share the process allocator and allocate at
-//! unpredictable moments, which would otherwise fail the window
-//! spuriously.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations_in;
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::Exchange;
 use vcount_v2x::{Label, Message, VehicleId};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Const-initialised `Cell<bool>` has no destructor and no lazy
-    // registration, so reading it inside the allocator never allocates.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no other side effects. `try_with` (not `with`)
-// keeps late allocations during thread teardown from panicking.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
 
 #[test]
 fn paired_due_takes_do_not_allocate() {
@@ -88,18 +46,17 @@ fn paired_due_takes_do_not_allocate() {
     ex.recycle_reports(r);
     ex.recycle_patrol(p);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.with(|m| m.set(true));
-    let mut taken = 0usize;
-    for i in 2..nodes {
-        let r = ex.take_due_reports(v, NodeId(i as u32));
-        let p = ex.take_due_patrol(v, NodeId(i as u32));
-        taken += r.len() + p.len();
-        ex.recycle_reports(r);
-        ex.recycle_patrol(p);
-    }
-    MEASURING.with(|m| m.set(false));
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let (taken, delta) = allocations_in(|| {
+        let mut taken = 0usize;
+        for i in 2..nodes {
+            let r = ex.take_due_reports(v, NodeId(i as u32));
+            let p = ex.take_due_patrol(v, NodeId(i as u32));
+            taken += r.len() + p.len();
+            ex.recycle_reports(r);
+            ex.recycle_patrol(p);
+        }
+        taken
+    });
 
     assert_eq!(taken, 2 * WINDOW, "measurement window missed envelopes");
     assert_eq!(

@@ -13,90 +13,13 @@
 //! `messages_skipped_decode`, and the two modes' counters reconcile
 //! exactly (`decoded_eager = decoded_lazy + skipped_lazy`).
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
-use vcount_core::{CheckpointConfig, CheckpointState, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
-use vcount_roadnet::builders::ManhattanConfig;
+use common::{fnv_digest, grid_scenario, normalized, open_scenario, VecSink};
+use vcount_core::{CheckpointState, ProtocolVariant};
 use vcount_sim::{Blackout, ChaosFault, CrashFault, FaultPlan, RunMetrics, Runner, Scenario};
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig};
-use vcount_v2x::ChannelKind;
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// 64-bit FNV-1a over the JSONL stream — one order-sensitive digest per
-/// run, so a mismatch report stays readable even for long streams.
-fn fnv_digest(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-fn grid_scenario(variant: ProtocolVariant, seed: u64) -> Scenario {
-    let mut s = Scenario {
-        map: MapSpec::Grid {
-            cols: 4,
-            rows: 4,
-            spacing_m: 130.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: true,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(variant),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1500.0,
-    };
-    if variant == ProtocolVariant::Extended {
-        s.transport = TransportMode::VehicleWithPatrolFallback;
-        s.patrol = PatrolSpec { cars: 1 };
-    }
-    s
-}
-
-/// The open-system family: border checkpoints, live entry/exit tracking.
-fn open_scenario(seed: u64) -> Scenario {
-    Scenario {
-        map: MapSpec::Manhattan(ManhattanConfig::small()),
-        closed: false,
-        sim: SimConfig {
-            seed,
-            spawn_rate_hz: 0.2,
-            detect_overtakes: true,
-            ..Default::default()
-        },
-        demand: Demand::at_volume(50.0),
-        protocol: CheckpointConfig::for_variant(ProtocolVariant::Open),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::AllBorder,
-        transport: Default::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 900.0,
-    }
-}
 
 /// Exercises every lazy-discard path at once: two crash windows (queued
 /// messages, carried reports, and carried labels dropped at down nodes),
@@ -167,28 +90,13 @@ fn capture(scen: &Scenario, eager: bool, plan: Option<FaultPlan>, steps: usize) 
 /// strategy legitimately moves: wall-clock timings (nondeterministic)
 /// and the `messages_decoded`/`messages_skipped_decode` split itself.
 fn assert_metrics_identical(a: &RunMetrics, b: &RunMetrics, what: &str) {
-    let normalized = |m: &RunMetrics| {
-        let mut t = m.telemetry;
-        t.traffic_step_secs = 0.0;
-        t.protocol_secs = 0.0;
-        t.relay_secs = 0.0;
-        t.messages_decoded = 0;
-        t.messages_skipped_decode = 0;
-        t
+    let strategy_free = |m: &RunMetrics| {
+        let mut m = normalized(m.clone());
+        m.telemetry.messages_decoded = 0;
+        m.telemetry.messages_skipped_decode = 0;
+        m
     };
-    assert_eq!(a.constitution_done_s, b.constitution_done_s, "{what}");
-    assert_eq!(a.collection_done_s, b.collection_done_s, "{what}");
-    assert_eq!(a.global_count, b.global_count, "{what}");
-    assert_eq!(a.true_population, b.true_population, "{what}");
-    assert_eq!(a.oracle_violations, b.oracle_violations, "{what}");
-    assert_eq!(a.handoff_failures, b.handoff_failures, "{what}");
-    assert_eq!(a.overtake_adjustments, b.overtake_adjustments, "{what}");
-    assert_eq!(a.baseline_naive, b.baseline_naive, "{what}");
-    assert_eq!(a.baseline_dedup, b.baseline_dedup, "{what}");
-    assert_eq!(a.degraded, b.degraded, "{what}");
-    assert_eq!(a.elapsed_s, b.elapsed_s, "{what}");
-    assert_eq!(a.steps, b.steps, "{what}");
-    assert_eq!(normalized(a), normalized(b), "{what}");
+    assert_eq!(strategy_free(a), strategy_free(b), "{what}");
 }
 
 fn assert_decode_invariant(scen: &Scenario, plan: Option<FaultPlan>, steps: usize, what: &str) {

@@ -94,11 +94,9 @@ fn compensation_ablation_trips_oracle_and_ring_explains_it() {
     // emitting checkpoint, once downstream), which the per-vehicle oracle
     // must flag — and the always-on ring buffer must still hold the
     // offending vehicle's attribution chain for the post-mortem.
-    let s = grid_scenario(22, ChannelKind::PAPER);
-    let mut runner = Runner::builder(&s)
-        .compensate_loss(false)
-        .ring_capacity(1 << 17)
-        .build();
+    let mut s = grid_scenario(22, ChannelKind::PAPER);
+    s.protocol.compensate_loss = false;
+    let mut runner = Runner::builder(&s).ring_capacity(1 << 17).build();
     let metrics = runner.run(Goal::Collection, s.max_time_s);
 
     let violations = runner.verify();

@@ -1,6 +1,9 @@
 //! Behavioural tests of the runner: progress accounting, signalised
 //! traffic, metrics consistency, and seed deployments.
 
+mod common;
+
+use common::normalized;
 use vcount_core::{CheckpointConfig, ProtocolVariant};
 use vcount_roadnet::builders::ManhattanConfig;
 use vcount_sim::{Goal, MapSpec, PatrolSpec, Runner, Scenario, SeedSpec};
@@ -96,13 +99,9 @@ fn metrics_now_matches_run_outcome() {
     let mut r = Runner::builder(&s).build();
     let from_run = r.run(Goal::Collection, s.max_time_s);
     let now = r.metrics_now();
-    assert_eq!(now.global_count, from_run.global_count);
-    assert_eq!(now.oracle_violations, from_run.oracle_violations);
     assert!(now.constitution_done_s.is_some());
     assert!(now.collection_done_s.is_some());
-    // metrics_now stamps from checkpoint records, which can only lead the
-    // loop's observation by less than the observation lag.
-    assert!(now.constitution_done_s.unwrap() <= from_run.constitution_done_s.unwrap() + 1.0);
+    assert_eq!(normalized(now), normalized(from_run));
 }
 
 #[test]

@@ -7,61 +7,25 @@
 //! status, relays). The [`PayloadStore`] recycles freed slots with their
 //! capacity intact, so once a slot and the surrounding queues have been
 //! warmed, a full send → carry → deliver → free cycle must not touch
-//! the allocator at all. A counting global allocator pins that: after
-//! one warm-up cycle, a window of post/load/take/consume/recycle cycles
-//! must not allocate.
+//! the allocator at all. A counting global allocator pins that: after a
+//! warm-up cycle per message, a window of post/load/take/consume/recycle
+//! cycles must not allocate.
 //!
 //! [`PayloadStore`]: vcount_v2x::PayloadStore
 //!
-//! This is the only test in this file on purpose, and the counter only
-//! ticks while the measuring thread raises a thread-local flag: libtest's
-//! harness threads share the process allocator and allocate at
-//! unpredictable moments, which would otherwise fail the window
-//! spuriously.
+//! The window cycles a `Label`, a `Report` and an `Announce` through
+//! the report path, so it also pins the zero-copy decode in
+//! `consume_payload`: the decoder reads straight from the slab slot, never
+//! from a fresh heap copy. (Decoding `Patrol` legitimately allocates its
+//! observation vector, so it stays out of the window.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations_in;
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::Exchange;
-use vcount_v2x::{Message, Report, VehicleId};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Const-initialised `Cell<bool>` has no destructor and no lazy
-    // registration, so reading it inside the allocator never allocates.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct Counting;
-
-// SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no other side effects. `try_with` (not `with`)
-// keeps late allocations during thread teardown from panicking.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
+use vcount_v2x::{Announce, Label, Message, Report, VehicleId};
 
 /// One full message lifetime on the report path: post (slab encode),
 /// load onto a vehicle, take at the destination, consume (lazy decode +
@@ -89,30 +53,51 @@ fn steady_state_send_path_does_not_allocate() {
     const WINDOW: usize = 200;
     let mut ex = Exchange::new(1, 4);
     let v = VehicleId(0);
-    let msg = Message::Report(Report {
-        from: NodeId(0),
-        to: NodeId(1),
-        subtree_total: 41,
-        seq: 3,
+    let messages = [
+        Message::Label(Label {
+            origin: NodeId(0),
+            origin_pred: Some(NodeId(1)),
+            seed: NodeId(0),
+        }),
+        Message::Report(Report {
+            from: NodeId(0),
+            to: NodeId(1),
+            subtree_total: 41,
+            seq: 3,
+        }),
+        Message::Announce(Announce {
+            to: NodeId(1),
+            from: NodeId(0),
+            pred: None,
+        }),
+    ];
+
+    // Warm-up: the first cycles grow the slab slot to the largest
+    // payload, the pending/carried queues, and the due-take scratch
+    // buffer (allocates freely).
+    for msg in &messages {
+        assert_eq!(send_cycle(&mut ex, v, msg), 1, "warm-up cycle missed");
+    }
+
+    let (delivered, delta) = allocations_in(|| {
+        let mut delivered = 0usize;
+        for _ in 0..WINDOW {
+            for msg in &messages {
+                delivered += send_cycle(&mut ex, v, msg);
+            }
+        }
+        delivered
     });
 
-    // Warm-up: the first cycle grows the slab slot, the pending/carried
-    // queues, and the due-take scratch buffer (allocates freely).
-    assert_eq!(send_cycle(&mut ex, v, &msg), 1, "warm-up cycle missed");
-
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.with(|m| m.set(true));
-    let mut delivered = 0usize;
-    for _ in 0..WINDOW {
-        delivered += send_cycle(&mut ex, v, &msg);
-    }
-    MEASURING.with(|m| m.set(false));
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
-
-    assert_eq!(delivered, WINDOW, "measurement window missed messages");
+    assert_eq!(
+        delivered,
+        WINDOW * messages.len(),
+        "measurement window missed messages"
+    );
     assert_eq!(
         delta, 0,
-        "steady-state send path allocated {delta} times over {WINDOW} \
-         post/consume cycles — slab slot recycling is being bypassed"
+        "steady-state send path allocated {delta} times over {delivered} \
+         post/consume cycles — slab slot recycling or the zero-copy decode \
+         is being bypassed"
     );
 }

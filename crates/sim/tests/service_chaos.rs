@@ -4,99 +4,16 @@
 //! flush guard), and the run resumable — a reconnecting feeder freezes
 //! it, restarts it, and drives it to a byte-identical completion.
 
-use std::sync::{Arc, Mutex};
+mod common;
+
 use std::time::{Duration, Instant};
 
-use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
+use common::{capture_batch, fnv_digest, grid_scenario, wire_call};
+use vcount_core::ProtocolVariant;
 use vcount_sim::{
     serve_connections, Conn, Goal, Listener, ObservationBatch, ObservationSource, RunManager,
-    RunMetrics, Runner, Scenario, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource,
-    WireClient,
+    ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource, WireClient,
 };
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig};
-use vcount_v2x::ChannelKind;
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// 64-bit FNV-1a over the JSONL stream, as the identity tests use.
-fn fnv_digest(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-fn grid_scenario(seed: u64) -> Scenario {
-    Scenario {
-        map: MapSpec::Grid {
-            cols: 4,
-            rows: 4,
-            spacing_m: 130.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: true,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(ProtocolVariant::Simple),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1500.0,
-    }
-}
-
-fn capture_batch(scen: &Scenario) -> (Vec<String>, RunMetrics) {
-    let lines = Arc::new(Mutex::new(Vec::new()));
-    let mut runner = Runner::builder(scen)
-        .sink(Box::new(VecSink(lines.clone())))
-        .build();
-    let _ = runner.run(Goal::Collection, scen.max_time_s);
-    let metrics = runner.metrics_now();
-    let out = lines.lock().unwrap().clone();
-    (out, metrics)
-}
-
-fn wire_call(
-    client: &mut WireClient,
-    req: &ServiceRequest,
-    events: &mut Vec<String>,
-) -> ServiceResponse {
-    let mut terminal = None;
-    for resp in client.call(req).expect("wire call failed") {
-        match resp {
-            ServiceResponse::Event { line, .. } => events.push(line),
-            ServiceResponse::Error { run, message } => {
-                panic!("service error for run {run:?}: {message}")
-            }
-            other => {
-                assert!(terminal.is_none(), "more than one terminal response");
-                terminal = Some(other);
-            }
-        }
-    }
-    terminal.expect("framing: every request ends in one terminal response")
-}
 
 fn trace_lines(path: &std::path::Path) -> Vec<String> {
     match std::fs::read_to_string(path) {
@@ -145,9 +62,9 @@ fn await_flushed_trace(path: &std::path::Path, want: &[String]) {
 ///    metrics are byte-identical to the uninterrupted solo run.
 #[test]
 fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
-    let scen = grid_scenario(141);
+    let scen = grid_scenario(ProtocolVariant::Simple, 141);
     let prefix_batches = 200usize;
-    let (reference, ref_metrics) = capture_batch(&scen);
+    let (reference, ref_metrics) = capture_batch(&scen, None);
     assert!(reference.len() > 10, "reference emitted too few events");
 
     let dir = std::env::temp_dir();

@@ -11,96 +11,23 @@
 //! `traffic_step_secs` is legitimately zero. They are normalized out
 //! before comparison.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use vcount_core::{CheckpointConfig, ProtocolVariant};
+use common::{
+    assert_metrics_identical, capture_batch, fnv_digest, grid_scenario, open_scenario,
+    split_answer, wire_call,
+};
+use vcount_core::ProtocolVariant;
 use vcount_obs::{EventRecord, EventSink};
-use vcount_roadnet::builders::ManhattanConfig;
+use vcount_roadnet::NodeId;
 use vcount_sim::{
     serve_connections, Conn, CrashFault, FaultPlan, Goal, Listener, ObservationBatch,
     ObservationSource, RunManager, RunMetrics, Runner, Scenario, ServiceConfig, ServiceRequest,
     ServiceResponse, SimulatorSource, WireClient,
 };
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig};
-use vcount_v2x::ChannelKind;
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// 64-bit FNV-1a over the JSONL stream — one order-sensitive digest per
-/// run, so a mismatch report stays readable even for long streams.
-fn fnv_digest(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-/// A 4×4 closed grid.
-fn grid_scenario(variant: ProtocolVariant, seed: u64) -> Scenario {
-    let mut s = Scenario {
-        map: MapSpec::Grid {
-            cols: 4,
-            rows: 4,
-            spacing_m: 130.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: true,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(variant),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1500.0,
-    };
-    if variant == ProtocolVariant::Extended {
-        s.transport = TransportMode::VehicleWithPatrolFallback;
-        s.patrol = PatrolSpec { cars: 1 };
-    }
-    s
-}
-
-/// The open-system family: border checkpoints, live entry/exit tracking.
-fn open_scenario(seed: u64) -> Scenario {
-    Scenario {
-        map: MapSpec::Manhattan(ManhattanConfig::small()),
-        closed: false,
-        sim: SimConfig {
-            seed,
-            spawn_rate_hz: 0.2,
-            detect_overtakes: true,
-            ..Default::default()
-        },
-        demand: Demand::at_volume(50.0),
-        protocol: CheckpointConfig::for_variant(ProtocolVariant::Open),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::AllBorder,
-        transport: Default::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 900.0,
-    }
-}
 
 fn boundary_plan() -> FaultPlan {
     FaultPlan {
@@ -123,46 +50,11 @@ fn boundary_plan() -> FaultPlan {
     }
 }
 
-/// The in-process reference: the classic `vcount run` shape, driven by
-/// [`Runner::run`] itself, reporting through the same `metrics_now` face
-/// the service uses.
-fn capture_batch(
-    scen: &Scenario,
-    plan: Option<FaultPlan>,
-    goal: Goal,
-) -> (Vec<String>, RunMetrics) {
-    let lines = Arc::new(Mutex::new(Vec::new()));
-    let mut builder = Runner::builder(scen).sink(Box::new(VecSink(lines.clone())));
-    if let Some(p) = plan {
-        builder = builder.faults(p);
-    }
-    let mut runner = builder.build();
-    let _ = runner.run(goal, scen.max_time_s);
-    let metrics = runner.metrics_now();
-    let out = lines.lock().unwrap().clone();
-    (out, metrics)
-}
-
-/// Applies one request and splits the answer per the framing contract:
-/// event lines are appended to `events`, the single terminal response is
-/// returned. Panics on a service [`ServiceResponse::Error`].
+/// Applies one request and splits the answer per [`split_answer`].
 fn call(mgr: &mut RunManager, req: ServiceRequest, events: &mut Vec<String>) -> ServiceResponse {
     let mut out = Vec::new();
     mgr.handle(req, &mut out);
-    let mut terminal = None;
-    for resp in out {
-        match resp {
-            ServiceResponse::Event { line, .. } => events.push(line),
-            ServiceResponse::Error { run, message } => {
-                panic!("service error for run {run:?}: {message}")
-            }
-            other => {
-                assert!(terminal.is_none(), "more than one terminal response");
-                terminal = Some(other);
-            }
-        }
-    }
-    terminal.expect("framing: every request ends in one terminal response")
+    split_answer(out, events)
 }
 
 /// Drives `scen` through a [`RunManager`] exactly as a `vcount feed`
@@ -231,33 +123,8 @@ fn capture_service(
     (events, *metrics)
 }
 
-/// Compares two runs' metrics, skipping only the wall-clock phase timings
-/// (nondeterministic, and attributed to the feeder in service mode).
-fn assert_metrics_identical(a: &RunMetrics, b: &RunMetrics, what: &str) {
-    let normalized = |m: &RunMetrics| {
-        let mut t = m.telemetry;
-        t.traffic_step_secs = 0.0;
-        t.protocol_secs = 0.0;
-        t.relay_secs = 0.0;
-        t
-    };
-    assert_eq!(a.constitution_done_s, b.constitution_done_s, "{what}");
-    assert_eq!(a.collection_done_s, b.collection_done_s, "{what}");
-    assert_eq!(a.global_count, b.global_count, "{what}");
-    assert_eq!(a.true_population, b.true_population, "{what}");
-    assert_eq!(a.oracle_violations, b.oracle_violations, "{what}");
-    assert_eq!(a.handoff_failures, b.handoff_failures, "{what}");
-    assert_eq!(a.overtake_adjustments, b.overtake_adjustments, "{what}");
-    assert_eq!(a.baseline_naive, b.baseline_naive, "{what}");
-    assert_eq!(a.baseline_dedup, b.baseline_dedup, "{what}");
-    assert_eq!(a.degraded, b.degraded, "{what}");
-    assert_eq!(a.elapsed_s, b.elapsed_s, "{what}");
-    assert_eq!(a.steps, b.steps, "{what}");
-    assert_eq!(normalized(a), normalized(b), "{what}");
-}
-
 fn assert_service_matches_batch(scen: &Scenario, plan: Option<FaultPlan>, what: &str) {
-    let (batch_stream, batch_metrics) = capture_batch(scen, plan.clone(), Goal::Collection);
+    let (batch_stream, batch_metrics) = capture_batch(scen, plan.clone());
     assert!(
         !batch_stream.is_empty(),
         "{what}: reference emitted no events"
@@ -300,6 +167,40 @@ fn faulted_run_is_transport_invariant() {
     assert_service_matches_batch(&scen, Some(boundary_plan()), "boundary faults");
 }
 
+/// A crash between constitution (123 s on this seed) and collection
+/// (164.5 s), found in a traced run, that recovers from the only image
+/// the plan takes — the t = 0 one, from before the checkpoint stabilized
+/// (104 s). Both transports stop on the same state-based predicate, so
+/// the batch run, like the tenant, keeps stepping degraded to the time
+/// budget instead of stopping on a constitution it saw before the crash.
+#[test]
+fn crash_after_constitution_is_transport_invariant() {
+    let scen = grid_scenario(ProtocolVariant::Simple, 56);
+    let plan = FaultPlan {
+        seed: 11,
+        crashes: vec![CrashFault {
+            node: 5,
+            at_s: 143.0,
+            recover_s: 153.0,
+        }],
+        blackouts: Vec::new(),
+        chaos: None,
+        image_every_s: 1e7,
+    };
+    let (_, clean) = capture_batch(&scen, None);
+    assert!(
+        clean.constitution_done_s < Some(143.0) && clean.collection_done_s > Some(143.0),
+        "the crash must land between constitution and collection: {clean:?}"
+    );
+    let mut runner = Runner::builder(&scen).faults(plan.clone()).build();
+    let metrics = runner.run(Goal::Collection, scen.max_time_s);
+    assert!(
+        metrics.degraded && !runner.checkpoint(NodeId(5)).is_stable(),
+        "the recovered checkpoint must come back unstable; test is vacuous"
+    );
+    assert_service_matches_batch(&scen, Some(plan), "crash after constitution");
+}
+
 /// Two interleaved tenants with different seeds and protocol variants:
 /// each tenant's event stream and metrics must be byte-identical to its
 /// own solo batch run — tenants share a manager, never state.
@@ -307,8 +208,8 @@ fn faulted_run_is_transport_invariant() {
 fn interleaved_tenants_match_their_solo_runs() {
     let scen_a = grid_scenario(ProtocolVariant::Simple, 61);
     let scen_b = open_scenario(62);
-    let (solo_a, metrics_a) = capture_batch(&scen_a, None, Goal::Collection);
-    let (solo_b, metrics_b) = capture_batch(&scen_b, None, Goal::Collection);
+    let (solo_a, metrics_a) = capture_batch(&scen_a, None);
+    let (solo_b, metrics_b) = capture_batch(&scen_b, None);
 
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut events: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -514,7 +415,7 @@ fn over_rate_producer_gets_explicit_backpressure() {
 fn service_snapshot_restart_resumes_byte_identically() {
     let scen = grid_scenario(ProtocolVariant::Simple, 81);
     let prefix_batches = 200usize;
-    let (reference, ref_metrics) = capture_batch(&scen, None, Goal::Collection);
+    let (reference, ref_metrics) = capture_batch(&scen, None);
     assert!(!reference.is_empty(), "reference emitted no events");
 
     // First life: feed a prefix, freeze, stop.
@@ -633,30 +534,6 @@ fn service_snapshot_restart_resumes_byte_identically() {
     assert_eq!(metrics.collection_done_s, ref_metrics.collection_done_s);
 }
 
-/// Splits one wire call's responses per the framing contract: event lines
-/// are appended to `events`, the single terminal response is returned.
-fn wire_call(
-    client: &mut WireClient,
-    req: ServiceRequest,
-    events: &mut Vec<String>,
-) -> ServiceResponse {
-    let responses = client.call(&req).expect("wire call failed");
-    let mut terminal = None;
-    for resp in responses {
-        match resp {
-            ServiceResponse::Event { line, .. } => events.push(line),
-            ServiceResponse::Error { run, message } => {
-                panic!("service error for run {run:?}: {message}")
-            }
-            other => {
-                assert!(terminal.is_none(), "more than one terminal response");
-                terminal = Some(other);
-            }
-        }
-    }
-    terminal.expect("framing: every request ends in one terminal response")
-}
-
 /// Drives `scen` to completion over an already-dialed connection, exactly
 /// as a `vcount feed` client would: Start, one Observe per simulator tick
 /// (resending after Throttled), then Finish with ground truth.
@@ -665,7 +542,7 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
     let mut events = Vec::new();
     let started = wire_call(
         &mut client,
-        ServiceRequest::Start {
+        &ServiceRequest::Start {
             run: run.into(),
             scenario: Box::new(scen.clone()),
             goal: Some(Goal::Collection),
@@ -685,7 +562,7 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
         loop {
             let resp = wire_call(
                 &mut client,
-                ServiceRequest::Observe {
+                &ServiceRequest::Observe {
                     run: run.into(),
                     batch: batch.clone(),
                 },
@@ -699,7 +576,7 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
                 ServiceResponse::Throttled { .. } => {
                     wire_call(
                         &mut client,
-                        ServiceRequest::Pump { budget: None },
+                        &ServiceRequest::Pump { budget: None },
                         &mut events,
                     );
                 }
@@ -709,7 +586,7 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
     }
     let finished = wire_call(
         &mut client,
-        ServiceRequest::Finish {
+        &ServiceRequest::Finish {
             run: run.into(),
             truth: source.truth(),
         },
@@ -730,8 +607,8 @@ fn drive_wire(conn: Conn, run: &str, scen: &Scenario) -> (Vec<String>, RunMetric
 fn concurrent_feeders_match_solo(listener: Listener, dial: impl Fn() -> Conn + Send + Sync) {
     let scen_a = grid_scenario(ProtocolVariant::Simple, 61);
     let scen_b = open_scenario(62);
-    let (solo_a, metrics_a) = capture_batch(&scen_a, None, Goal::Collection);
-    let (solo_b, metrics_b) = capture_batch(&scen_b, None, Goal::Collection);
+    let (solo_a, metrics_a) = capture_batch(&scen_a, None);
+    let (solo_b, metrics_b) = capture_batch(&scen_b, None);
 
     let server = std::thread::spawn(move || {
         let mut mgr = RunManager::new(ServiceConfig::default());

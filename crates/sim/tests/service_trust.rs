@@ -6,79 +6,19 @@
 //! same conditions remain as debug contracts for trusted in-process
 //! sources; these tests pin the boundary where trust ends.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
-use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
+use common::{capture_batch, fnv_digest, grid_scenario};
+use vcount_core::ProtocolVariant;
 use vcount_roadnet::{EdgeId, NodeId};
+use vcount_sim::SeedSpec;
 use vcount_sim::{
     serve_connections, serve_stream, Conn, Goal, Listener, ObservationBatch, ObservationSource,
-    RunManager, RunMetrics, Runner, Scenario, ServiceConfig, ServiceRequest, ServiceResponse,
-    SimulatorSource, WireClient,
+    RunManager, Scenario, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource,
+    WireClient,
 };
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig, TrafficEvent};
+use vcount_traffic::TrafficEvent;
 use vcount_v2x::{VehicleClass, VehicleId};
-
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// 64-bit FNV-1a over the JSONL stream, as the identity tests use.
-fn fnv_digest(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-fn grid_scenario(seed: u64) -> Scenario {
-    Scenario {
-        map: MapSpec::Grid {
-            cols: 4,
-            rows: 4,
-            spacing_m: 130.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: true,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(ProtocolVariant::Simple),
-        channel: vcount_v2x::ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1500.0,
-    }
-}
-
-/// The in-process reference stream and metrics for `scen`.
-fn capture_batch(scen: &Scenario) -> (Vec<String>, RunMetrics) {
-    let lines = Arc::new(Mutex::new(Vec::new()));
-    let mut runner = Runner::builder(scen)
-        .sink(Box::new(VecSink(lines.clone())))
-        .build();
-    let _ = runner.run(Goal::Collection, scen.max_time_s);
-    let metrics = runner.metrics_now();
-    let out = lines.lock().unwrap().clone();
-    (out, metrics)
-}
 
 /// Applies one request; event lines go to `events`, everything else (the
 /// terminal response — possibly an Error, which is what these tests are
@@ -134,8 +74,8 @@ fn expect_malformed(resp: ServiceResponse, what: &str) {
 /// left zero trace in the tenant.
 #[test]
 fn malformed_batches_error_without_perturbing_the_run() {
-    let scen = grid_scenario(131);
-    let (reference, ref_metrics) = capture_batch(&scen);
+    let scen = grid_scenario(ProtocolVariant::Simple, 131);
+    let (reference, ref_metrics) = capture_batch(&scen, None);
     assert!(!reference.is_empty());
 
     // One poison per kind, each derived from the genuine batch of some
@@ -262,7 +202,7 @@ fn malformed_batches_error_without_perturbing_the_run() {
 /// byte-identically to its solo reference.
 #[test]
 fn panicking_start_becomes_an_error_and_spares_the_manager() {
-    let mut hostile = grid_scenario(132);
+    let mut hostile = grid_scenario(ProtocolVariant::Simple, 132);
     hostile.seeds = SeedSpec::Explicit(vec![9999]);
 
     let mut mgr = RunManager::new(ServiceConfig::default());
@@ -290,8 +230,8 @@ fn panicking_start_becomes_an_error_and_spares_the_manager() {
     );
 
     // The manager is uncontaminated: a good tenant still matches solo.
-    let scen = grid_scenario(133);
-    let (reference, _) = capture_batch(&scen);
+    let scen = grid_scenario(ProtocolVariant::Simple, 133);
+    let (reference, _) = capture_batch(&scen, None);
     assert!(matches!(
         call(&mut mgr, start_request("good", &scen), &mut events),
         ServiceResponse::Started { .. }
@@ -325,8 +265,8 @@ fn panicking_start_becomes_an_error_and_spares_the_manager() {
 /// The stopped prefix is byte-identical to the solo run's prefix.
 #[test]
 fn stop_drains_every_event_including_the_drop_guard_flush() {
-    let scen = grid_scenario(134);
-    let (reference, _) = capture_batch(&scen);
+    let scen = grid_scenario(ProtocolVariant::Simple, 134);
+    let (reference, _) = capture_batch(&scen, None);
 
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut events = Vec::new();
@@ -368,8 +308,8 @@ fn stop_drains_every_event_including_the_drop_guard_flush() {
 /// engine before freezing. The stitched restart run stays byte-identical.
 #[test]
 fn snapshot_under_backpressure_keeps_accepted_batches() {
-    let scen = grid_scenario(135);
-    let (reference, ref_metrics) = capture_batch(&scen);
+    let scen = grid_scenario(ProtocolVariant::Simple, 135);
+    let (reference, ref_metrics) = capture_batch(&scen, None);
 
     // Manual ingest: every Observe only queues, so the Snapshot below
     // provably freezes behind a non-empty queue.
@@ -472,8 +412,8 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
 /// the snapshot was taken from) stays byte-identical to its solo run.
 #[test]
 fn resume_with_a_foreign_schema_tag_is_an_error() {
-    let scen = grid_scenario(139);
-    let (reference, _) = capture_batch(&scen);
+    let scen = grid_scenario(ProtocolVariant::Simple, 139);
+    let (reference, _) = capture_batch(&scen, None);
 
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut events = Vec::new();
@@ -565,8 +505,8 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
 /// completion byte-identical to its solo reference.
 #[test]
 fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
-    let scen_victim = grid_scenario(136);
-    let (reference, _) = capture_batch(&scen_victim);
+    let scen_victim = grid_scenario(ProtocolVariant::Simple, 136);
+    let (reference, _) = capture_batch(&scen_victim, None);
 
     let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr();
@@ -595,7 +535,7 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
             ServiceResponse::Error { .. }
         ));
 
-        let mut hostile = grid_scenario(137);
+        let mut hostile = grid_scenario(ProtocolVariant::Simple, 137);
         hostile.seeds = SeedSpec::Explicit(vec![9999]);
         let start = serde_json::to_string(&start_request("evil", &hostile)).unwrap();
         writeln!(writer, "{start}").unwrap();
@@ -605,7 +545,11 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
         ));
 
         // A run that *does* start, then gets fed garbage.
-        let good_start = serde_json::to_string(&start_request("adv", &grid_scenario(138))).unwrap();
+        let good_start = serde_json::to_string(&start_request(
+            "adv",
+            &grid_scenario(ProtocolVariant::Simple, 138),
+        ))
+        .unwrap();
         writeln!(writer, "{good_start}").unwrap();
         loop {
             match next_line(&mut reader, &mut line) {
@@ -729,7 +673,11 @@ fn expect_started(answer: &[ServiceResponse]) {
 #[test]
 fn non_utf8_line_is_an_error_and_the_connection_survives() {
     use std::io::{BufReader, Write};
-    let start = serde_json::to_string(&start_request("after", &grid_scenario(151))).unwrap();
+    let start = serde_json::to_string(&start_request(
+        "after",
+        &grid_scenario(ProtocolVariant::Simple, 151),
+    ))
+    .unwrap();
 
     let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr();
@@ -752,7 +700,11 @@ fn non_utf8_line_is_an_error_and_the_connection_survives() {
 /// The stdin mode answers the same bytes the same way.
 #[test]
 fn non_utf8_line_is_an_error_in_stdin_mode() {
-    let start = serde_json::to_string(&start_request("after", &grid_scenario(151))).unwrap();
+    let start = serde_json::to_string(&start_request(
+        "after",
+        &grid_scenario(ProtocolVariant::Simple, 151),
+    ))
+    .unwrap();
     let mut input = NOT_UTF8.to_vec();
     input.extend_from_slice(start.as_bytes());
     input.push(b'\n');
@@ -773,7 +725,7 @@ fn non_utf8_line_is_an_error_in_stdin_mode() {
 #[test]
 fn tcp_round_trips_wait_for_no_delayed_ack() {
     const ROUND_TRIPS: usize = 40;
-    let scen = grid_scenario(152);
+    let scen = grid_scenario(ProtocolVariant::Simple, 152);
     let mut source = SimulatorSource::from_scenario(&scen, 1);
     let batches: Vec<ObservationBatch> = (0..ROUND_TRIPS)
         .map(|_| {

@@ -3,79 +3,19 @@
 //! exact event stream the uninterrupted run produces — byte for byte —
 //! under all three protocol variants (DESIGN.md §6quater).
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
-use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_obs::{EventRecord, EventSink};
-use vcount_sim::{EngineSnapshot, Goal, Runner, Scenario};
-use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
-use vcount_traffic::{Demand, SimConfig};
-use vcount_v2x::ChannelKind;
-
-/// Collects every record's JSONL line so streams can be compared and
-/// digested byte for byte.
-struct VecSink(Arc<Mutex<Vec<String>>>);
-
-impl EventSink for VecSink {
-    fn record(&mut self, rec: &EventRecord) {
-        self.0.lock().unwrap().push(rec.to_json());
-    }
-}
-
-/// FNV-1a over the JSONL stream (one implicit `\n` per line), the same
-/// digest `run_checks.sh` computes for the CLI smoke test.
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for line in lines {
-        for &b in line.as_bytes() {
-            eat(b);
-        }
-        eat(b'\n');
-    }
-    h
-}
-
-fn scenario(variant: ProtocolVariant, seed: u64) -> Scenario {
-    let mut s = Scenario {
-        map: MapSpec::Grid {
-            cols: 3,
-            rows: 3,
-            spacing_m: 120.0,
-            lanes: 2,
-            speed_mps: 10.0,
-        },
-        closed: variant != ProtocolVariant::Open,
-        sim: SimConfig {
-            seed,
-            detect_overtakes: true,
-            speed_factor_range: (0.6, 1.0),
-            ..Default::default()
-        },
-        demand: Demand::at_volume(60.0),
-        protocol: CheckpointConfig::for_variant(variant),
-        channel: ChannelKind::PAPER,
-        seeds: SeedSpec::Random { count: 2 },
-        transport: TransportMode::default(),
-        patrol: PatrolSpec::default(),
-        max_time_s: 1200.0,
-    };
-    if variant == ProtocolVariant::Extended {
-        // Exercise the patrol-carried queues and status exchange too.
-        s.transport = TransportMode::VehicleWithPatrolFallback;
-        s.patrol = PatrolSpec { cars: 1 };
-    }
-    s
-}
+use common::{fnv_digest, small_grid_scenario, VecSink};
+use vcount_core::ProtocolVariant;
+use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder};
 
 /// Runs `prefix_steps`, snapshots through a JSON round-trip, resumes, and
 /// checks the stitched prefix+tail stream is byte-identical (same FNV
 /// digest, same lines) to an uninterrupted run of the same total length.
 fn roundtrip(variant: ProtocolVariant, seed: u64) {
-    let scen = scenario(variant, seed);
+    let scen = small_grid_scenario(variant, seed);
     let total_steps = 600usize;
     let prefix_steps = 217usize;
 
@@ -108,12 +48,11 @@ fn roundtrip(variant: ProtocolVariant, seed: u64) {
 
     let snap = EngineSnapshot::from_json(&snap_json).expect("snapshot JSON parses");
     let tail = Arc::new(Mutex::new(Vec::new()));
-    let mut resumed = Runner::resume_with(&snap, vec![Box::new(VecSink(tail.clone()))], 4096);
-    assert_eq!(
-        resumed.time_s(),
-        snap.sim.time_s,
-        "resume restores the clock"
-    );
+    let frozen_at = snap.sim.time_s;
+    let mut resumed = RunnerBuilder::from_snapshot(snap)
+        .sink(Box::new(VecSink(tail.clone())))
+        .build();
+    assert_eq!(resumed.time_s(), frozen_at, "resume restores the clock");
     for _ in 0..(total_steps - prefix_steps) {
         resumed.step();
     }
@@ -123,8 +62,8 @@ fn roundtrip(variant: ProtocolVariant, seed: u64) {
     stitched.extend(tail.lock().unwrap().iter().cloned());
 
     assert_eq!(
-        fnv1a(&full),
-        fnv1a(&stitched),
+        fnv_digest(&full),
+        fnv_digest(&stitched),
         "{variant:?}: resumed stream digest diverged from the reference"
     );
     assert_eq!(full, stitched, "{variant:?}: resumed stream diverged");
@@ -160,7 +99,7 @@ fn open_variant_resumes_byte_identical() {
 
 #[test]
 fn snapshot_rejects_wrong_schema() {
-    let scen = scenario(ProtocolVariant::Simple, 5);
+    let scen = small_grid_scenario(ProtocolVariant::Simple, 5);
     let mut runner = Runner::builder(&scen).build();
     runner.step();
     let mut snap = runner.snapshot();
@@ -177,7 +116,7 @@ fn snapshot_rejects_wrong_schema() {
 fn goal_run_after_resume_matches_reference() {
     // Beyond fixed-step stitching: resume mid-run, then drive both to the
     // constitution goal and compare the final metrics.
-    let scen = scenario(ProtocolVariant::Extended, 77);
+    let scen = small_grid_scenario(ProtocolVariant::Extended, 77);
     let mut reference = Runner::builder(&scen).build();
     let m_ref = reference.run(Goal::Constitution, scen.max_time_s);
 
@@ -185,12 +124,9 @@ fn goal_run_after_resume_matches_reference() {
     for _ in 0..150 {
         first.step();
     }
-    let snap = first.snapshot();
-    let mut resumed = Runner::resume(&snap);
-    while resumed.time_s() < scen.max_time_s && !resumed.all_stable() {
-        resumed.step();
-    }
-    let m_res = resumed.metrics_now();
+    let mut resumed = RunnerBuilder::from_snapshot(first.snapshot()).build();
+    let m_res = resumed.run(Goal::Constitution, scen.max_time_s);
+    assert_eq!(m_ref.constitution_done_s, m_res.constitution_done_s);
     assert_eq!(m_ref.global_count, m_res.global_count);
     assert_eq!(m_ref.true_population, m_res.true_population);
     assert_eq!(m_ref.oracle_violations, 0);

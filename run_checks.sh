@@ -135,14 +135,19 @@ EOF
 # Serve smoke: transport is a deployment knob, never a semantics knob
 # (DESIGN.md §10) — a scenario driven through `vcount serve` by a
 # simulator-fed client must return the byte-identical event trace that
-# `vcount run --trace` writes, and an over-rate feed against a tiny
-# queue must get an explicit Throttled response (never a silent drop).
+# `vcount run --trace` writes, `vcount run`, `vcount run --progress` and
+# `vcount feed` must report the same metrics, and an over-rate feed
+# against a tiny queue must get an explicit Throttled response (never a
+# silent drop).
 serve_dir="$tmp_root/serve"
 mkdir "$serve_dir"
-echo "+ vcount run|feed|serve on scen.json (byte-diff event traces)"
+echo "+ vcount run|run --progress|feed|serve on scen.json (byte-diff event traces)"
 cargo run --release -q -p vcount-cli --bin vcount -- \
     run "$snap_dir/scen.json" --goal constitution \
     --trace "$serve_dir/batch.jsonl" > "$serve_dir/mbatch.json"
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    run "$snap_dir/scen.json" --goal constitution --progress \
+    > "$serve_dir/mprog.json" 2>/dev/null
 cargo run --release -q -p vcount-cli --bin vcount -- \
     feed "$snap_dir/scen.json" --goal constitution \
     --emit "$serve_dir/cmds.jsonl" \
@@ -167,12 +172,59 @@ for raw in open(f"{d}/responses.jsonl", encoding="utf-8"):
 replay = ("\n".join(lines) + "\n").encode() if lines else b""
 assert replay == batch, "stdin-transport replay diverged from vcount run --trace"
 assert throttled == 0, "default queue must absorb a single-tenant feed"
-mb = json.load(open(f"{d}/mbatch.json"))
 mf = json.load(open(f"{d}/mfeed.json"))
-assert mb["global_count"] == mf["global_count"], (mb["global_count"], mf["global_count"])
 assert mf["oracle_violations"] == 0
 print(f"serve smoke ok: {len(lines)} event lines byte-identical across "
       f"run/feed/serve, count {mf['global_count']}")
+EOF
+# The same scenario under a crash after constitution: node 71 goes down
+# between constitution (905 s) and collection (1406 s) and recovers from
+# its t = 0 image, so the run is degraded and does not reach its goal
+# again. Every driver must stop at the same step on the same predicate.
+# The time budget is cut to 2400 s so the degraded runs stay short.
+echo "+ vcount run|run --progress|feed under a crash after constitution"
+python3 - "$snap_dir/scen.json" "$serve_dir/scen_late.json" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))
+s["max_time_s"] = 2400.0
+json.dump(s, open(sys.argv[2], "w"))
+EOF
+cat > "$serve_dir/late.json" <<'EOF'
+{ "seed": 3, "crashes": [{ "node": 71, "at_s": 1150.0, "recover_s": 1160.0 }],
+  "image_every_s": 1e7 }
+EOF
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    run "$serve_dir/scen_late.json" --faults "$serve_dir/late.json" \
+    > "$serve_dir/late_mbatch.json" 2>/dev/null
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    run "$serve_dir/scen_late.json" --faults "$serve_dir/late.json" --progress \
+    > "$serve_dir/late_mprog.json" 2>/dev/null
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$serve_dir/scen_late.json" --faults "$serve_dir/late.json" \
+    --emit "$serve_dir/late_cmds.jsonl" > "$serve_dir/late_mfeed.json" 2>/dev/null
+# Whole metrics, minus the wall-clock phase timings (the feeder, not the
+# service, pays for traffic).
+run python3 - "$serve_dir" <<'EOF'
+import json, sys
+d = sys.argv[1]
+
+def metrics(name):
+    m = json.load(open(f"{d}/{name}"))
+    for k in ("traffic_step_secs", "protocol_secs", "relay_secs"):
+        del m["telemetry"][k]
+    return m
+
+for case in ("", "late_"):
+    run = metrics(f"{case}mbatch.json")
+    for other in ("mprog.json", "mfeed.json"):
+        got = metrics(f"{case}{other}")
+        diff = sorted(k for k in run if got.get(k) != run[k])
+        assert got == run, f"{case}{other} differs from {case}mbatch.json in {diff}"
+late = metrics("late_mbatch.json")
+assert late["degraded"] and late["constitution_done_s"] is None, late
+assert late["elapsed_s"] == 2400.0, late["elapsed_s"]
+print("completion parity ok: run, run --progress and feed report identical "
+      "metrics, clean and under a crash after constitution")
 EOF
 # Over-rate feed: replay the same command stream with ingest made fully
 # manual (--pump-budget 0) against a 2-batch queue; with no Pump requests
