@@ -258,7 +258,7 @@ impl RunnerBuilder {
         let source: Box<dyn ObservationSource> = match (&snapshot, external) {
             (_, true) => Box::new(ExternalSource::new()),
             (None, false) => Box::new(SimulatorSource::from_scenario(&scenario, 1)),
-            (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)),
+            (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)?),
         };
         let faults = match faults {
             Some(plan) => FaultLayer::from_plan(plan, n)?,

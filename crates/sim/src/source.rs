@@ -378,15 +378,21 @@ impl SimulatorSource {
         SimulatorSource::wrap(sim, scenario.protocol.filter, 0)
     }
 
-    /// Restores the simulator from a snapshot (resume path). The restored
-    /// population counts as already announced — the engine rebuilds its
-    /// class table from the same snapshot.
-    pub fn resume_from(scenario: &Scenario, snap: &SimSnapshot) -> Self {
+    /// Restores the simulator from a snapshot (resume path), or reports
+    /// why the snapshot's traffic state does not fit the scenario (see
+    /// [`Simulator::restore`]). The restored population counts as already
+    /// announced — the engine rebuilds its class table from the same
+    /// snapshot.
+    pub fn resume_from(scenario: &Scenario, snap: &SimSnapshot) -> Result<Self, String> {
         let net = scenario.map.build(scenario.closed);
         net.validate().expect("snapshot scenario map must be valid");
-        let sim = Simulator::restore(net, scenario.sim.clone(), scenario.demand.clone(), snap);
+        let sim = Simulator::restore(net, scenario.sim.clone(), scenario.demand.clone(), snap)?;
         let announced = sim.vehicles().len();
-        SimulatorSource::wrap(sim, scenario.protocol.filter, announced)
+        Ok(SimulatorSource::wrap(
+            sim,
+            scenario.protocol.filter,
+            announced,
+        ))
     }
 
     fn wrap(sim: Simulator, filter: ClassFilter, announced: usize) -> Self {

@@ -145,7 +145,8 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
         ),
         ServiceResponse::Stopped { .. }
     ));
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
+    let mut source =
+        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
     assert!(matches!(
         wire_call(
             &mut client,

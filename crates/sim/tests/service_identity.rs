@@ -474,7 +474,8 @@ fn service_snapshot_restart_resumes_byte_identically() {
     // restores its simulator from the same snapshot.
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
+    let mut source =
+        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
     call(
         &mut mgr,
         ServiceRequest::Resume {

@@ -360,7 +360,8 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     // Restart: fresh manager, default (inline) pumping, resumed feeder.
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
-    let mut source = SimulatorSource::resume_from(&snap.scenario, &snap.sim);
+    let mut source =
+        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
     assert!(matches!(
         call(
             &mut mgr,

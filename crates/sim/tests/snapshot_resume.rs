@@ -1,7 +1,8 @@
 //! Snapshot/resume determinism: freezing a run mid-flight, serializing the
 //! snapshot to JSON, and resuming from the parsed copy must replay the
 //! exact event stream the uninterrupted run produces — byte for byte —
-//! under all three protocol variants (DESIGN.md §6quater).
+//! under all three protocol variants (DESIGN.md §6quater). A snapshot
+//! whose traffic tables contradict its map or vehicle table is refused.
 
 mod common;
 
@@ -10,6 +11,8 @@ use std::sync::{Arc, Mutex};
 use common::{fnv_digest, small_grid_scenario, VecSink};
 use vcount_core::ProtocolVariant;
 use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder};
+use vcount_traffic::SimSnapshot;
+use vcount_v2x::VehicleId;
 
 /// Runs `prefix_steps`, snapshots through a JSON round-trip, resumes, and
 /// checks the stitched prefix+tail stream is byte-identical (same FNV
@@ -132,4 +135,65 @@ fn goal_run_after_resume_matches_reference() {
     assert_eq!(m_ref.oracle_violations, 0);
     assert_eq!(m_res.oracle_violations, 0);
     assert_eq!(m_ref.checkpoint_stable_s, m_res.checkpoint_stable_s);
+}
+
+/// Resumes a snapshot taken 50 steps into a closed grid run after
+/// `mutate` corrupts its traffic state: the refusal, or "accepted".
+fn refusal(mutate: impl FnOnce(&mut SimSnapshot)) -> String {
+    let scen = small_grid_scenario(ProtocolVariant::Simple, 9);
+    let mut runner = Runner::builder(&scen).build();
+    for _ in 0..50 {
+        runner.step();
+    }
+    let mut snap = runner.snapshot();
+    mutate(&mut snap.sim);
+    match RunnerBuilder::from_snapshot(snap).try_build() {
+        Ok(_) => "accepted".to_string(),
+        Err(e) => e,
+    }
+}
+
+/// The first lane holding at least `vehicles` vehicles.
+fn lane_with(sim: &mut SimSnapshot, vehicles: usize) -> &mut Vec<VehicleId> {
+    let mut lanes = sim.lanes.iter_mut().flatten();
+    lanes
+        .find(|l| l.len() >= vehicles)
+        .expect("a lane this full")
+}
+
+#[test]
+fn resume_rejects_an_unknown_vehicle_in_a_lane() {
+    let err = refusal(|sim| lane_with(sim, 1)[0] = VehicleId(999_999));
+    assert!(err.contains("unknown vehicle 999999"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_lane_table_missing_an_edge() {
+    let err = refusal(|sim| {
+        sim.lanes.remove(3);
+    });
+    assert!(err.contains("lane table has"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_lane_out_of_leader_first_order() {
+    let err = refusal(|sim| lane_with(sim, 2).swap(0, 1));
+    assert!(err.contains("not ordered leader first"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_queue_table_missing_a_node() {
+    let err = refusal(|sim| {
+        sim.queues.pop();
+    });
+    assert!(err.contains("queue table has"), "{err}");
+}
+
+#[test]
+fn resume_rejects_an_unknown_vehicle_in_an_overtake_order() {
+    let err = refusal(|sim| {
+        let order = sim.prev_order.iter_mut().find(|o| !o.is_empty());
+        order.expect("an edge with traffic")[0] = VehicleId(999_999);
+    });
+    assert!(err.contains("overtake orders"), "{err}");
 }

@@ -15,6 +15,7 @@ use crate::signals::SignalPlan;
 use crate::vehicle::{sample_class, RoutePolicy, VehState, Vehicle};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use vcount_roadnet::{EdgeId, NodeId, NodeKind, RoadNetwork};
 use vcount_v2x::{VehicleClass, VehicleId};
@@ -51,8 +52,8 @@ pub struct Simulator {
     time_s: f64,
     steps: u64,
     vehicles: Vec<Vehicle>,
-    /// edge -> lane -> vehicles ordered leader-first (descending position).
-    lanes: Vec<Vec<Vec<VehicleId>>>,
+    /// edge -> lane -> slots in [`Slot::lane_order`] (leader first).
+    lanes: Vec<Vec<Vec<Slot>>>,
     /// node -> FIFO of (vehicle, arrival edge) waiting at the stop line.
     queues: Vec<VecDeque<(VehicleId, EdgeId)>>,
     events: Vec<TrafficEvent>,
@@ -60,12 +61,37 @@ pub struct Simulator {
     prev_order: Vec<Vec<VehicleId>>,
     /// Fixed-time signal plan, when configured.
     signals: Option<SignalPlan>,
-    /// Scratch buffer reused across steps.
-    scratch_pos: Vec<f64>,
     /// Overtake-detection scratch.
     detect: DetectScratch,
     /// Scratch: route candidates under consideration at an intersection.
     route_scratch: Vec<EdgeId>,
+}
+
+/// One on-edge vehicle's place in its lane: the car-following inputs,
+/// stored in the lane so a lane sweep reads one contiguous array instead of
+/// looking up each vehicle. `pos` and `factor` always equal the vehicle's
+/// `pos_m` and `speed_factor`: every position a slot takes is written
+/// through to the [`Vehicle`] in the same step.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: VehicleId,
+    pos: f64,
+    factor: f64,
+}
+
+impl Slot {
+    /// The lane order: position descending (leader first), then id
+    /// ascending. It is total, so inserting at the partition point of a
+    /// sorted lane gives the same lane as a full sort.
+    fn lane_order(&self, other: &Slot) -> Ordering {
+        other.pos.total_cmp(&self.pos).then(self.id.cmp(&other.id))
+    }
+
+    /// Inserts `self` at its place in a lane already in lane order.
+    fn insert_into(self, lane: &mut Vec<Slot>) {
+        let at = lane.partition_point(|s| s.lane_order(&self).is_lt());
+        lane.insert(at, self);
+    }
 }
 
 /// Scratch for overtake detection: everything [`DetectScratch::detect`]
@@ -182,7 +208,6 @@ impl Simulator {
             events: Vec::new(),
             prev_order,
             signals,
-            scratch_pos: Vec::new(),
             detect: DetectScratch::default(),
             route_scratch: Vec::new(),
         };
@@ -199,7 +224,15 @@ impl Simulator {
             time_s: self.time_s,
             steps: self.steps,
             vehicles: self.vehicles.clone(),
-            lanes: self.lanes.clone(),
+            lanes: self
+                .lanes
+                .iter()
+                .map(|edge| {
+                    edge.iter()
+                        .map(|lane| lane.iter().map(|s| s.id).collect())
+                        .collect()
+                })
+                .collect(),
             queues: self
                 .queues
                 .iter()
@@ -213,21 +246,36 @@ impl Simulator {
     /// initial population draw is skipped; the RNG is fast-forwarded to the
     /// captured position, so the restored simulator produces the exact
     /// event stream the original would have from this point on.
-    pub fn restore(net: RoadNetwork, cfg: SimConfig, demand: Demand, snap: &SimSnapshot) -> Self {
-        cfg.validate().expect("invalid simulator config");
-        assert_eq!(
-            snap.lanes.len(),
-            net.edge_count(),
-            "snapshot was taken on a different network"
-        );
-        assert_eq!(snap.queues.len(), net.node_count());
+    ///
+    /// The snapshot is outside input, so its lane, queue and overtake
+    /// tables are checked against the map and the vehicle table before
+    /// anything steps: an inconsistent snapshot is an error here, not a
+    /// panic or a silently wrong trajectory later.
+    pub fn restore(
+        net: RoadNetwork,
+        cfg: SimConfig,
+        demand: Demand,
+        snap: &SimSnapshot,
+    ) -> Result<Self, String> {
+        cfg.validate()
+            .map_err(|e| format!("invalid simulator config: {e}"))?;
+        let lanes = restore_lanes(&net, snap)?;
+        if snap.prev_order.len() != net.edge_count()
+            || snap
+                .prev_order
+                .iter()
+                .flatten()
+                .any(|v| v.index() >= snap.vehicles.len())
+        {
+            return Err("snapshot overtake orders do not fit the map and vehicle table".into());
+        }
         let signals = cfg.signals.map(|t| SignalPlan::build(&net, t));
-        Simulator {
+        Ok(Simulator {
             rng: ReplayRng::resume(cfg.seed, snap.rng_draws),
             time_s: snap.time_s,
             steps: snap.steps,
             vehicles: snap.vehicles.clone(),
-            lanes: snap.lanes.clone(),
+            lanes,
             queues: snap
                 .queues
                 .iter()
@@ -239,10 +287,9 @@ impl Simulator {
             net,
             cfg,
             demand,
-            scratch_pos: Vec::new(),
             detect: DetectScratch::default(),
             route_scratch: Vec::new(),
-        }
+        })
     }
 
     /// The road network being simulated.
@@ -312,7 +359,7 @@ impl Simulator {
         );
         let queued = out.len();
         for lane in &self.lanes[edge.index()] {
-            out.extend_from_slice(lane);
+            out.extend(lane.iter().map(|s| s.id));
         }
         // Merge lanes by position, leader first; lane lists hold only
         // on-edge vehicles, so every position lookup succeeds.
@@ -350,8 +397,12 @@ impl Simulator {
         if let RoutePolicy::FixedLoop { edges, next } = &mut self.vehicles[id.index()].policy {
             *next = (start + 1) % edges.len();
         }
-        self.lanes[edge.index()][0].push(id);
-        self.sort_lane(edge, 0);
+        Slot {
+            id,
+            pos: 0.0,
+            factor: 1.0,
+        }
+        .insert_into(&mut self.lanes[edge.index()][0]);
         id
     }
 
@@ -377,8 +428,12 @@ impl Simulator {
             state: VehState::OnEdge { edge, lane, pos_m },
             speed_mps: 0.0,
         });
-        self.lanes[edge.index()][lane as usize].push(id);
-        self.sort_lane(edge, lane);
+        Slot {
+            id,
+            pos: pos_m,
+            factor: speed_factor,
+        }
+        .insert_into(&mut self.lanes[edge.index()][lane as usize]);
         id
     }
 
@@ -416,24 +471,6 @@ impl Simulator {
         }
     }
 
-    fn sort_lane(&mut self, edge: EdgeId, lane: u8) {
-        let vehicles = &self.vehicles;
-        // Unstable sort: no heap allocation, and the comparator is a total
-        // order (position, then id), so the result is deterministic.
-        // `total_cmp` keeps a rogue NaN from panicking the simulation.
-        self.lanes[edge.index()][lane as usize].sort_unstable_by(|a, b| {
-            let pa = match vehicles[a.index()].state {
-                VehState::OnEdge { pos_m, .. } => pos_m,
-                _ => f64::MAX,
-            };
-            let pb = match vehicles[b.index()].state {
-                VehState::OnEdge { pos_m, .. } => pos_m,
-                _ => f64::MAX,
-            };
-            pb.total_cmp(&pa).then(a.cmp(b))
-        });
-    }
-
     /// Advances one time step and returns the events it produced, in
     /// deterministic order.
     pub fn step(&mut self) -> &[TrafficEvent] {
@@ -462,64 +499,38 @@ impl Simulator {
 
     fn lane_changes(&mut self) {
         for ei in 0..self.lanes.len() {
-            let edge = EdgeId(ei as u32);
             let n_lanes = self.lanes[ei].len();
             if n_lanes < 2 {
                 continue;
             }
+            let limit = self.net.edge(EdgeId(ei as u32)).speed_mps;
             for li in 0..n_lanes {
                 // Walk followers (index >= 1): leaders have nobody to pass.
                 let mut idx = 1;
                 while idx < self.lanes[ei][li].len() {
-                    let vid = self.lanes[ei][li][idx];
-                    let lead = self.lanes[ei][li][idx - 1];
-                    let (my_pos, my_factor) = match self.vehicles[vid.index()].state {
-                        VehState::OnEdge { pos_m, .. } => {
-                            (pos_m, self.vehicles[vid.index()].speed_factor)
-                        }
-                        _ => {
-                            idx += 1;
-                            continue;
-                        }
-                    };
-                    let lead_speed = self.vehicles[lead.index()].speed_mps;
-                    let lead_pos = match self.vehicles[lead.index()].state {
-                        VehState::OnEdge { pos_m, .. } => pos_m,
-                        _ => {
-                            idx += 1;
-                            continue;
-                        }
-                    };
-                    let limit = self.net.edge(edge).speed_mps;
-                    let desired = my_factor * limit;
-                    let blocked =
-                        lead_pos - my_pos < 3.0 * self.cfg.min_gap_m && lead_speed + 0.1 < desired;
+                    let (me, lead) = (self.lanes[ei][li][idx], self.lanes[ei][li][idx - 1]);
+                    let desired = me.factor * limit;
+                    // Short-circuit: the leader's record is read only when
+                    // the gap is tight.
+                    let blocked = lead.pos - me.pos < 3.0 * self.cfg.min_gap_m
+                        && self.vehicles[lead.id.index()].speed_mps + 0.1 < desired;
                     if !blocked || !self.rng.gen_bool(self.cfg.lane_change_prob) {
                         idx += 1;
                         continue;
                     }
                     // Try adjacent lanes in a deterministic order.
-                    let mut moved = false;
-                    for target in [li.wrapping_sub(1), li + 1] {
-                        if target >= n_lanes || target == li {
-                            continue;
-                        }
-                        if self.lane_has_space(ei, target, my_pos) {
-                            let v = self.lanes[ei][li].remove(idx);
-                            if let VehState::OnEdge { lane, .. } =
-                                &mut self.vehicles[v.index()].state
-                            {
-                                *lane = target as u8;
-                            }
-                            self.lanes[ei][target].push(v);
-                            self.sort_lane(edge, target as u8);
-                            moved = true;
-                            break;
-                        }
-                    }
-                    if !moved {
+                    let target = [li.wrapping_sub(1), li + 1]
+                        .into_iter()
+                        .find(|&t| t < n_lanes && self.lane_has_space(ei, t, me.pos));
+                    let Some(target) = target else {
                         idx += 1;
+                        continue;
+                    };
+                    self.lanes[ei][li].remove(idx);
+                    if let VehState::OnEdge { lane, .. } = &mut self.vehicles[me.id.index()].state {
+                        *lane = target as u8;
                     }
+                    me.insert_into(&mut self.lanes[ei][target]);
                 }
             }
         }
@@ -527,79 +538,59 @@ impl Simulator {
 
     fn lane_has_space(&self, ei: usize, lane: usize, pos: f64) -> bool {
         let gap = self.cfg.min_gap_m;
-        for &other in &self.lanes[ei][lane] {
-            if let VehState::OnEdge { pos_m, .. } = self.vehicles[other.index()].state {
-                if (pos_m - pos).abs() < gap {
-                    return false;
-                }
-            }
-        }
-        true
+        !self.lanes[ei][lane]
+            .iter()
+            .any(|s| (s.pos - pos).abs() < gap)
     }
 
+    /// Car following, one pass per lane. Every vehicle is limited by its
+    /// leader's *old* position (synchronous update), which the pass keeps
+    /// in `lead_pos` because the lane is compacted in place as it goes.
+    /// A follower ends where it was or `min_gap_m` short of its leader's
+    /// old position, never past it, so the lane stays in lane order
+    /// without re-sorting.
     fn move_vehicles(&mut self) {
         let dt = self.cfg.dt_s;
         let gap_min = self.cfg.min_gap_m;
-        for ei in 0..self.lanes.len() {
-            let edge_len = self.net.edge(EdgeId(ei as u32)).length_m;
-            let limit = self.net.edge(EdgeId(ei as u32)).speed_mps;
-            for li in 0..self.lanes[ei].len() {
-                // Compute new positions leader-first against *old* leader
-                // positions (synchronous update).
-                self.scratch_pos.clear();
-                let lane = &self.lanes[ei][li];
-                for (i, &vid) in lane.iter().enumerate() {
-                    let veh = &self.vehicles[vid.index()];
-                    let pos = match veh.state {
-                        VehState::OnEdge { pos_m, .. } => pos_m,
-                        _ => unreachable!("lane list holds only on-edge vehicles"),
-                    };
-                    let desired = (veh.speed_factor * limit).min(limit);
+        for (ei, edge_lanes) in self.lanes.iter_mut().enumerate() {
+            let from = EdgeId(ei as u32);
+            let edge = self.net.edge(from);
+            let (edge_len, limit, head) = (edge.length_m, edge.speed_mps, edge.to);
+            for lane in edge_lanes.iter_mut() {
+                let mut lead_pos = f64::MAX;
+                let mut kept = 0usize;
+                for i in 0..lane.len() {
+                    let slot = lane[i];
+                    let desired = (slot.factor * limit).min(limit);
                     let v = if i == 0 {
                         desired
                     } else {
-                        let lead = &self.vehicles[lane[i - 1].index()];
-                        let lead_pos = match lead.state {
-                            VehState::OnEdge { pos_m, .. } => pos_m,
-                            _ => unreachable!(),
-                        };
-                        let gap = lead_pos - pos - gap_min;
+                        let gap = lead_pos - slot.pos - gap_min;
                         desired.min((gap / dt).max(0.0))
                     };
-                    self.scratch_pos.push(pos + v * dt);
-                }
-                // Apply: crossers leave the lane into the head queue.
-                // Survivors are compacted in place (retain-style) so the
-                // lane vector keeps its capacity across steps.
-                let head = self.net.edge(EdgeId(ei as u32)).to;
-                let lane_len = self.lanes[ei][li].len();
-                let mut kept = 0usize;
-                for i in 0..lane_len {
-                    let vid = self.lanes[ei][li][i];
-                    let new_pos = self.scratch_pos[i];
-                    debug_assert!(new_pos.is_finite(), "non-finite position for {vid:?}");
-                    let veh = &mut self.vehicles[vid.index()];
-                    let old_pos = match veh.state {
-                        VehState::OnEdge { pos_m, .. } => pos_m,
-                        _ => unreachable!(),
-                    };
-                    veh.speed_mps = (new_pos - old_pos) / dt;
+                    let new_pos = slot.pos + v * dt;
+                    debug_assert!(new_pos.is_finite(), "non-finite position for {:?}", slot.id);
+                    lead_pos = slot.pos;
+                    // Crossers leave the lane into the head queue, in lane
+                    // order; survivors write their new position through.
+                    let veh = &mut self.vehicles[slot.id.index()];
                     if new_pos >= edge_len {
-                        veh.state = VehState::Queued {
-                            node: head,
-                            from: EdgeId(ei as u32),
-                        };
+                        veh.state = VehState::Queued { node: head, from };
                         veh.speed_mps = 0.0;
-                        self.queues[head.index()].push_back((vid, EdgeId(ei as u32)));
+                        self.queues[head.index()].push_back((slot.id, from));
                     } else {
+                        veh.speed_mps = (new_pos - slot.pos) / dt;
                         if let VehState::OnEdge { pos_m, .. } = &mut veh.state {
                             *pos_m = new_pos;
                         }
-                        self.lanes[ei][li][kept] = vid;
+                        lane[kept] = Slot {
+                            pos: new_pos,
+                            ..slot
+                        };
                         kept += 1;
                     }
                 }
-                self.lanes[ei][li].truncate(kept);
+                lane.truncate(kept);
             }
         }
     }
@@ -686,8 +677,12 @@ impl Simulator {
             pos_m: 0.0,
         };
         veh.speed_mps = 0.0;
-        self.lanes[edge.index()][lane as usize].push(vid);
-        self.sort_lane(edge, lane);
+        Slot {
+            id: vid,
+            pos: 0.0,
+            factor: veh.speed_factor,
+        }
+        .insert_into(&mut self.lanes[edge.index()][lane as usize]);
     }
 
     fn decide_route(
@@ -761,13 +756,7 @@ impl Simulator {
     fn entry_lane(&self, edge: EdgeId) -> Option<u8> {
         let mut best: Option<(f64, u8)> = None;
         for (li, lane) in self.lanes[edge.index()].iter().enumerate() {
-            let rear_space = lane
-                .last()
-                .map(|v| match self.vehicles[v.index()].state {
-                    VehState::OnEdge { pos_m, .. } => pos_m,
-                    _ => f64::MAX,
-                })
-                .unwrap_or(f64::MAX);
+            let rear_space = lane.last().map_or(f64::MAX, |s| s.pos);
             if rear_space >= self.cfg.min_gap_m {
                 match best {
                     Some((s, _)) if s >= rear_space => {}
@@ -833,6 +822,115 @@ impl Simulator {
             }
         }
     }
+}
+
+/// Converts a snapshot's lane lists to slot arrays after checking its lane
+/// and queue tables against the map and the vehicle table: every vehicle
+/// inside the map is listed exactly once, an on-edge one in its lane at a
+/// position on its edge and in lane order, a queued one in its node's
+/// queue from its arrival edge.
+fn restore_lanes(net: &RoadNetwork, snap: &SimSnapshot) -> Result<Vec<Vec<Vec<Slot>>>, String> {
+    if snap.lanes.len() != net.edge_count() {
+        return Err(format!(
+            "snapshot lane table has {} edges, the map has {}",
+            snap.lanes.len(),
+            net.edge_count()
+        ));
+    }
+    if snap.queues.len() != net.node_count() {
+        return Err(format!(
+            "snapshot queue table has {} nodes, the map has {}",
+            snap.queues.len(),
+            net.node_count()
+        ));
+    }
+    let mut listed = vec![false; snap.vehicles.len()];
+    let mut list_once = |id: VehicleId| {
+        if std::mem::replace(&mut listed[id.index()], true) {
+            return Err(format!("vehicle {} is listed twice", id.0));
+        }
+        Ok(())
+    };
+    let mut lanes = Vec::with_capacity(snap.lanes.len());
+    for (edge, edge_lanes) in net.edges().zip(&snap.lanes) {
+        let e = edge.id.0;
+        if edge_lanes.len() != edge.lanes as usize {
+            return Err(format!(
+                "snapshot lists {} lanes on edge {e}, the map has {}",
+                edge_lanes.len(),
+                edge.lanes
+            ));
+        }
+        let mut slots_by_lane = Vec::with_capacity(edge_lanes.len());
+        for (li, ids) in edge_lanes.iter().enumerate() {
+            let mut slots: Vec<Slot> = Vec::with_capacity(ids.len());
+            for &id in ids {
+                let v = id.0;
+                let veh = snap
+                    .vehicles
+                    .get(id.index())
+                    .ok_or_else(|| format!("lane {li} of edge {e} lists unknown vehicle {v}"))?;
+                let pos = match veh.state {
+                    VehState::OnEdge {
+                        edge: at,
+                        lane,
+                        pos_m,
+                    } if at == edge.id
+                        && usize::from(lane) == li
+                        && (0.0..=edge.length_m).contains(&pos_m) =>
+                    {
+                        pos_m
+                    }
+                    _ => {
+                        return Err(format!(
+                            "lane {li} of edge {e} lists vehicle {v}, which is not on that lane"
+                        ))
+                    }
+                };
+                list_once(id)?;
+                let slot = Slot {
+                    id,
+                    pos,
+                    factor: veh.speed_factor,
+                };
+                if slots
+                    .last()
+                    .is_some_and(|prev| prev.lane_order(&slot).is_ge())
+                {
+                    return Err(format!(
+                        "lane {li} of edge {e} is not ordered leader first at vehicle {v}"
+                    ));
+                }
+                slots.push(slot);
+            }
+            slots_by_lane.push(slots);
+        }
+        lanes.push(slots_by_lane);
+    }
+    for (n, queue) in snap.queues.iter().enumerate() {
+        for &(id, from) in queue {
+            let queued_here = snap.vehicles.get(id.index()).is_some_and(|veh| {
+                matches!(veh.state, VehState::Queued { node, from: f }
+                    if node.index() == n && f == from)
+            });
+            if !queued_here || from.index() >= net.edge_count() || net.edge(from).to.index() != n {
+                return Err(format!(
+                    "queue of node {n} lists vehicle {} from edge {}, which is not queued there",
+                    id.0, from.0
+                ));
+            }
+            list_once(id)?;
+        }
+    }
+    let unlisted = snap
+        .vehicles
+        .iter()
+        .zip(&listed)
+        .position(|(veh, &seen)| veh.is_inside() && !seen);
+    if let Some(i) = unlisted {
+        return Err(format!("vehicle {i} is inside but in no lane or queue"));
+    }
+    Ok(lanes)
 }
 
 enum RouteDecision {
@@ -923,7 +1021,8 @@ mod tests {
         // Round-trip through JSON like the engine snapshot does.
         let json = serde_json::to_string(&snap).unwrap();
         let snap: SimSnapshot = serde_json::from_str(&json).unwrap();
-        let mut resumed = Simulator::restore(net, cfg, Demand::at_volume(60.0), &snap);
+        let mut resumed =
+            Simulator::restore(net, cfg, Demand::at_volume(60.0), &snap).expect("snapshot fits");
         for _ in 0..250 {
             let a = full.step().to_vec();
             let b = resumed.step().to_vec();
@@ -1140,6 +1239,104 @@ mod tests {
                 _ => break,
             };
             assert!(cp < lp, "single-lane follower overtook its leader");
+        }
+    }
+
+    /// Checks the slot layout against the vehicle table: every slot holds
+    /// its vehicle's exact position and speed factor, the vehicle is on
+    /// that edge and lane, each lane is strictly in lane order, and every
+    /// on-edge vehicle sits in exactly one slot.
+    fn assert_slots_mirror_vehicles(sim: &Simulator) {
+        let step = sim.steps();
+        let mut slots_of = vec![0u32; sim.vehicles.len()];
+        for (ei, edge_lanes) in sim.lanes.iter().enumerate() {
+            for (li, lane) in edge_lanes.iter().enumerate() {
+                for (i, slot) in lane.iter().enumerate() {
+                    let veh = &sim.vehicles[slot.id.index()];
+                    let VehState::OnEdge {
+                        edge,
+                        lane: l,
+                        pos_m,
+                    } = veh.state
+                    else {
+                        panic!(
+                            "step {step}: {:?} has a slot but is {:?}",
+                            slot.id, veh.state
+                        );
+                    };
+                    assert_eq!(
+                        (edge.index(), usize::from(l)),
+                        (ei, li),
+                        "step {step}: {:?} sits in another lane's slots",
+                        slot.id
+                    );
+                    assert_eq!(
+                        (slot.pos.to_bits(), slot.factor.to_bits()),
+                        (pos_m.to_bits(), veh.speed_factor.to_bits()),
+                        "step {step}: slot of {:?} is stale",
+                        slot.id
+                    );
+                    if i > 0 {
+                        assert!(
+                            lane[i - 1].lane_order(slot).is_lt(),
+                            "step {step}: lane {li} of edge {ei} is out of order at {:?}",
+                            slot.id
+                        );
+                    }
+                    slots_of[slot.id.index()] += 1;
+                }
+            }
+        }
+        for (veh, &n) in sim.vehicles.iter().zip(&slots_of) {
+            let on_edge = matches!(veh.state, VehState::OnEdge { .. });
+            assert_eq!(
+                n,
+                u32::from(on_edge),
+                "step {step}: {:?} has {n} slots",
+                veh.id
+            );
+        }
+    }
+
+    #[test]
+    fn lane_slots_mirror_the_vehicle_table() {
+        let open_midtown = Simulator::new(
+            manhattan(&ManhattanConfig::small()),
+            SimConfig {
+                seed: 29,
+                ..Default::default()
+            },
+            Demand::at_volume(60.0),
+        );
+        let overtaking_grid = Simulator::new(
+            grid(5, 5, 150.0, 3, 10.0),
+            SimConfig {
+                detect_overtakes: true,
+                speed_factor_range: (0.5, 1.0),
+                seed: 77,
+                ..Default::default()
+            },
+            Demand::at_volume(100.0),
+        );
+        for mut sim in [open_midtown, overtaking_grid] {
+            assert_slots_mirror_vehicles(&sim);
+            let mut lane_changes = 0usize;
+            for _ in 0..1500 {
+                let before: Vec<_> = sim.vehicles.iter().map(|v| v.state).collect();
+                sim.step();
+                lane_changes += before
+                    .iter()
+                    .zip(&sim.vehicles)
+                    .filter(|(was, veh)| {
+                        matches!((was, veh.state), (
+                            VehState::OnEdge { edge: e0, lane: l0, .. },
+                            VehState::OnEdge { edge: e1, lane: l1, .. },
+                        ) if *e0 == e1 && *l0 != l1)
+                    })
+                    .count();
+                assert_slots_mirror_vehicles(&sim);
+            }
+            assert!(lane_changes > 0, "no lane change happened; test is vacuous");
         }
     }
 

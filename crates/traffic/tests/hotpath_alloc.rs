@@ -3,7 +3,7 @@
 //! A counting global allocator measures heap activity across a window of
 //! `step()` calls after a warm-up period. Once every scratch buffer has
 //! grown to its working-set size, a closed-network simulation must not
-//! touch the allocator at all — overtake detection, lane sorting, routing,
+//! touch the allocator at all — overtake detection, lane insertion, routing,
 //! and event emission all run on reused buffers.
 //!
 //! This is the only test in this file on purpose: the allocator counts

@@ -64,6 +64,22 @@ assert tail and full.endswith(tail), \
     "resumed trace is not a byte-identical suffix of the uninterrupted trace"
 print(f"snapshot/resume smoke ok: {len(tail)} byte tail of {len(full)} byte trace")
 EOF
+# A snapshot is outside input: one lane id out of range must be refused
+# by validation (exit 1 with an `error:` line), never reach a panic.
+echo "+ vcount run --resume on snap.json with one lane id set to 999999 (refused)"
+jq -c '.sim.lanes |= (first(paths(numbers)) as $p | setpath($p; 999999))' \
+    "$snap_dir/snap.json" > "$snap_dir/bad_lane.json"
+resume_status=0
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    run --resume "$snap_dir/bad_lane.json" --goal constitution \
+    >/dev/null 2>"$snap_dir/bad_lane.err" || resume_status=$?
+if [ "$resume_status" -ne 1 ] || ! grep -q '^error: ' "$snap_dir/bad_lane.err" \
+    || grep -q 'panicked' "$snap_dir/bad_lane.err"; then
+    cat "$snap_dir/bad_lane.err" >&2
+    echo "corrupt snapshot was not refused cleanly (exit $resume_status)" >&2
+    exit 1
+fi
+echo "corrupt-snapshot smoke ok: $(grep -m1 '^error: ' "$snap_dir/bad_lane.err")"
 
 # Fault-injection smoke: a run under a crash+blackout+chaos plan must end
 # exact or explicitly degraded (never a silent miscount), and the crash
