@@ -149,11 +149,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         "faults",
         "record-actions",
     ])?;
-    let goal = match args.flag("goal").unwrap_or("collection") {
-        "constitution" => Goal::Constitution,
-        "collection" => Goal::Collection,
-        other => return Err(format!("unknown goal `{other}`")),
-    };
+    let goal = parse_goal(args, Goal::Collection)?;
     let trace_path = args.flag("trace");
     let filter = match (trace_path, args.flag("trace-filter")) {
         (Some(_), Some(spec)) => EventFilter::parse(spec)?,
@@ -452,11 +448,7 @@ pub fn feed(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let scenario: Scenario = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     let run = args.flag("run").unwrap_or("run-1").to_string();
-    let goal = match args.flag("goal").unwrap_or("collection") {
-        "constitution" => Goal::Constitution,
-        "collection" => Goal::Collection,
-        other => return Err(format!("unknown goal `{other}`")),
-    };
+    let goal = parse_goal(args, Goal::Collection)?;
     let faults = load_fault_plan(args)?;
     let mut client = match dest {
         Dest::Emit(emit) => FeedTransport::in_process(emit)?,
@@ -543,6 +535,16 @@ pub fn feed(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses `--goal constitution|collection`, or `default` when absent.
+fn parse_goal(args: &Args, default: Goal) -> Result<Goal, String> {
+    match args.flag("goal") {
+        None => Ok(default),
+        Some("constitution") => Ok(Goal::Constitution),
+        Some("collection") => Ok(Goal::Collection),
+        Some(other) => Err(format!("unknown goal `{other}`")),
+    }
+}
+
 /// Reads and parses `--faults PLAN.json`, if given. Structural validation
 /// against the scenario happens in [`vcount_sim::RunnerBuilder::try_build`].
 fn load_fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
@@ -587,11 +589,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     if cfg.volumes.is_empty() || cfg.seed_counts.is_empty() {
         return Err("sweep grid is empty".into());
     }
-    let goal = match args.flag("goal").unwrap_or("constitution") {
-        "constitution" => Goal::Constitution,
-        "collection" => Goal::Collection,
-        other => return Err(format!("unknown goal `{other}`")),
-    };
+    let goal = parse_goal(args, Goal::Constitution)?;
     let map = match args.flag("map").unwrap_or("small") {
         "paper" => ManhattanConfig::default(),
         "small" => ManhattanConfig::small(),

@@ -137,6 +137,32 @@ fn record_actions_cannot_resume() {
     );
 }
 
+/// `run`, `feed` and `sweep` share one `--goal` parser: each refuses an
+/// unknown goal with the same message, before doing any work.
+#[test]
+fn unknown_goal_is_rejected_by_every_command() {
+    let dir = std::env::temp_dir().join(format!("vcount-cli-goal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (scen, emit) = (dir.join("scenario.json"), dir.join("cmds.jsonl"));
+    let (scen, emit) = (scen.to_str().unwrap(), emit.to_str().unwrap());
+    let out = bin()
+        .args(["scenario", "--preset", "closed", "--out", scen])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for args in [
+        &["run", scen, "--goal", "bogus"][..],
+        &["feed", scen, "--emit", emit, "--goal", "bogus"][..],
+        &["sweep", scen, "--goal", "bogus"][..],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown goal `bogus`"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn trace_filter_without_trace_is_rejected() {
     let out = bin()

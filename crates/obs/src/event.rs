@@ -255,8 +255,7 @@ impl ProtocolEvent {
     }
 }
 
-/// Fieldless tag for every [`ProtocolEvent`] variant, used by trace filters
-/// and counters.
+/// Fieldless tag for every [`ProtocolEvent`] variant, used by trace filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum EventKind {

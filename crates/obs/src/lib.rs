@@ -1,4 +1,4 @@
-//! # vcount-obs — protocol observability: structured events, sinks, telemetry
+//! # vcount-obs — protocol observability: structured events and sinks
 //!
 //! Every paper-relevant transition of the counting protocol — activations,
 //! label handoffs and their failures, direction stops, overtake
@@ -6,8 +6,8 @@
 //! interaction — is modelled as a [`ProtocolEvent`]. The pure state machine
 //! in `vcount-core` emits them alongside its transport `Command`s; the
 //! runner in `vcount-sim` stamps each with simulated time and the run's
-//! seed epoch (an [`EventRecord`]) and fans it into any number of
-//! [`EventSink`]s.
+//! seed epoch (an [`EventRecord`]), counts it into the run's
+//! `RunTelemetry`, and fans it into any number of [`EventSink`]s.
 //!
 //! Shipped sinks:
 //!
@@ -16,9 +16,7 @@
 //!   runner dumps a vehicle's attribution chain from one on an oracle
 //!   violation);
 //! * [`JsonlSink`] — streams records as JSON Lines to any writer,
-//!   optionally filtered by [`EventKind`];
-//! * [`CountersSink`] — aggregates run-level telemetry ([`Counters`]) plus
-//!   per-phase wall-clock timings of the driving loop ([`Phase`]).
+//!   optionally filtered by [`EventKind`].
 //!
 //! The crate is dependency-free by design (ids are plain `u32`/`u64`, JSON
 //! is hand-rolled) so it can sit below every other crate in the workspace,
@@ -27,10 +25,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod counters;
 pub mod event;
 pub mod sink;
 
-pub use counters::{Counters, CountersSink, Phase};
 pub use event::{EventFilter, EventKind, EventRecord, ProtocolEvent};
 pub use sink::{EventSink, JsonlSink, NullSink, RingBufferSink};

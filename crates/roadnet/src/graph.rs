@@ -390,22 +390,9 @@ impl RoadNetwork {
         }
     }
 
-    /// Sets every speed limit to `speed_mps`.
-    pub fn set_speed_all(&mut self, speed_mps: f64) {
-        assert!(speed_mps > 0.0);
-        for e in &mut self.edges {
-            e.speed_mps = speed_mps;
-        }
-    }
-
     /// Bounding box of the intersections, or `None` for an empty network.
     pub fn bounds(&self) -> Option<Bounds> {
         Bounds::of(self.nodes.iter().map(|n| n.pos))
-    }
-
-    /// Total driving length of all directed edges, in metres.
-    pub fn total_length_m(&self) -> f64 {
-        self.edges.iter().map(|e| e.length_m).sum()
     }
 
     /// Fraction of directed edges that belong to one-way streets.

@@ -1,19 +1,20 @@
 //! Stage 5: drain buffered protocol events into the oracle and the sinks.
 
 use super::StepCtx;
+use crate::metrics::RunTelemetry;
 use crate::oracle::Attribution;
-use vcount_obs::{CountersSink, EventRecord, EventSink, ProtocolEvent, RingBufferSink};
+use vcount_obs::{EventRecord, EventSink, ProtocolEvent, RingBufferSink};
 use vcount_roadnet::NodeId;
 use vcount_v2x::VehicleId;
 
-/// The audit stage's own state: the run's event stamp, the always-on
-/// telemetry and post-mortem sinks, the user-configured sinks, and the
-/// reused drain buffer.
+/// The audit stage's own state: the run's event stamp, the run's one
+/// telemetry accumulator, the always-on post-mortem ring, the
+/// user-configured sinks, and the reused drain buffer.
 pub struct AuditLog {
     /// The run's RNG seed, stamped on every emitted event record.
     pub(crate) seed_epoch: u64,
-    /// Always-on telemetry aggregation (counters + phase timings).
-    pub(crate) counters: CountersSink,
+    /// Per-kind event counts, the record total and the phase timings.
+    pub(crate) telemetry: RunTelemetry,
     /// Always-on last-N ring for post-mortem attribution chains.
     pub(crate) ring: RingBufferSink,
     /// User-configured sinks (JSONL export, custom consumers).
@@ -31,19 +32,37 @@ impl AuditLog {
     ) -> Self {
         AuditLog {
             seed_epoch,
-            counters: CountersSink::new(),
+            telemetry: RunTelemetry::default(),
             ring: RingBufferSink::new(ring_capacity),
             sinks,
             event_drain: Vec::new(),
         }
     }
+
+    /// Stamps `event` with `time_s` and the run's seed epoch, counts it,
+    /// and fans the record into the ring and the user sinks — the one path
+    /// every audited event takes, checkpoint-emitted or injected fault.
+    pub(crate) fn record(&mut self, time_s: f64, event: ProtocolEvent) {
+        let rec = EventRecord {
+            time_s,
+            seed_epoch: self.seed_epoch,
+            event,
+        };
+        self.telemetry.count(&event);
+        self.ring.record(&rec);
+        for sink in &mut self.sinks {
+            sink.record(&rec);
+        }
+    }
 }
 
 /// Drains the protocol events `node`'s checkpoint buffered, derives the
-/// oracle attributions they imply, and fans the stamped records into the
-/// telemetry, ring, and user sinks. Invoked after every checkpoint
-/// interaction, so checkpoint event buffers are provably empty at step
-/// boundaries (which is what makes [`super::EngineSnapshot`] complete).
+/// oracle attributions they imply, and records each through
+/// `AuditLog::record`. Invoked after every checkpoint interaction, so
+/// checkpoint event buffers are provably empty at step boundaries (which
+/// is what makes [`super::EngineSnapshot`] complete). Fault events bypass
+/// this stage and its oracle mirroring — injected faults are environment,
+/// not protocol attributions.
 pub fn audit(ctx: &mut StepCtx<'_>, node: NodeId) {
     let mut drained = std::mem::take(&mut ctx.audit.event_drain);
     ctx.cps[node.index()].drain_events_into(&mut drained);
@@ -71,34 +90,8 @@ pub fn audit(ctx: &mut StepCtx<'_>, node: NodeId) {
             }
             _ => {}
         }
-        let rec = EventRecord {
-            time_s: t,
-            seed_epoch: ctx.audit.seed_epoch,
-            event,
-        };
-        ctx.audit.counters.record(&rec);
-        ctx.audit.ring.record(&rec);
-        for sink in &mut ctx.audit.sinks {
-            sink.record(&rec);
-        }
+        ctx.audit.record(t, event);
     }
     drained.clear();
     ctx.audit.event_drain = drained;
-}
-
-/// Records one injected-fault event into the telemetry, ring, and user
-/// sinks. Fault events originate in the engine's fault layer, not in a
-/// checkpoint's event buffer, so they bypass the oracle mirroring —
-/// injected faults are environment, not protocol attributions.
-pub fn record_fault(log: &mut AuditLog, time_s: f64, event: ProtocolEvent) {
-    let rec = EventRecord {
-        time_s,
-        seed_epoch: log.seed_epoch,
-        event,
-    };
-    log.counters.record(&rec);
-    log.ring.record(&rec);
-    for sink in &mut log.sinks {
-        sink.record(&rec);
-    }
 }

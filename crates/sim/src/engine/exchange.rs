@@ -22,11 +22,11 @@
 //! restore, so the snapshot wire format is unchanged from the owned-
 //! payload era.
 
-use super::{audit, StepCtx};
+use super::StepCtx;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vcount_core::ActionKind;
-use vcount_roadnet::{EdgeId, NodeId};
+use vcount_roadnet::{EdgeId, NodeId, RoadNetwork};
 use vcount_v2x::message::TAG_REPORT;
 use vcount_v2x::{Label, Message, PatrolStatus, PayloadRef, PayloadStore, SegmentWatch, VehicleId};
 
@@ -683,9 +683,14 @@ impl Exchange {
         }
     }
 
-    /// Rebuilds an exchange from a snapshot, interning every payload
-    /// into a fresh slab (scratch buffers start empty).
-    pub fn restore(snap: &ExchangeSnapshot) -> Self {
+    /// Rebuilds an exchange from a snapshot taken on `net`, interning every
+    /// payload into a fresh slab (scratch buffers start empty). A snapshot
+    /// is outside input, so it is checked before anything is interned: a
+    /// payload that does not decode to the kind its queue carries, a node
+    /// or edge outside `net`, or a table of the wrong shape is an error,
+    /// not a panic on some later step.
+    pub fn restore(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<Self, String> {
+        validate(snap, net)?;
         let mut store = PayloadStore::new();
         let carried_label: Vec<Option<PayloadRef>> = snap
             .carried_label
@@ -725,7 +730,7 @@ impl Exchange {
             .map(|(v, list)| (*v, list.iter().map(&mut routed).collect()))
             .collect();
         let nodes = snap.pending_reports.len();
-        Exchange {
+        Ok(Exchange {
             store,
             carried_label,
             carried_reports,
@@ -740,8 +745,94 @@ impl Exchange {
             due_patrol_scratch: Vec::new(),
             eager_decode: false,
             counters: snap.counters,
+        })
+    }
+}
+
+/// The messages an exchange queue may hold.
+#[derive(Clone, Copy)]
+enum Carries {
+    /// A vehicle's carried activation label.
+    Label,
+    /// Carried and pending reports.
+    Report,
+    /// The relay and the patrol queues.
+    AnnounceOrReport,
+}
+
+/// The restore-time checks behind [`Exchange::restore`].
+fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<(), String> {
+    let nodes = net.node_count();
+    let edges = net.edge_count();
+    let node = |n: NodeId, what: &str| in_map(n.index(), nodes, "node", what);
+    let edge = |e: EdgeId, what: &str| in_map(e.index(), edges, "edge", what);
+    let payload = |bytes: &[u8], what: &str, carries: Carries| -> Result<(), String> {
+        let mut buf = bytes;
+        let msg = Message::decode(&mut buf)
+            .map_err(|e| format!("{what} payload does not decode: {e}"))?;
+        if !buf.is_empty() {
+            return Err(format!("{what} payload has {} trailing bytes", buf.len()));
+        }
+        let named = match (carries, msg) {
+            (Carries::Label, Message::Label(l)) => [Some(l.origin), l.origin_pred, Some(l.seed)],
+            (Carries::Report | Carries::AnnounceOrReport, Message::Report(r)) => {
+                [Some(r.from), Some(r.to), None]
+            }
+            (Carries::AnnounceOrReport, Message::Announce(a)) => [Some(a.to), Some(a.from), a.pred],
+            (_, other) => return Err(format!("{what} queue holds {other:?}")),
+        };
+        named.into_iter().flatten().try_for_each(|n| node(n, what))
+    };
+    let envelope = |env: &Envelope, what: &str, carries: Carries| {
+        node(env.to, what)?;
+        payload(&env.payload, what, carries)
+    };
+
+    for (what, len) in [
+        ("pending report", snap.pending_reports.len()),
+        ("pending patrol", snap.pending_patrol.len()),
+    ] {
+        if len != nodes {
+            return Err(format!("{what} table has {len} entries for {nodes} nodes"));
         }
     }
+    if snap.carried_label.len() != snap.carried_reports.len() {
+        return Err(format!(
+            "carried label table has {} entries, carried report table {}",
+            snap.carried_label.len(),
+            snap.carried_reports.len()
+        ));
+    }
+    for bytes in snap.carried_label.iter().flatten() {
+        payload(bytes, "carried label", Carries::Label)?;
+    }
+    for env in snap.carried_reports.iter().flatten() {
+        envelope(env, "carried report", Carries::Report)?;
+    }
+    for (e, env) in snap.pending_reports.iter().flatten() {
+        edge(*e, "pending report")?;
+        envelope(env, "pending report", Carries::Report)?;
+    }
+    let routed = snap.pending_patrol.iter().flatten();
+    let routed = routed.chain(snap.patrol_carried.values().flatten());
+    for env in routed.chain(snap.relay.iter().map(|r| &r.env)) {
+        envelope(env, "relay or patrol", Carries::AnnounceOrReport)?;
+    }
+    for (e, w) in &snap.watches {
+        edge(*e, "segment watch")?;
+        node(w.origin, "segment watch")?;
+    }
+    Ok(())
+}
+
+/// `Ok` when `i` indexes one of the map's `count` `kind`s.
+fn in_map(i: usize, count: usize, kind: &str, what: &str) -> Result<(), String> {
+    if i < count {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} names {kind} {i} outside the {count}-{kind} map"
+    ))
 }
 
 /// Stage 4: delivers every relay message that came due this step, in two
@@ -764,15 +855,7 @@ pub fn exchange(ctx: &mut StepCtx<'_>) {
 /// explicitly degraded rather than silently miscounting.
 pub(crate) fn deliver_routed(ctx: &mut StepCtx<'_>, to: NodeId, payload: PayloadRef) {
     if ctx.faults.down(to) {
-        ctx.faults.note_dropped_messages(1);
-        audit::record_fault(
-            ctx.audit,
-            ctx.now,
-            vcount_obs::ProtocolEvent::FaultMessageDropped {
-                node: to.0,
-                messages: 1,
-            },
-        );
+        crate::faults::drop_messages(ctx, to, 1);
         ctx.exchange.discard_payload(payload);
         return;
     }
@@ -983,6 +1066,11 @@ mod tests {
         assert_eq!(ex.counters().relay_messages, 4);
     }
 
+    /// The three-node map the unit tests' exchanges stand on.
+    fn net() -> RoadNetwork {
+        vcount_roadnet::builders::fig1_triangle(100.0, 1, 10.0)
+    }
+
     #[test]
     fn snapshot_round_trips_through_the_slab() {
         let mut ex = Exchange::new(2, 3);
@@ -992,15 +1080,70 @@ mod tests {
         ex.queue_relay(5.0, NodeId(2), &report_msg(NodeId(2)));
         ex.pickup_patrol(VehicleId(0), NodeId(2));
         let snap = ex.snapshot();
-        let mut back = Exchange::restore(&snap);
+        let mut back = Exchange::restore(&snap, &net()).unwrap();
         assert_eq!(back.counters(), ex.counters());
         assert!(back.reports_in_flight());
         assert_eq!(back.take_label(VehicleId(1)), Some(label()));
         // Re-snapshotting the restored exchange reproduces the image.
-        let again = Exchange::restore(&snap).snapshot();
+        let again = Exchange::restore(&snap, &net()).unwrap().snapshot();
         assert_eq!(
             serde_json::to_string(&snap).unwrap(),
             serde_json::to_string(&again).unwrap()
         );
+    }
+
+    /// Each kind of inconsistency a snapshot can carry is refused by name.
+    #[test]
+    fn restore_refuses_an_inconsistent_image() {
+        use vcount_v2x::{AdjustMode, SegmentWatch};
+        let mut ex = Exchange::new(2, 3);
+        ex.hand_label(VehicleId(1), label());
+        ex.post_report(NodeId(0), EdgeId(0), NodeId(1), &report_msg(NodeId(1)));
+        ex.queue_relay(5.0, NodeId(2), &report_msg(NodeId(2)));
+        let sw = SegmentWatch::new(AdjustMode::NetInversion, VehicleId(0), []);
+        ex.insert_watch(EdgeId(1), NodeId(0), sw);
+        let good = ex.snapshot();
+        assert!(Exchange::restore(&good, &net()).is_ok());
+
+        type Poison = (&'static str, fn(&mut ExchangeSnapshot));
+        let poisons: &[Poison] = &[
+            ("does not decode", |s| {
+                s.carried_label[1] = Some(vec![0xFF; 9])
+            }),
+            ("trailing bytes", |s| {
+                s.carried_label[1].as_mut().unwrap().push(0);
+            }),
+            ("carried label queue holds Report", |s| {
+                s.carried_label[1] = Some(s.relay[0].env.payload.clone());
+            }),
+            ("names node 7", |s| s.relay[0].env.to = NodeId(7)),
+            ("names node 9", |s| {
+                let mut buf = Vec::new();
+                report_msg(NodeId(9)).encode_into(&mut buf);
+                s.relay[0].env.payload = buf;
+            }),
+            ("pending report names edge 99", |s| {
+                s.pending_reports[0][0].0 = EdgeId(99)
+            }),
+            ("segment watch names edge 99", |s| {
+                let w = s.watches.remove(&EdgeId(1)).unwrap();
+                s.watches.insert(EdgeId(99), w);
+            }),
+            ("segment watch names node 5", |s| {
+                s.watches.get_mut(&EdgeId(1)).unwrap().origin = NodeId(5)
+            }),
+            ("pending patrol table has 2 entries for 3 nodes", |s| {
+                s.pending_patrol.pop();
+            }),
+            ("carried label table has 3 entries", |s| {
+                s.carried_label.push(None);
+            }),
+        ];
+        for (expected, poison) in poisons {
+            let mut bad = good.clone();
+            poison(&mut bad);
+            let err = Exchange::restore(&bad, &net()).unwrap_err();
+            assert!(err.contains(expected), "{expected}: got {err:?}");
+        }
     }
 }

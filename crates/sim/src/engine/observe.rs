@@ -7,7 +7,8 @@
 //! departure of the same step — is preserved exactly.
 
 use super::exchange::deliver_routed;
-use super::{apply_action, audit, StepCtx, Watch};
+use super::{apply_action, StepCtx, Watch};
+use crate::faults::drop_messages;
 use crate::source::{BatchIndex, ObservationBatch};
 use vcount_core::ActionKind;
 use vcount_obs::ProtocolEvent;
@@ -53,15 +54,7 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
     let due = ctx.exchange.take_due_reports(vehicle, node);
     if node_down {
         if !due.is_empty() {
-            ctx.faults.note_dropped_messages(due.len());
-            audit::record_fault(
-                ctx.audit,
-                ctx.now,
-                ProtocolEvent::FaultMessageDropped {
-                    node: node.0,
-                    messages: due.len() as u32,
-                },
-            );
+            drop_messages(ctx, node, due.len());
             for env in &due {
                 ctx.exchange.discard_payload(env.payload);
             }
@@ -134,8 +127,7 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
     if node_down {
         if ctx.exchange.discard_label(vehicle) {
             ctx.faults.note_label_dropped();
-            audit::record_fault(
-                ctx.audit,
+            ctx.audit.record(
                 ctx.now,
                 ProtocolEvent::FaultMessageDropped {
                     node: node.0,
@@ -205,8 +197,7 @@ fn on_departed(
         // absorbs the failure exactly like an ordinary channel loss.
         let blackout = ctx.faults.blackout_handoff(ctx.now, node);
         if blackout {
-            audit::record_fault(
-                ctx.audit,
+            ctx.audit.record(
                 ctx.now,
                 ProtocolEvent::ChannelBlackout {
                     node: node.0,
@@ -330,15 +321,7 @@ fn finalize_watch(ctx: &mut StepCtx<'_>, w: Watch) {
                 .filter(|v| vehicle_matches(ctx, **v))
                 .count();
         if lost > 0 {
-            ctx.faults.note_dropped_messages(lost);
-            audit::record_fault(
-                ctx.audit,
-                ctx.now,
-                ProtocolEvent::FaultMessageDropped {
-                    node: w.origin.0,
-                    messages: lost as u32,
-                },
-            );
+            drop_messages(ctx, w.origin, lost);
         }
         return;
     }

@@ -26,8 +26,8 @@ pub(crate) fn proto_seed(sim_seed: u64) -> u64 {
 /// machine, the exchange's in-flight queues, the oracle ledger, both
 /// baselines, and the positions of both RNG streams.
 ///
-/// The observability sinks (telemetry counters, post-mortem ring, user
-/// sinks) are *not* captured — a resumed run audits its own tail.
+/// The run's telemetry and its sinks (post-mortem ring, user sinks) are
+/// *not* captured — a resumed run audits its own tail.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Schema tag ([`SNAPSHOT_SCHEMA`]); rejected on mismatch.

@@ -38,7 +38,7 @@
 //! `oracle_violations > 0` or a wrong count is always flagged degraded —
 //! faults never cause a *silent* miscount.
 
-use crate::engine::{audit, StepCtx};
+use crate::engine::StepCtx;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vcount_core::{ActionKind, CheckpointState};
@@ -515,6 +515,20 @@ impl FaultLayer {
     }
 }
 
+/// Counts `n` messages lost at down checkpoint `node` and audits the loss
+/// as one `FaultMessageDropped` record — the pair every delivery path that
+/// meets a down recipient runs.
+pub(crate) fn drop_messages(ctx: &mut StepCtx<'_>, node: NodeId, n: usize) {
+    ctx.faults.note_dropped_messages(n);
+    ctx.audit.record(
+        ctx.now,
+        ProtocolEvent::FaultMessageDropped {
+            node: node.0,
+            messages: n as u32,
+        },
+    );
+}
+
 /// The fault stage: runs right after the traffic step and before the
 /// observe stage, so crash/recovery transitions take effect at step
 /// boundaries (where checkpoint event buffers are provably drained).
@@ -576,8 +590,7 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
                 let dropped = exchange.drop_node_queues(NodeId(crash.node));
                 if dropped > 0 {
                     state.counters.dropped_messages += dropped as u64;
-                    audit::record_fault(
-                        log,
+                    log.record(
                         now,
                         ProtocolEvent::FaultMessageDropped {
                             node: crash.node,
@@ -594,8 +607,7 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
                 let watches = exchange.drop_origin_watches(NodeId(crash.node));
                 if watches > 0 {
                     state.counters.watches_dropped += watches as u64;
-                    audit::record_fault(
-                        log,
+                    log.record(
                         now,
                         ProtocolEvent::FaultWatchDropped {
                             node: crash.node,
@@ -603,8 +615,7 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
                         },
                     );
                 }
-                audit::record_fault(
-                    log,
+                log.record(
                     now,
                     ProtocolEvent::CheckpointCrashed {
                         node: crash.node,
@@ -639,7 +650,8 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
         };
         if let Some((node, image)) = recovered {
             crate::engine::apply_action(ctx, NodeId(node), ActionKind::Recover { image });
-            audit::record_fault(ctx.audit, now, ProtocolEvent::CheckpointRecovered { node });
+            ctx.audit
+                .record(now, ProtocolEvent::CheckpointRecovered { node });
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Run metrics: the quantities the paper's figures report.
 
 use serde::{Deserialize, Serialize};
+use vcount_obs::ProtocolEvent;
 
 /// Simple summary statistics over a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -60,10 +61,16 @@ pub struct ProgressSnapshot {
 }
 
 /// Observability telemetry attached to a run's metrics: protocol event
-/// counts aggregated by a [`vcount_obs::CountersSink`], relay transport
-/// usage, and wall-clock phase attribution of the driving loop.
+/// counts, relay transport usage, and wall-clock phase attribution of the
+/// driving loop. The audit stage counts every record it stamps into the
+/// run's one `RunTelemetry`; [`crate::runner::Runner::telemetry`] adds the
+/// wire and fault-injection counters at call time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunTelemetry {
+    /// Protocol event records audited, of every kind — exactly the records
+    /// every sink saw.
+    #[serde(default)]
+    pub events: u64,
     /// Checkpoint activations (seeds included).
     pub activations: u64,
     /// Checkpoints whose counting stabilized.
@@ -141,67 +148,43 @@ pub struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    /// Copies the event counts out of an observability counter set.
-    pub fn from_counters(c: &vcount_obs::Counters) -> Self {
-        RunTelemetry {
-            activations: c.activations,
-            stabilizations: c.stabilizations,
-            labels_emitted: c.labels_emitted,
-            handoff_acks: c.handoff_acks,
-            handoff_retries: c.handoff_retries,
-            compensations: c.compensations,
-            inbound_stops: c.inbound_stops,
-            vehicles_counted: c.vehicles_counted,
-            overtake_adjustment_events: c.overtake_adjustments,
-            reports_sent: c.reports_sent,
-            reports_superseded: c.reports_superseded,
-            patrol_relays: c.patrol_relays,
-            border_entries: c.border_entries,
-            border_exits: c.border_exits,
-            relay_messages: 0,
-            messages_encoded: 0,
-            messages_decoded: 0,
-            messages_skipped_decode: 0,
-            wire_bytes: 0,
-            label_overwrites: 0,
-            crashes: c.crashes,
-            recoveries: c.recoveries,
-            fault_messages_dropped: c.fault_messages_dropped,
-            blackout_failures: c.blackout_failures,
-            chaos_duplicates: 0,
-            chaos_delays: 0,
-            chaos_reorders: 0,
-            watches_dropped: 0,
-            traffic_step_secs: 0.0,
-            protocol_secs: 0.0,
-            relay_secs: 0.0,
-        }
+    /// Counts one audited record: bumps [`RunTelemetry::events`] and its
+    /// kind's field. A fault-watch drop has no per-kind field: the watches
+    /// it closed surface as `watches_dropped`, from the fault layer.
+    pub(crate) fn count(&mut self, event: &ProtocolEvent) {
+        self.events += 1;
+        let kind = match event {
+            ProtocolEvent::CheckpointActivated { .. } => &mut self.activations,
+            ProtocolEvent::CheckpointStable { .. } => &mut self.stabilizations,
+            ProtocolEvent::LabelEmitted { .. } => &mut self.labels_emitted,
+            ProtocolEvent::LabelHandoffAcked { .. } => &mut self.handoff_acks,
+            ProtocolEvent::LabelHandoffFailed { .. } => &mut self.handoff_retries,
+            ProtocolEvent::LossCompensation { .. } => &mut self.compensations,
+            ProtocolEvent::InboundStopped { .. } => &mut self.inbound_stops,
+            ProtocolEvent::VehicleCounted { .. } => &mut self.vehicles_counted,
+            ProtocolEvent::OvertakeAdjustment { .. } => &mut self.overtake_adjustment_events,
+            ProtocolEvent::ReportSent { .. } => &mut self.reports_sent,
+            ProtocolEvent::ReportSuperseded { .. } => &mut self.reports_superseded,
+            ProtocolEvent::PatrolStatusRelay { .. } => &mut self.patrol_relays,
+            ProtocolEvent::BorderEntry { .. } => &mut self.border_entries,
+            ProtocolEvent::BorderExit { .. } => &mut self.border_exits,
+            ProtocolEvent::CheckpointCrashed { .. } => &mut self.crashes,
+            ProtocolEvent::CheckpointRecovered { .. } => &mut self.recoveries,
+            ProtocolEvent::FaultMessageDropped { .. } => &mut self.fault_messages_dropped,
+            ProtocolEvent::ChannelBlackout { .. } => &mut self.blackout_failures,
+            ProtocolEvent::FaultWatchDropped { .. } => return,
+        };
+        *kind += 1;
     }
 
-    /// Total protocol events counted.
+    /// Total protocol events counted (see [`RunTelemetry::events`]).
     pub fn events_total(&self) -> u64 {
-        self.activations
-            + self.stabilizations
-            + self.labels_emitted
-            + self.handoff_acks
-            + self.handoff_retries
-            + self.compensations
-            + self.inbound_stops
-            + self.vehicles_counted
-            + self.overtake_adjustment_events
-            + self.reports_sent
-            + self.reports_superseded
-            + self.patrol_relays
-            + self.border_entries
-            + self.border_exits
-            + self.crashes
-            + self.recoveries
-            + self.fault_messages_dropped
-            + self.blackout_failures
+        self.events
     }
 
     /// Field-wise sum, for aggregating replicates of a sweep cell.
     pub fn merge(&mut self, other: &RunTelemetry) {
+        self.events += other.events;
         self.activations += other.activations;
         self.stabilizations += other.stabilizations;
         self.labels_emitted += other.labels_emitted;
@@ -284,11 +267,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Fig. 2 style statistics over per-checkpoint stabilization times.
-    pub fn stable_summary(&self) -> Option<Summary> {
-        Summary::of(self.checkpoint_stable_s.iter().copied())
-    }
-
     /// Whether the protocol's global view matches ground truth exactly.
     pub fn exact(&self) -> bool {
         self.oracle_violations == 0 && self.global_count == Some(self.true_population as i64)
@@ -343,5 +321,129 @@ mod tests {
             ..m
         };
         assert!(!viol.exact());
+    }
+
+    /// One event of every kind through the counting path: each per-kind
+    /// field reads 1 (the fault-watch kind has none), the record total
+    /// reads 19, and a merge doubles both.
+    #[test]
+    fn counts_by_kind() {
+        let events = [
+            ProtocolEvent::CheckpointActivated {
+                node: 0,
+                pred: None,
+                wave_seed: 0,
+                is_seed: true,
+            },
+            ProtocolEvent::CheckpointStable { node: 0 },
+            ProtocolEvent::LabelEmitted {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::LabelHandoffAcked {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::LabelHandoffFailed {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::LossCompensation {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::InboundStopped { node: 0, edge: 0 },
+            ProtocolEvent::VehicleCounted {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::OvertakeAdjustment {
+                node: 0,
+                plus: 1,
+                minus: 0,
+            },
+            ProtocolEvent::ReportSent {
+                node: 0,
+                to: 1,
+                total: 3,
+                seq: 1,
+            },
+            ProtocolEvent::ReportSuperseded {
+                node: 0,
+                child: 1,
+                old_seq: 1,
+                new_seq: 2,
+            },
+            ProtocolEvent::PatrolStatusRelay {
+                node: 0,
+                vehicle: 1,
+                observed: 2,
+            },
+            ProtocolEvent::BorderEntry {
+                node: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::BorderExit {
+                node: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::CheckpointCrashed {
+                node: 0,
+                state_lost: false,
+            },
+            ProtocolEvent::CheckpointRecovered { node: 0 },
+            ProtocolEvent::FaultMessageDropped {
+                node: 0,
+                messages: 2,
+            },
+            ProtocolEvent::ChannelBlackout {
+                node: 0,
+                edge: 0,
+                vehicle: 1,
+            },
+            ProtocolEvent::FaultWatchDropped {
+                node: 0,
+                watches: 2,
+            },
+        ];
+        let mut once = RunTelemetry::default();
+        for event in &events {
+            once.count(event);
+        }
+        let per_kind = |t: &RunTelemetry| {
+            [
+                t.activations,
+                t.stabilizations,
+                t.labels_emitted,
+                t.handoff_acks,
+                t.handoff_retries,
+                t.compensations,
+                t.inbound_stops,
+                t.vehicles_counted,
+                t.overtake_adjustment_events,
+                t.reports_sent,
+                t.reports_superseded,
+                t.patrol_relays,
+                t.border_entries,
+                t.border_exits,
+                t.crashes,
+                t.recoveries,
+                t.fault_messages_dropped,
+                t.blackout_failures,
+            ]
+        };
+        assert_eq!(per_kind(&once), [1; 18]);
+        assert_eq!(once.watches_dropped, 0, "watches come from the fault layer");
+        assert_eq!(once.events_total(), 19);
+
+        let mut twice = once;
+        twice.merge(&once);
+        assert_eq!(per_kind(&twice), [2; 18]);
+        assert_eq!(twice.events_total(), 38);
     }
 }

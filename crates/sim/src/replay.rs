@@ -60,11 +60,6 @@ impl ActionRecorder {
         }
     }
 
-    /// Whether recording is active.
-    pub fn is_on(&self) -> bool {
-        self.state.is_some()
-    }
-
     /// Records one action about to be processed at `node`.
     pub fn push(&mut self, node: NodeId, action: &Action) {
         if let Some(s) = &mut self.state {
@@ -88,15 +83,6 @@ impl ActionRecorder {
         if let Some(s) = &mut self.state {
             s.digest.absorb_commands(node, commands);
         }
-    }
-
-    /// The dispatch digest over everything recorded so far (the FNV-1a
-    /// offset basis when recording is off).
-    pub fn digest(&self) -> u64 {
-        self.state
-            .as_ref()
-            .map(|s| s.digest.value())
-            .unwrap_or_else(|| DispatchDigest::new().value())
     }
 
     /// Takes the recorded stream, leaving the recorder disabled.

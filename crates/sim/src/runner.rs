@@ -47,7 +47,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use vcount_core::Checkpoint;
 use vcount_core::{ActionKind, ClassDedupCounter, Command, NaiveIntervalCounter};
-use vcount_obs::{EventRecord, EventSink, Phase};
+use vcount_obs::{EventRecord, EventSink};
 use vcount_roadnet::{NodeId, RoadNetwork};
 use vcount_traffic::{ReplayRng, SimSnapshot, Simulator};
 use vcount_v2x::{LossModel, VehicleId};
@@ -353,9 +353,18 @@ impl Runner {
     /// Moves a frozen run's dynamic state into this freshly wired
     /// deployment of the same scenario.
     fn restore(&mut self, snap: EngineSnapshot) -> Result<(), String> {
-        if snap.checkpoints.len() != self.cps.len() {
+        let n = self.cps.len();
+        if snap.checkpoints.len() != n {
             return Err("snapshot checkpoint count must match the scenario map".into());
         }
+        if let Some(seed) = snap.seeds.iter().find(|s| s.index() >= n) {
+            return Err(format!(
+                "snapshot seed {} is not a node of the {n}-node map",
+                seed.0
+            ));
+        }
+        self.exchange = Exchange::restore(&snap.exchange, &self.net)
+            .map_err(|e| format!("snapshot exchange: {e}"))?;
         for (cp, state) in self.cps.iter_mut().zip(snap.checkpoints) {
             cp.restore_state(state);
         }
@@ -367,7 +376,6 @@ impl Runner {
         // The in-process simulator was already rebuilt from this state
         // (and ignores it); an external source keeps it for re-freezing.
         self.source.provide_sim_state(snap.sim);
-        self.exchange = Exchange::restore(&snap.exchange);
         self.oracle = Oracle::from_ledger(snap.ledger);
         self.seeds = snap.seeds;
         self.naive = snap.naive;
@@ -579,9 +587,7 @@ impl Runner {
         let t_traffic = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
         let advanced = self.source.next_batch(&mut batch);
-        self.audit
-            .counters
-            .add_phase(Phase::TrafficStep, t_traffic.elapsed());
+        self.audit.telemetry.traffic_step_secs += t_traffic.elapsed().as_secs_f64();
         if advanced {
             self.ingest(&batch);
         }
@@ -610,15 +616,11 @@ impl Runner {
             // event buffers are provably drained.
             crate::faults::fault_step(ctx);
             engine::observe(ctx, batch, &index);
-            ctx.audit
-                .counters
-                .add_phase(Phase::Protocol, t_protocol.elapsed());
+            ctx.audit.telemetry.protocol_secs += t_protocol.elapsed().as_secs_f64();
 
             let t_relay = Instant::now();
             engine::exchange(ctx);
-            ctx.audit
-                .counters
-                .add_phase(Phase::Relay, t_relay.elapsed());
+            ctx.audit.telemetry.relay_secs += t_relay.elapsed().as_secs_f64();
         });
         self.index = index;
     }
@@ -669,26 +671,25 @@ impl Runner {
         }
     }
 
-    /// The run's telemetry so far: aggregated event counters, wire-level
-    /// exchange counters, and wall-clock phase attribution.
+    /// The run's telemetry so far: the audit stage's event counts and
+    /// phase timings, plus the exchange's wire counters and the fault
+    /// layer's chaos and watch counters as of this call.
     pub fn telemetry(&self) -> RunTelemetry {
-        let mut t = RunTelemetry::from_counters(self.audit.counters.counters());
         let wire = self.exchange.counters();
-        t.relay_messages = wire.relay_messages;
-        t.messages_encoded = wire.encoded;
-        t.messages_decoded = wire.decoded;
-        t.messages_skipped_decode = wire.skipped_decode;
-        t.wire_bytes = wire.bytes;
-        t.label_overwrites = wire.label_overwrites;
         let fc = self.faults.counters();
-        t.chaos_duplicates = fc.chaos_duplicates;
-        t.chaos_delays = fc.chaos_delays;
-        t.chaos_reorders = fc.chaos_reorders;
-        t.watches_dropped = fc.watches_dropped;
-        t.traffic_step_secs = self.audit.counters.phase_secs(Phase::TrafficStep);
-        t.protocol_secs = self.audit.counters.phase_secs(Phase::Protocol);
-        t.relay_secs = self.audit.counters.phase_secs(Phase::Relay);
-        t
+        RunTelemetry {
+            relay_messages: wire.relay_messages,
+            messages_encoded: wire.encoded,
+            messages_decoded: wire.decoded,
+            messages_skipped_decode: wire.skipped_decode,
+            wire_bytes: wire.bytes,
+            label_overwrites: wire.label_overwrites,
+            chaos_duplicates: fc.chaos_duplicates,
+            chaos_delays: fc.chaos_delays,
+            chaos_reorders: fc.chaos_reorders,
+            watches_dropped: fc.watches_dropped,
+            ..self.audit.telemetry
+        }
     }
 
     /// The fault layer's injection counters (all zero without a plan).
@@ -782,7 +783,7 @@ impl Runner {
             global_count,
             true_population: self.true_population(),
             oracle_violations: violations.len(),
-            handoff_failures: self.audit.counters.counters().handoff_retries,
+            handoff_failures: self.audit.telemetry.handoff_retries,
             overtake_adjustments: self.cps.iter().map(|c| c.counters().overtake_total()).sum(),
             baseline_naive: self.naive.total(),
             baseline_dedup: self.dedup.total(),

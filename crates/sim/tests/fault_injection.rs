@@ -269,6 +269,13 @@ fn crash_mid_watch_drops_open_watches_explicitly() {
         events.iter().any(|l| l.contains("fault_watch_dropped")),
         "no fault_watch_dropped event was audited"
     );
+    // Telemetry counts every audited record the sink saw, the fault-watch
+    // drops included.
+    assert_eq!(
+        events.len() as u64,
+        m.telemetry.events_total(),
+        "telemetry's event total disagrees with the sink"
+    );
     // Dropping a watch provably costs adjustment information: the run must
     // say so rather than present its count as exact.
     assert!(m.degraded, "dropped watches did not degrade the run");

@@ -55,8 +55,8 @@ fn sinks_see_every_counted_event() {
     assert_eq!(metrics.oracle_violations, 0);
 
     let seen = collector.0.lock().unwrap();
-    // The custom sink and the internal counters sink are fed the same
-    // stream: total record count must agree with the aggregate telemetry.
+    // The audit stage counts every record it fans into the sinks: total
+    // record count must agree with the aggregate telemetry.
     assert_eq!(seen.len() as u64, metrics.telemetry.events_total());
     assert!(
         metrics.telemetry.activations >= 16,

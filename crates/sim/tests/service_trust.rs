@@ -13,9 +13,9 @@ use vcount_core::ProtocolVariant;
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::SeedSpec;
 use vcount_sim::{
-    serve_connections, serve_stream, Conn, Goal, Listener, ObservationBatch, ObservationSource,
-    RunManager, Scenario, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource,
-    WireClient,
+    serve_connections, serve_stream, Conn, EngineSnapshot, Goal, Listener, ObservationBatch,
+    ObservationSource, RunManager, Scenario, ServiceConfig, ServiceRequest, ServiceResponse,
+    SimulatorSource, WireClient,
 };
 use vcount_traffic::TrafficEvent;
 use vcount_v2x::{VehicleClass, VehicleId};
@@ -406,14 +406,17 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     assert_eq!(metrics.steps, ref_metrics.steps);
 }
 
-/// A Resume carrying a snapshot whose schema tag is not the current one —
-/// an invented `/v0` or the retired `/v4` — is refused at the service
-/// edge, exactly as `EngineSnapshot::from_json` refuses it from a file: an
-/// Error, no tenant, no events. A live tenant on the same manager (the one
-/// the snapshot was taken from) stays byte-identical to its solo run.
-#[test]
-fn resume_with_a_foreign_schema_tag_is_an_error() {
-    let scen = grid_scenario(ProtocolVariant::Simple, 139);
+/// A named corruption of a live tenant's snapshot, and what its refused
+/// Resume's error must say after `resume failed: `.
+type SnapshotPoison = (&'static str, fn(&mut EngineSnapshot), &'static str);
+
+/// Starts tenant `live` on `grid_scenario(Simple, seed)`, feeds it
+/// `batches` batches and snapshots it through the manager. A Resume of
+/// each poisoned copy of that snapshot must be refused at the service
+/// edge: an Error reading `resume failed: <expected>…`, no tenant, no
+/// events. The live tenant then runs on, byte-identical to its solo run.
+fn assert_poisoned_resumes_refused(seed: u64, batches: usize, poisons: &[SnapshotPoison]) {
+    let scen = grid_scenario(ProtocolVariant::Simple, seed);
     let (reference, _) = capture_batch(&scen, None);
 
     let mut mgr = RunManager::new(ServiceConfig::default());
@@ -424,7 +427,7 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
     ));
     let mut source = SimulatorSource::from_scenario(&scen, 1);
     let mut batch = ObservationBatch::default();
-    for _ in 0..40 {
+    for _ in 0..batches {
         assert!(source.next_batch(&mut batch));
         match call(&mut mgr, observe("live", &batch), &mut events) {
             ServiceResponse::Accepted { done, .. } => assert!(!done),
@@ -443,15 +446,15 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
         other => panic!("Snapshot answered with {other:?}"),
     };
 
-    for tag in ["vcount-engine-snapshot/v0", "vcount-engine-snapshot/v4"] {
-        let mut stale = snap.clone();
-        stale.schema = tag.to_string();
+    for (what, poison, expected) in poisons {
+        let mut bad = snap.clone();
+        poison(&mut bad);
         let before = events.len();
         let resp = call(
             &mut mgr,
             ServiceRequest::Resume {
-                run: "stale".into(),
-                snapshot: stale,
+                run: "bad".into(),
+                snapshot: bad,
                 goal: Some(Goal::Collection),
                 trace: None,
             },
@@ -459,18 +462,18 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
         );
         match resp {
             ServiceResponse::Error { run, message } => {
-                assert_eq!(run, "stale");
+                assert_eq!(run, "bad");
                 assert!(
-                    message.starts_with("resume failed: unsupported snapshot schema"),
-                    "{tag}: got {message:?}"
+                    message.starts_with(&format!("resume failed: {expected}")),
+                    "{what}: got {message:?}"
                 );
             }
-            other => panic!("{tag}: Resume answered with {other:?}"),
+            other => panic!("{what}: Resume answered with {other:?}"),
         }
         assert_eq!(
             events.len(),
             before,
-            "{tag}: a refused Resume emitted events"
+            "{what}: a refused Resume emitted events"
         );
         assert_eq!(mgr.runs().collect::<Vec<_>>(), ["live"]);
     }
@@ -496,6 +499,66 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
         "the live tenant diverged beside refused Resumes"
     );
     assert_eq!(events, reference);
+}
+
+/// A Resume carrying a snapshot whose schema tag is not the current one —
+/// an invented `/v0` or the retired `/v4` — is refused at the service
+/// edge, exactly as `EngineSnapshot::from_json` refuses it from a file.
+#[test]
+fn resume_with_a_foreign_schema_tag_is_an_error() {
+    assert_poisoned_resumes_refused(
+        139,
+        40,
+        &[
+            (
+                "v0",
+                |s| s.schema = "vcount-engine-snapshot/v0".into(),
+                "unsupported snapshot schema",
+            ),
+            (
+                "v4",
+                |s| s.schema = "vcount-engine-snapshot/v4".into(),
+                "unsupported snapshot schema",
+            ),
+        ],
+    );
+}
+
+/// A well-typed snapshot whose carried labels are garbage bytes is refused
+/// at Resume; accepted, it would panic the daemon on a later Observe when
+/// a vehicle hands the label over.
+#[test]
+fn resume_with_garbage_label_bytes_is_an_error() {
+    assert_poisoned_resumes_refused(
+        81,
+        60,
+        &[(
+            "label bytes 0xFF",
+            |s| {
+                let labels = s.exchange.carried_label.iter_mut().flatten();
+                let bytes: Vec<&mut u8> = labels.flatten().collect();
+                assert!(!bytes.is_empty(), "no carried label to corrupt");
+                bytes.into_iter().for_each(|b| *b = 0xFF);
+            },
+            "snapshot exchange: carried label payload does not decode",
+        )],
+    );
+}
+
+/// A snapshot naming a seed outside its map is refused at Resume;
+/// accepted, it would panic the daemon once the run stabilized and the
+/// collection check indexed the seed.
+#[test]
+fn resume_with_a_seed_outside_the_map_is_an_error() {
+    assert_poisoned_resumes_refused(
+        81,
+        60,
+        &[(
+            "seed 9999",
+            |s| s.seeds.push(NodeId(9999)),
+            "snapshot seed 9999 is not a node of the 16-node map",
+        )],
+    );
 }
 
 /// The adversarial daemon test, over a real TCP connection: one feeder

@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use common::{fnv_digest, small_grid_scenario, VecSink};
 use vcount_core::ProtocolVariant;
+use vcount_roadnet::NodeId;
 use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder};
 use vcount_traffic::SimSnapshot;
 use vcount_v2x::VehicleId;
@@ -138,15 +139,15 @@ fn goal_run_after_resume_matches_reference() {
 }
 
 /// Resumes a snapshot taken 50 steps into a closed grid run after
-/// `mutate` corrupts its traffic state: the refusal, or "accepted".
-fn refusal(mutate: impl FnOnce(&mut SimSnapshot)) -> String {
+/// `mutate` corrupts it: the refusal, or "accepted".
+fn refusal(mutate: impl FnOnce(&mut EngineSnapshot)) -> String {
     let scen = small_grid_scenario(ProtocolVariant::Simple, 9);
     let mut runner = Runner::builder(&scen).build();
     for _ in 0..50 {
         runner.step();
     }
     let mut snap = runner.snapshot();
-    mutate(&mut snap.sim);
+    mutate(&mut snap);
     match RunnerBuilder::from_snapshot(snap).try_build() {
         Ok(_) => "accepted".to_string(),
         Err(e) => e,
@@ -163,37 +164,57 @@ fn lane_with(sim: &mut SimSnapshot, vehicles: usize) -> &mut Vec<VehicleId> {
 
 #[test]
 fn resume_rejects_an_unknown_vehicle_in_a_lane() {
-    let err = refusal(|sim| lane_with(sim, 1)[0] = VehicleId(999_999));
+    let err = refusal(|snap| lane_with(&mut snap.sim, 1)[0] = VehicleId(999_999));
     assert!(err.contains("unknown vehicle 999999"), "{err}");
 }
 
 #[test]
 fn resume_rejects_a_lane_table_missing_an_edge() {
-    let err = refusal(|sim| {
-        sim.lanes.remove(3);
+    let err = refusal(|snap| {
+        snap.sim.lanes.remove(3);
     });
     assert!(err.contains("lane table has"), "{err}");
 }
 
 #[test]
 fn resume_rejects_a_lane_out_of_leader_first_order() {
-    let err = refusal(|sim| lane_with(sim, 2).swap(0, 1));
+    let err = refusal(|snap| lane_with(&mut snap.sim, 2).swap(0, 1));
     assert!(err.contains("not ordered leader first"), "{err}");
 }
 
 #[test]
 fn resume_rejects_a_queue_table_missing_a_node() {
-    let err = refusal(|sim| {
-        sim.queues.pop();
+    let err = refusal(|snap| {
+        snap.sim.queues.pop();
     });
     assert!(err.contains("queue table has"), "{err}");
 }
 
 #[test]
 fn resume_rejects_an_unknown_vehicle_in_an_overtake_order() {
-    let err = refusal(|sim| {
-        let order = sim.prev_order.iter_mut().find(|o| !o.is_empty());
+    let err = refusal(|snap| {
+        let order = snap.sim.prev_order.iter_mut().find(|o| !o.is_empty());
         order.expect("an edge with traffic")[0] = VehicleId(999_999);
     });
     assert!(err.contains("overtake orders"), "{err}");
+}
+
+#[test]
+fn resume_rejects_garbage_label_bytes() {
+    let err = refusal(|snap| {
+        let labels = snap.exchange.carried_label.iter_mut().flatten();
+        let bytes: Vec<&mut u8> = labels.flatten().collect();
+        assert!(!bytes.is_empty(), "no carried label to corrupt");
+        bytes.into_iter().for_each(|b| *b = 0xFF);
+    });
+    assert!(
+        err.contains("carried label payload does not decode"),
+        "{err}"
+    );
+}
+
+#[test]
+fn resume_rejects_a_seed_outside_the_map() {
+    let err = refusal(|snap| snap.seeds.push(NodeId(9999)));
+    assert!(err.contains("snapshot seed 9999 is not a node"), "{err}");
 }

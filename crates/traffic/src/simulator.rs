@@ -326,14 +326,6 @@ impl Simulator {
             .count()
     }
 
-    /// Civilian vehicles inside matching a predicate on their class.
-    pub fn civilian_population_where(&self, pred: impl Fn(&VehicleClass) -> bool) -> usize {
-        self.vehicles
-            .iter()
-            .filter(|v| v.is_inside() && !v.is_patrol() && pred(&v.class))
-            .count()
-    }
-
     /// Vehicles currently in transit on `edge` — queued at the stop line of
     /// its head (earliest first) followed by on-segment vehicles
     /// leader-first. Exactly the set ahead of a vehicle departing onto
@@ -487,14 +479,6 @@ impl Simulator {
         self.time_s += self.cfg.dt_s;
         self.steps += 1;
         &self.events
-    }
-
-    /// Runs until `time_s` reaches `until_s`, discarding events (useful for
-    /// warm-up phases in tests and benches).
-    pub fn run_until(&mut self, until_s: f64) {
-        while self.time_s < until_s {
-            self.step();
-        }
     }
 
     fn lane_changes(&mut self) {

@@ -158,11 +158,6 @@ pub struct LazyPayload<'a> {
 }
 
 impl<'a> LazyPayload<'a> {
-    /// A lazy view over raw wire bytes (store-independent constructor).
-    pub fn from_bytes(bytes: &'a [u8]) -> Self {
-        LazyPayload { bytes }
-    }
-
     /// The wire tag byte, without decoding the body.
     pub fn tag(&self) -> Option<u8> {
         self.bytes.first().copied()

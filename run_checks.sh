@@ -100,21 +100,29 @@ run cargo run --release -q -p vcount-cli --bin vcount -- \
     scenario --preset fig1 --rng 5 --out "$fault_dir/scen.json"
 # Redirect inside the command, not around the `run` wrapper — its echo
 # line must not end up in the JSON.
-echo "+ vcount run scen.json --faults plan.json > metrics.json"
+# The trace pins the event total end to end: telemetry counts exactly the
+# records the sinks saw, fault events included.
+echo "+ vcount run scen.json --faults plan.json --trace events.jsonl > metrics.json"
 cargo run --release -q -p vcount-cli --bin vcount -- \
     run "$fault_dir/scen.json" --faults "$fault_dir/plan.json" \
-    > "$fault_dir/metrics.json"
-run python3 - "$fault_dir/metrics.json" <<'EOF'
+    --trace "$fault_dir/events.jsonl" > "$fault_dir/metrics.json"
+run python3 - "$fault_dir" <<'EOF'
 import json, sys
-m = json.load(open(sys.argv[1]))
+d = sys.argv[1]
+m = json.load(open(f"{d}/metrics.json"))
 assert m["degraded"] or (
     m["oracle_violations"] == 0 and m["global_count"] == m["true_population"]
 ), f"SILENT miscount: {m['global_count']} vs {m['true_population']}, not degraded"
 assert m["telemetry"]["crashes"] >= 1, "scheduled crash never fired"
+with open(f"{d}/events.jsonl", "rb") as f:
+    traced = sum(1 for _ in f)
+assert m["telemetry"]["events"] == traced, \
+    f"telemetry.events {m['telemetry']['events']} != {traced} traced records"
 print(f"fault smoke ok: degraded={m['degraded']} "
       f"crashes={m['telemetry']['crashes']} "
       f"dropped={m['telemetry']['fault_messages_dropped']} "
-      f"blackouts={m['telemetry']['blackout_failures']}")
+      f"blackouts={m['telemetry']['blackout_failures']} "
+      f"events={traced}")
 EOF
 
 # Record → replay smoke: record the same faulty run's action trace, then
