@@ -69,7 +69,7 @@ USAGE:
       same fault plan into every replicate; each cell reports how many
       replicates ended degraded.
 
-  vcount serve [--socket PATH | --listen HOST:PORT] [--once | --max-conns N]
+  vcount serve [--socket PATH | --listen HOST:PORT] [--max-conns N]
                [--queue-capacity N] [--pump-budget N]
       Run the vcountd multi-tenant service: newline-delimited JSON
       requests in, responses (protocol events included) out. Without a
@@ -78,16 +78,16 @@ USAGE:
       it listens on a Unix socket, with --listen on TCP (port 0 picks a
       free port; the bound address is printed to stderr) — both serve
       concurrent feeder connections, each on its own thread over the
-      shared run manager. --once exits after one connection; --max-conns
-      N exits after N (connections already accepted finish first, and
-      every tenant's sinks are flushed on the way out). A feeder
-      disconnecting mid-run leaves every tenant's sinks flushed and the
-      runs alive for a reconnect. A malformed request — unparseable
-      JSON, or a batch that violates the engine's indexing contracts —
-      is answered with an Error response for that run only: it never
-      kills the daemon or another tenant. --queue-capacity bounds each
-      tenant's ingest queue (default 64); a batch arriving at a full
-      queue gets an explicit Throttled response, never a silent drop.
+      shared run manager. --max-conns N exits after N connections
+      (connections already accepted finish first, and every tenant's
+      sinks are flushed on the way out). A feeder disconnecting mid-run
+      leaves every tenant's sinks flushed and the runs alive for a
+      reconnect. A malformed request — unparseable JSON, or a batch that
+      violates the engine's indexing contracts — is answered with an
+      Error response for that run only: it never kills the daemon or
+      another tenant. --queue-capacity bounds each tenant's ingest
+      queue (default 64); a batch arriving at a full queue gets an
+      explicit Throttled response, never a silent drop.
       --pump-budget caps batches ingested per request (default: drain
       fully; 0 makes ingest manual via Pump requests).
       Transport is a deployment knob, never a semantics knob: a scenario
@@ -216,7 +216,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             if let Some(plan) = faults {
                 builder = builder.faults(plan);
             }
-            (builder, "fault plan")
+            (builder, path)
         }
     };
     let mut runner = sinks
@@ -289,7 +289,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "socket",
         "listen",
-        "once",
         "max-conns",
         "queue-capacity",
         "pump-budget",
@@ -301,18 +300,16 @@ pub fn serve(args: &Args) -> Result<(), String> {
     if cfg.queue_capacity == 0 {
         return Err("--queue-capacity must be at least 1".into());
     }
-    let max_conns = match (args.switch("once"), args.flag_parsed::<u64>("max-conns")?) {
-        (true, Some(_)) => return Err("--once and --max-conns are mutually exclusive".into()),
-        (true, None) => Some(1),
-        (false, Some(0)) => return Err("--max-conns must be at least 1".into()),
-        (false, n) => n,
-    };
+    let max_conns = args.flag_parsed::<u64>("max-conns")?;
+    if max_conns == Some(0) {
+        return Err("--max-conns must be at least 1".into());
+    }
     let mut mgr = RunManager::new(cfg);
     let listener = match (args.flag("socket"), args.flag("listen")) {
         (Some(_), Some(_)) => return Err("--socket and --listen are mutually exclusive".into()),
         (None, None) => {
             if max_conns.is_some() {
-                return Err("--once/--max-conns require --socket or --listen".into());
+                return Err("--max-conns requires --socket or --listen".into());
             }
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();

@@ -2,19 +2,23 @@
 //! counting reproduction.
 //!
 //! ```text
-//! vcount scenario --preset closed|open|fig1 [--volume N] [--seeds K] [--rng R] [--out FILE]
+//! vcount scenario --preset closed|open|fig1 [--volume PCT] [--seeds K]
+//!                 [--rng SEED] [--out FILE]
 //! vcount run SCENARIO.json [--goal constitution|collection] [--progress]
 //!             [--trace FILE.jsonl] [--trace-filter KINDS]
 //!             [--snapshot-every N] [--snapshot-out FILE] [--faults PLAN.json]
+//!             [--record-actions FILE]
 //! vcount run --resume SNAPSHOT.json [--goal G] [--progress] [--trace ...]
 //! vcount replay TRACE.json
 //! vcount sweep [--volumes PCTS] [--seed-counts KS] [--replicates N]
 //!             [--threads N] [--goal G] [--map paper|small] [--open]
-//!             [--faults PLAN.json]
-//! vcount serve [--socket PATH] [--once] [--queue-capacity N] [--pump-budget N]
-//! vcount feed SCENARIO.json (--socket PATH | --emit FILE) [--run ID]
-//!             [--goal G] [--trace FILE.jsonl]
-//! vcount map --preset manhattan|small [--stats]
+//!             [--rng SEED] [--out FILE] [--faults PLAN.json]
+//! vcount serve [--socket PATH | --listen HOST:PORT] [--max-conns N]
+//!             [--queue-capacity N] [--pump-budget N]
+//! vcount feed SCENARIO.json (--socket PATH | --connect HOST:PORT | --emit FILE)
+//!             [--run ID] [--goal G] [--faults PLAN.json]
+//!             [--trace FILE.jsonl] [--server-trace FILE.jsonl]
+//! vcount map [--preset paper|small] [--speed-mph MPH]
 //! vcount help
 //! ```
 //!

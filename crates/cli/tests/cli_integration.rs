@@ -1,6 +1,7 @@
 //! Drive the `vcount` binary end to end through its public interface.
 
 use std::process::Command;
+use vcount_sim::{MapSpec, Scenario, SeedSpec};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vcount"))
@@ -102,14 +103,79 @@ fn run_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// A scenario file that would break engine or simulator assembly — an
+/// invalid map, an explicit seed outside the map, an invalid traffic
+/// config — is refused by validation: exit 1 with an `error:` line, never
+/// a panic.
+#[test]
+fn run_refuses_an_invalid_scenario() {
+    let dir = std::env::temp_dir().join(format!("vcount-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("fig1.json");
+    let out = bin()
+        .args(["scenario", "--preset=fig1", "--rng=5", "--out"])
+        .arg(&good)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let scenario: Scenario =
+        serde_json::from_str(&std::fs::read_to_string(&good).unwrap()).unwrap();
+    fn grid(speed_mps: f64) -> MapSpec {
+        MapSpec::Grid {
+            cols: 3,
+            rows: 3,
+            spacing_m: 100.0,
+            lanes: 1,
+            speed_mps,
+        }
+    }
+    type Poison = (&'static str, fn(&mut Scenario), &'static str);
+    let cases: [Poison; 3] = [
+        (
+            "bad_map",
+            |s| s.map = grid(0.0),
+            "scenario map is invalid: edge e0 has non-positive length or speed",
+        ),
+        (
+            "bad_seed",
+            |s| {
+                s.map = grid(10.0);
+                s.seeds = SeedSpec::Explicit(vec![9999]);
+            },
+            "scenario seed 9999 is not a node of the 9-node map",
+        ),
+        (
+            "bad_sim",
+            |s| s.sim.dt_s = 0.0,
+            "invalid simulator config: dt_s must be positive",
+        ),
+    ];
+    for (name, poison, want) in cases {
+        let mut bad = scenario.clone();
+        poison(&mut bad);
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+        let out = bin().arg("run").arg(&path).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(
+            err.contains(&format!("error: {}: {want}", path.display())),
+            "{name}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_flag_is_rejected() {
-    // A typo, and the retired `run` knobs: sharding and forced eager
-    // decode no longer exist.
+    // A typo, and the retired knobs: sharding, forced eager decode and
+    // `serve --once` (`--max-conns 1`) no longer exist.
     for (args, flag) in [
         (&["map", "--preset", "paper", "--porgress"][..], "porgress"),
         (&["run", "x.json", "--shards", "2"][..], "shards"),
         (&["run", "x.json", "--eager-decode"][..], "eager-decode"),
+        (&["serve", "--once"][..], "once"),
     ] {
         let out = bin().args(args).output().unwrap();
         assert!(!out.status.success());
@@ -283,7 +349,7 @@ fn spawn_daemon(args: &[&str]) -> (std::process::Child, String) {
     (child, addr)
 }
 
-/// A `--socket --once` daemon serves one feeder and then removes its
+/// A `--socket --max-conns 1` daemon serves one feeder and then removes its
 /// socket file on the way out — a dead daemon never leaves a stale
 /// socket behind (the cleanup guard runs on every exit path).
 #[test]
@@ -299,7 +365,8 @@ fn serve_once_cleans_up_socket_file() {
         .unwrap();
     assert!(out.status.success());
 
-    let (mut daemon, addr) = spawn_daemon(&["--socket", sock.to_str().unwrap(), "--once"]);
+    let (mut daemon, addr) =
+        spawn_daemon(&["--socket", sock.to_str().unwrap(), "--max-conns", "1"]);
     assert_eq!(addr, sock.to_str().unwrap());
     assert!(sock.exists(), "daemon bound but socket file is missing");
 
@@ -355,7 +422,7 @@ fn serve_listen_feed_connect_matches_batch_run() {
     );
     let batch_metrics: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
 
-    let (mut daemon, addr) = spawn_daemon(&["--listen", "127.0.0.1:0", "--once"]);
+    let (mut daemon, addr) = spawn_daemon(&["--listen", "127.0.0.1:0", "--max-conns", "1"]);
     let out = bin()
         .args([
             "feed",
@@ -391,23 +458,12 @@ fn serve_listen_feed_connect_matches_batch_run() {
 fn serve_flag_combinations_are_validated() {
     for (args, want) in [
         (
-            &[
-                "serve",
-                "--once",
-                "--max-conns",
-                "2",
-                "--listen",
-                "127.0.0.1:0",
-            ][..],
-            "--once and --max-conns are mutually exclusive",
-        ),
-        (
             &["serve", "--max-conns", "0", "--listen", "127.0.0.1:0"][..],
             "--max-conns must be at least 1",
         ),
         (
-            &["serve", "--once"][..],
-            "--once/--max-conns require --socket or --listen",
+            &["serve", "--max-conns", "1"][..],
+            "--max-conns requires --socket or --listen",
         ),
         (
             &[

@@ -187,23 +187,6 @@ impl Checkpoint {
             .unwrap_or(LabelState::Idle)
     }
 
-    /// Downstream neighbours whose labels cannot reach us (one-way
-    /// segments); their predecessors arrive via announcements instead.
-    pub fn oneway_out_neighbors(&self) -> &[NodeId] {
-        self.machine.oneway_out_neighbors()
-    }
-
-    /// Upstream neighbours our label cannot reach; they receive
-    /// [`Command::SendPredAnnounce`] at activation instead.
-    pub fn oneway_in_neighbors(&self) -> &[NodeId] {
-        self.machine.oneway_in_neighbors()
-    }
-
-    /// Whether this checkpoint sits on the open-system border.
-    pub fn is_border(&self) -> bool {
-        self.machine.is_border()
-    }
-
     /// Protocol configuration in force.
     pub fn config(&self) -> &CheckpointConfig {
         self.machine.config()

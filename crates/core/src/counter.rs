@@ -66,19 +66,9 @@ impl Counters {
         self.interaction_in as i64 - self.interaction_out as i64
     }
 
-    /// Raw interaction counters `(in, out)`.
-    pub fn interaction_raw(&self) -> (u64, u64) {
-        (self.interaction_in, self.interaction_out)
-    }
-
     /// Total overtake adjustment applied so far.
     pub fn overtake_total(&self) -> i64 {
         self.overtake_adjust
-    }
-
-    /// Number of loss compensations applied so far.
-    pub fn loss_total(&self) -> u64 {
-        self.loss_compensation
     }
 }
 
@@ -101,7 +91,6 @@ mod tests {
         c.compensate_loss();
         assert_eq!(c.local_count(), 3);
         assert_eq!(c.overtake_total(), 1);
-        assert_eq!(c.loss_total(), 1);
     }
 
     #[test]
@@ -112,7 +101,6 @@ mod tests {
         c.count_interaction_out();
         assert_eq!(c.local_count(), 0);
         assert_eq!(c.interaction_net(), 1);
-        assert_eq!(c.interaction_raw(), (2, 1));
     }
 
     #[test]

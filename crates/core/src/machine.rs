@@ -228,9 +228,6 @@ pub struct CheckpointMachine {
     /// Inbound neighbours unreachable by our label (no edge `u -> w`):
     /// they learn our predecessor via `SendPredAnnounce`.
     oneway_in: Vec<NodeId>,
-    /// Outbound neighbours with no reverse edge: their labels cannot reach
-    /// us, so we learn their predecessor from announcements instead.
-    oneway_out: Vec<NodeId>,
     interaction: Interaction,
 }
 
@@ -252,18 +249,12 @@ impl CheckpointMachine {
             .filter(|(_, w)| net.edge_between(node, *w).is_none())
             .map(|(_, w)| *w)
             .collect();
-        let oneway_out = outbound
-            .iter()
-            .filter(|(_, v)| net.edge_between(*v, node).is_none())
-            .map(|(_, v)| *v)
-            .collect();
         CheckpointMachine {
             id: node,
             cfg,
             inbound,
             outbound,
             oneway_in,
-            oneway_out,
             interaction: net.interaction(node),
         }
     }
@@ -741,23 +732,6 @@ impl CheckpointMachine {
     /// The variant this deployment runs.
     pub fn variant(&self) -> ProtocolVariant {
         self.cfg.variant
-    }
-
-    /// Whether this checkpoint sits on the open-system border.
-    pub fn is_border(&self) -> bool {
-        self.interaction.any()
-    }
-
-    /// Upstream neighbours our label cannot reach; they receive
-    /// [`Command::SendPredAnnounce`] at activation instead.
-    pub fn oneway_in_neighbors(&self) -> &[NodeId] {
-        &self.oneway_in
-    }
-
-    /// Downstream neighbours whose labels cannot reach us (one-way
-    /// segments); their predecessors arrive via announcements instead.
-    pub fn oneway_out_neighbors(&self) -> &[NodeId] {
-        &self.oneway_out
     }
 }
 

@@ -35,11 +35,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Midpoint between `self` and `other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Linear interpolation from `self` toward `other` by fraction `t`
     /// (`t = 0` yields `self`, `t = 1` yields `other`).
     pub fn lerp(&self, other: &Point, t: f64) -> Point {
@@ -140,17 +135,6 @@ mod tests {
         let a = Point::new(-2.5, 7.0);
         let b = Point::new(10.0, -1.0);
         assert_eq!(a.distance(&b), b.distance(&a));
-    }
-
-    #[test]
-    fn midpoint_and_lerp_agree() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 6.0);
-        let m = a.midpoint(&b);
-        let l = a.lerp(&b, 0.5);
-        assert!((m.x - l.x).abs() < 1e-12 && (m.y - l.y).abs() < 1e-12);
-        assert_eq!(m.x, 5.0);
-        assert_eq!(m.y, 3.0);
     }
 
     #[test]

@@ -381,15 +381,6 @@ impl RoadNetwork {
         }
     }
 
-    /// Rescales every speed limit by `factor` (e.g. 25/15 for the paper's
-    /// speed-up experiments in Figs. 4(b,c) and 5(b,c)).
-    pub fn scale_speed(&mut self, factor: f64) {
-        assert!(factor > 0.0);
-        for e in &mut self.edges {
-            e.speed_mps *= factor;
-        }
-    }
-
     /// Bounding box of the intersections, or `None` for an empty network.
     pub fn bounds(&self) -> Option<Bounds> {
         Bounds::of(self.nodes.iter().map(|n| n.pos))
@@ -564,16 +555,6 @@ mod tests {
         assert_eq!(net.border_nodes(), vec![a]);
         net.close_border();
         assert!(!net.is_open());
-    }
-
-    #[test]
-    fn scale_speed_rescales_all() {
-        let (mut net, _) = triangle();
-        let before: Vec<f64> = net.edges().map(|e| e.speed_mps).collect();
-        net.scale_speed(25.0 / 15.0);
-        for (e, b) in net.edges().zip(before) {
-            assert!((e.speed_mps - b * 25.0 / 15.0).abs() < 1e-12);
-        }
     }
 
     #[test]

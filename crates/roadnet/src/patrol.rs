@@ -31,14 +31,6 @@ impl PatrolCycle {
         self.edges.iter().map(|e| net.edge(*e).length_m).sum()
     }
 
-    /// Free-flow time of one lap, seconds.
-    pub fn lap_time_s(&self, net: &RoadNetwork) -> f64 {
-        self.edges
-            .iter()
-            .map(|e| net.edge(*e).travel_time_s())
-            .sum()
-    }
-
     /// Node visit sequence (length = edges + 1; first == last == start).
     pub fn node_sequence(&self, net: &RoadNetwork) -> Vec<NodeId> {
         let mut seq = Vec::with_capacity(self.edges.len() + 1);
@@ -192,7 +184,6 @@ mod tests {
         let net = grid(5, 4, 100.0, 1, 5.0);
         let cycle = covering_cycle(&net, NodeId(0)).unwrap();
         cycle.verify(&net).unwrap();
-        assert!(cycle.lap_time_s(&net) > 0.0);
     }
 
     #[test]

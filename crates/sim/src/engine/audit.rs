@@ -1,6 +1,6 @@
 //! Stage 5: drain buffered protocol events into the oracle and the sinks.
 
-use super::StepCtx;
+use super::Engine;
 use crate::metrics::RunTelemetry;
 use crate::oracle::Attribution;
 use vcount_obs::{EventRecord, EventSink, ProtocolEvent, RingBufferSink};
@@ -63,35 +63,40 @@ impl AuditLog {
 /// is what makes [`super::EngineSnapshot`] complete). Fault events bypass
 /// this stage and its oracle mirroring — injected faults are environment,
 /// not protocol attributions.
-pub fn audit(ctx: &mut StepCtx<'_>, node: NodeId) {
-    let mut drained = std::mem::take(&mut ctx.audit.event_drain);
-    ctx.cps[node.index()].drain_events_into(&mut drained);
+pub fn audit(engine: &mut Engine, node: NodeId) {
+    let mut drained = std::mem::take(&mut engine.audit.event_drain);
+    engine.cps[node.index()].drain_events_into(&mut drained);
     // The recorder's digest absorbs the events line before the commands
     // line (see [`super::apply_action`]); a no-op when recording is off.
-    ctx.recorder.absorb_events(node, &drained);
+    engine.recorder.absorb_events(node, &drained);
     for &(t, event) in &drained {
         // The oracle ledger mirrors exactly what the protocol applied;
         // attribution-bearing events carry the vehicle they concern.
         match event {
             ProtocolEvent::VehicleCounted { vehicle, .. } => {
-                ctx.oracle.record(VehicleId(vehicle), Attribution::Counted);
+                engine
+                    .oracle
+                    .record(VehicleId(vehicle), Attribution::Counted);
             }
             ProtocolEvent::BorderEntry { vehicle, .. } => {
-                ctx.oracle
+                engine
+                    .oracle
                     .record(VehicleId(vehicle), Attribution::InteractionIn);
             }
             ProtocolEvent::BorderExit { vehicle, .. } => {
-                ctx.oracle
+                engine
+                    .oracle
                     .record(VehicleId(vehicle), Attribution::InteractionOut);
             }
             ProtocolEvent::LossCompensation { vehicle, .. } => {
-                ctx.oracle
+                engine
+                    .oracle
                     .record(VehicleId(vehicle), Attribution::LossCompensation);
             }
             _ => {}
         }
-        ctx.audit.record(t, event);
+        engine.audit.record(t, event);
     }
     drained.clear();
-    ctx.audit.event_drain = drained;
+    engine.audit.event_drain = drained;
 }

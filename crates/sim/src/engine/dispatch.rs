@@ -5,7 +5,7 @@
 //! it enters the exchange — vehicle-carried, relayed, or patrol-carried —
 //! so the codec is the canonical payload representation throughout.
 
-use super::StepCtx;
+use super::Engine;
 use crate::scenario::TransportMode;
 use vcount_core::Command;
 use vcount_roadnet::NodeId;
@@ -13,18 +13,18 @@ use vcount_v2x::{Announce, Message, Report};
 
 /// Routes the commands `from` emitted into the exchange, per the
 /// scenario's transport mode, draining the caller's scratch buffer.
-pub fn dispatch(ctx: &mut StepCtx<'_>, from: NodeId, cmds: &mut Vec<Command>) {
+pub fn dispatch(engine: &mut Engine, from: NodeId, cmds: &mut Vec<Command>) {
     for cmd in cmds.drain(..) {
         match cmd {
             Command::SendPredAnnounce { to, pred } => {
                 let msg = Message::Announce(Announce { to, from, pred });
-                match ctx.transport {
+                match engine.transport {
                     TransportMode::VehicleWithRelayFallback { relay_speed_mps }
                     | TransportMode::RelayOnly { relay_speed_mps } => {
-                        queue_relay(ctx, from, relay_speed_mps, to, &msg);
+                        queue_relay(engine, from, relay_speed_mps, to, &msg);
                     }
                     TransportMode::VehicleWithPatrolFallback => {
-                        ctx.exchange.post_patrol(from, to, &msg);
+                        engine.exchange.post_patrol(from, to, &msg);
                     }
                 }
             }
@@ -35,18 +35,18 @@ pub fn dispatch(ctx: &mut StepCtx<'_>, from: NodeId, cmds: &mut Vec<Command>) {
                     subtree_total: total,
                     seq,
                 });
-                let edge = ctx.net.edge_between(from, to);
-                match (edge, ctx.transport) {
+                let edge = engine.net.edge_between(from, to);
+                match (edge, engine.transport) {
                     (Some(e), TransportMode::VehicleWithRelayFallback { .. })
                     | (Some(e), TransportMode::VehicleWithPatrolFallback) => {
-                        ctx.exchange.post_report(from, e, to, &msg);
+                        engine.exchange.post_report(from, e, to, &msg);
                     }
                     (_, TransportMode::RelayOnly { relay_speed_mps })
                     | (None, TransportMode::VehicleWithRelayFallback { relay_speed_mps }) => {
-                        queue_relay(ctx, from, relay_speed_mps, to, &msg);
+                        queue_relay(engine, from, relay_speed_mps, to, &msg);
                     }
                     (None, TransportMode::VehicleWithPatrolFallback) => {
-                        ctx.exchange.post_patrol(from, to, &msg);
+                        engine.exchange.post_patrol(from, to, &msg);
                     }
                 }
             }
@@ -58,23 +58,20 @@ pub fn dispatch(ctx: &mut StepCtx<'_>, from: NodeId, cmds: &mut Vec<Command>) {
 /// delivery delay (see [`super::Exchange::queue_relay`]), applying any
 /// chaos the fault layer decides for this enqueue (extra delay, duplicate
 /// copy, swapped delivery order).
-fn queue_relay(
-    ctx: &mut StepCtx<'_>,
-    from: NodeId,
-    relay_speed_mps: f64,
-    to: NodeId,
-    msg: &Message,
-) {
-    let net = ctx.net;
+fn queue_relay(engine: &mut Engine, from: NodeId, relay_speed_mps: f64, to: NodeId, msg: &Message) {
+    let net = &engine.net;
     let dist = net.node(from).pos.distance(&net.node(to).pos);
-    let due = ctx.now + dist / relay_speed_mps.max(1.0) + 1.0;
-    let chaos = ctx.faults.chaos_relay(ctx.now);
-    ctx.exchange.queue_relay(due + chaos.extra_delay_s, to, msg);
+    let due = engine.now + dist / relay_speed_mps.max(1.0) + 1.0;
+    let chaos = engine.faults.chaos_relay(engine.now);
+    engine
+        .exchange
+        .queue_relay(due + chaos.extra_delay_s, to, msg);
     if chaos.duplicate {
-        ctx.exchange
+        engine
+            .exchange
             .queue_relay(due + chaos.duplicate_extra_delay_s, to, msg);
     }
     if chaos.reorder {
-        ctx.exchange.swap_relay_due_tail();
+        engine.exchange.swap_relay_due_tail();
     }
 }

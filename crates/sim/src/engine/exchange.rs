@@ -22,7 +22,7 @@
 //! restore, so the snapshot wire format is unchanged from the owned-
 //! payload era.
 
-use super::StepCtx;
+use super::Engine;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vcount_core::ActionKind;
@@ -100,33 +100,6 @@ pub struct WireCounters {
     pub skipped_decode: u64,
 }
 
-/// Per-checkpoint batch queues stage 4 drains due relay traffic into.
-/// Draining and delivering are separate passes over the same step, but
-/// `order` records the exact drain sequence so delivery replays it
-/// byte-for-byte. All buffers keep their capacity across steps.
-#[derive(Debug, Default)]
-struct DeliveryBatch {
-    /// Payloads batched per destination checkpoint.
-    queues: Vec<Vec<PayloadRef>>,
-    /// Global drain order (one entry per drained message).
-    order: Vec<NodeId>,
-    /// Per-checkpoint consumption cursor into `queues`.
-    cursors: Vec<usize>,
-    /// Next `order` index to deliver.
-    next: usize,
-}
-
-impl DeliveryBatch {
-    fn sized(nodes: usize) -> Self {
-        DeliveryBatch {
-            queues: vec![Vec::new(); nodes],
-            order: Vec::new(),
-            cursors: vec![0; nodes],
-            next: 0,
-        }
-    }
-}
-
 /// The in-flight message store. See the module docs for the invariants.
 #[derive(Debug)]
 pub struct Exchange {
@@ -148,8 +121,8 @@ pub struct Exchange {
     patrol_status: BTreeMap<VehicleId, PatrolStatus>,
     /// Messages riding each patrol car.
     patrol_carried: BTreeMap<VehicleId, Vec<Routed>>,
-    /// Stage-4 per-checkpoint delivery batch (always empty between steps).
-    batch: DeliveryBatch,
+    /// Reused due-relay buffer (taken and recycled by stage 4).
+    due_relay_scratch: Vec<Routed>,
     /// Reused due-report buffer (taken and recycled by the observe stage).
     /// Distinct from `due_patrol_scratch`: a patrol arrival takes both
     /// buffers in the same interaction, and a single shared slot would
@@ -203,7 +176,7 @@ impl Exchange {
             watches: BTreeMap::new(),
             patrol_status: BTreeMap::new(),
             patrol_carried: BTreeMap::new(),
-            batch: DeliveryBatch::sized(nodes),
+            due_relay_scratch: Vec::new(),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
             eager_decode: false,
@@ -554,61 +527,28 @@ impl Exchange {
         }
     }
 
-    /// Removes and returns the relay message at `i` if it is due
-    /// (`swap_remove`: the caller re-examines index `i` on `Some`).
-    pub(crate) fn take_relay_if_due(&mut self, i: usize, now: f64) -> Option<Routed> {
-        if self.relay[i].due_s <= now {
-            self.counters.relay_messages += 1;
-            Some(self.relay.swap_remove(i).routed)
-        } else {
-            None
-        }
-    }
-
-    /// Stage-4 drain pass: moves every due relay message into the
-    /// per-checkpoint batch queues in one sweep, recording the global
-    /// drain order. Deliveries never make more traffic due within the
-    /// same step (relay due times are always at least a second out), so
-    /// draining fully before delivering reproduces the old interleaved
-    /// scan byte-for-byte.
-    pub(crate) fn drain_due_relay(&mut self, now: f64) {
+    /// Takes every relay message due by `now` in one `swap_remove` sweep,
+    /// counting each as relayed; the returned order is the delivery
+    /// order. Return the buffer with [`Exchange::recycle_relay`] when
+    /// done.
+    pub(crate) fn take_due_relay(&mut self, now: f64) -> Vec<Routed> {
+        let mut due = std::mem::take(&mut self.due_relay_scratch);
         let mut i = 0;
         while i < self.relay.len() {
-            match self.take_relay_if_due(i, now) {
-                Some(routed) => {
-                    self.batch.queues[routed.to.index()].push(routed.payload);
-                    self.batch.order.push(routed.to);
-                }
-                None => i += 1,
+            if self.relay[i].due_s <= now {
+                self.counters.relay_messages += 1;
+                due.push(self.relay.swap_remove(i).routed);
+            } else {
+                i += 1;
             }
         }
+        due
     }
 
-    /// Pops the next batched delivery in drain order, or `None` when the
-    /// batch is exhausted.
-    pub(crate) fn pop_batched(&mut self) -> Option<(NodeId, PayloadRef)> {
-        let to = *self.batch.order.get(self.batch.next)?;
-        self.batch.next += 1;
-        let cursor = &mut self.batch.cursors[to.index()];
-        let payload = self.batch.queues[to.index()][*cursor];
-        *cursor += 1;
-        Some((to, payload))
-    }
-
-    /// Resets the batch for the next step, keeping every buffer's
-    /// capacity. O(messages drained), not O(nodes).
-    pub(crate) fn finish_batch(&mut self) {
-        debug_assert_eq!(
-            self.batch.next,
-            self.batch.order.len(),
-            "batch finished with undelivered messages"
-        );
-        for &to in &self.batch.order {
-            self.batch.queues[to.index()].clear();
-            self.batch.cursors[to.index()] = 0;
-        }
-        self.batch.order.clear();
-        self.batch.next = 0;
+    /// Returns a [`Exchange::take_due_relay`] buffer for reuse.
+    pub(crate) fn recycle_relay(&mut self, mut scratch: Vec<Routed>) {
+        scratch.clear();
+        self.due_relay_scratch = scratch;
     }
 
     /// Whether `vehicle` carries no reports (border-exit invariant: every
@@ -729,7 +669,6 @@ impl Exchange {
             .iter()
             .map(|(v, list)| (*v, list.iter().map(&mut routed).collect()))
             .collect();
-        let nodes = snap.pending_reports.len();
         Ok(Exchange {
             store,
             carried_label,
@@ -740,7 +679,7 @@ impl Exchange {
             watches: snap.watches.clone(),
             patrol_status: snap.patrol_status.clone(),
             patrol_carried,
-            batch: DeliveryBatch::sized(nodes),
+            due_relay_scratch: Vec::new(),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
             eager_decode: false,
@@ -835,17 +774,17 @@ fn in_map(i: usize, count: usize, kind: &str, what: &str) -> Result<(), String> 
     ))
 }
 
-/// Stage 4: delivers every relay message that came due this step, in two
-/// passes — drain due traffic into per-checkpoint batch queues, then
-/// deliver in recorded drain order. A delivery can queue further relay
-/// traffic (a report triggered by an announce), but its due time always
-/// lands in a later step, so the split changes no delivery order.
-pub fn exchange(ctx: &mut StepCtx<'_>) {
-    ctx.exchange.drain_due_relay(ctx.now);
-    while let Some((to, payload)) = ctx.exchange.pop_batched() {
-        deliver_routed(ctx, to, payload);
+/// Stage 4: delivers every relay message that came due this step, in the
+/// order `Exchange::take_due_relay` took them. A delivery can queue
+/// further relay traffic (a report triggered by an announce), but its due
+/// time always lands in a later step, so taking the due list before
+/// delivering changes no delivery order.
+pub fn exchange(engine: &mut Engine) {
+    let due = engine.exchange.take_due_relay(engine.now);
+    for r in &due {
+        deliver_routed(engine, r.to, r.payload);
     }
-    ctx.exchange.finish_batch();
+    engine.exchange.recycle_relay(due);
 }
 
 /// Consumes a routed payload at its destination checkpoint and feeds the
@@ -853,13 +792,13 @@ pub fn exchange(ctx: &mut StepCtx<'_>) {
 /// the patrol delivery paths). A message addressed to a crashed (down)
 /// checkpoint is discarded unparsed and counted — the run becomes
 /// explicitly degraded rather than silently miscounting.
-pub(crate) fn deliver_routed(ctx: &mut StepCtx<'_>, to: NodeId, payload: PayloadRef) {
-    if ctx.faults.down(to) {
-        crate::faults::drop_messages(ctx, to, 1);
-        ctx.exchange.discard_payload(payload);
+pub(crate) fn deliver_routed(engine: &mut Engine, to: NodeId, payload: PayloadRef) {
+    if engine.faults.down(to) {
+        crate::faults::drop_messages(engine, to, 1);
+        engine.exchange.discard_payload(payload);
         return;
     }
-    let kind = match ctx.exchange.consume_payload(payload) {
+    let kind = match engine.exchange.consume_payload(payload) {
         Message::Announce(a) => ActionKind::Announce {
             from: a.from,
             pred: a.pred,
@@ -871,7 +810,7 @@ pub(crate) fn deliver_routed(ctx: &mut StepCtx<'_>, to: NodeId, payload: Payload
         },
         other => unreachable!("exchange routes only announces and reports, got {other:?}"),
     };
-    super::apply_action(ctx, to, kind);
+    super::apply_action(engine, to, kind);
 }
 
 #[cfg(test)]
@@ -1015,11 +954,11 @@ mod tests {
         ex.queue_relay(20.0, NodeId(2), &report_msg(NodeId(2)));
         ex.swap_relay_due_tail();
         // The later-queued message is now due first.
-        assert!(ex.take_relay_if_due(0, 15.0).is_none());
-        let early = ex.take_relay_if_due(1, 15.0).unwrap();
-        assert_eq!(early.to, NodeId(2));
+        let early = ex.take_due_relay(15.0);
+        assert_eq!(early.iter().map(|r| r.to).collect::<Vec<_>>(), [NodeId(2)]);
+        ex.recycle_relay(early);
         ex.swap_relay_due_tail(); // single message: no-op
-        assert!(ex.take_relay_if_due(0, 15.0).is_none());
+        assert!(ex.take_due_relay(15.0).is_empty());
     }
 
     #[test]
@@ -1052,13 +991,13 @@ mod tests {
         for &(due, to) in &[(1.0, 2u32), (2.0, 1), (3.0, 2), (4.0, 3)] {
             ex.queue_relay(due, NodeId(to), &report_msg(NodeId(to)));
         }
-        ex.drain_due_relay(10.0);
+        let due = ex.take_due_relay(10.0);
         let mut seen = Vec::new();
-        while let Some((to, payload)) = ex.pop_batched() {
-            seen.push(to.0);
-            ex.discard_payload(payload);
+        for r in &due {
+            seen.push(r.to.0);
+            ex.discard_payload(r.payload);
         }
-        ex.finish_batch();
+        ex.recycle_relay(due);
         // swap_remove drain order: take index 0 (to 2); the swap brings the
         // newest entry (to 3) to the front — take it; the next swap brings
         // the second to-2 forward — take it; finally to 1.

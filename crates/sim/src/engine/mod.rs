@@ -1,8 +1,8 @@
 //! The layered deterministic engine behind [`crate::runner::Runner`].
 //!
 //! One simulation step decomposes into five single-responsibility stages,
-//! each a named free function over explicit `(state, inputs) -> outputs`
-//! pieces:
+//! each a named free function over the one owned [`Engine`] and the
+//! step's inputs:
 //!
 //! 1. *source* — produce the step's [`crate::source::ObservationBatch`].
 //!    This stage lives behind the [`crate::source::ObservationSource`]
@@ -54,69 +54,71 @@ use vcount_roadnet::{NodeId, RoadNetwork};
 use vcount_traffic::ReplayRng;
 use vcount_v2x::{AdjustMode, ClassFilter, LossModel};
 
-/// Borrowed view of one engine step: every stage receives the same context
-/// and mutates only the state its responsibility covers. The fields are
-/// disjoint borrows of the runner, so stages can call each other (observe →
-/// dispatch → audit) without hidden cross-stage mutation.
-pub struct StepCtx<'a> {
-    /// Event timestamp: simulated time at the end of the current step.
-    pub now: f64,
-    /// The road graph the deployment runs on (read-only; the traffic
-    /// substrate itself lives behind the observation source and is never
-    /// visible to the protocol stages).
-    pub net: &'a RoadNetwork,
+/// The engine's state: everything the stages read and mutate, owned in
+/// one place. Every stage is a free function over `&mut Engine` that
+/// touches only the fields its responsibility covers, so stages can call
+/// each other (observe → dispatch → audit) without hidden cross-stage
+/// mutation.
+pub struct Engine {
+    /// Event timestamp: simulated time at the end of the last ingested
+    /// batch (0 during seed activation).
+    pub(crate) now: f64,
+    /// The road graph the deployment runs on (the traffic substrate itself
+    /// lives behind the observation source and is never visible to the
+    /// protocol stages).
+    pub(crate) net: RoadNetwork,
     /// Camera-visible class of every announced vehicle.
-    pub classes: &'a ClassTable,
+    pub(crate) classes: ClassTable,
     /// One checkpoint state machine per intersection.
-    pub cps: &'a mut [Checkpoint],
+    pub(crate) cps: Vec<Checkpoint>,
     /// The message layer owning every in-flight payload.
-    pub exchange: &'a mut Exchange,
+    pub(crate) exchange: Exchange,
     /// Ground-truth attribution ledger.
-    pub oracle: &'a mut Oracle,
+    pub(crate) oracle: Oracle,
     /// Lossy handoff channel.
-    pub channel: &'a (dyn LossModel + Send),
+    pub(crate) channel: Box<dyn LossModel + Send>,
     /// Protocol-side RNG (channel and seed-selection draws), draw-counted
     /// so a resumed run continues the identical stream.
-    pub proto_rng: &'a mut ReplayRng,
+    pub(crate) proto_rng: ReplayRng,
     /// Collection transport selection.
-    pub transport: TransportMode,
+    pub(crate) transport: TransportMode,
     /// The specified-type filter checkpoints count against.
-    pub filter: ClassFilter,
+    pub(crate) filter: ClassFilter,
     /// Overtake adjustment mode.
-    pub adjust_mode: AdjustMode,
+    pub(crate) adjust_mode: AdjustMode,
     /// Naive per-checkpoint interval baseline.
-    pub naive: &'a mut NaiveIntervalCounter,
+    pub(crate) naive: NaiveIntervalCounter,
     /// Image-recognition dedup baseline.
-    pub dedup: &'a mut ClassDedupCounter,
+    pub(crate) dedup: ClassDedupCounter,
     /// Event audit trail: oracle mirroring and observability sinks.
-    pub audit: &'a mut AuditLog,
+    pub(crate) audit: AuditLog,
     /// Deterministic fault injection (inactive unless a plan is loaded).
-    pub faults: &'a mut crate::faults::FaultLayer,
+    pub(crate) faults: crate::faults::FaultLayer,
     /// Action-trace recorder (inert unless `--record-actions` is on).
-    pub recorder: &'a mut ActionRecorder,
+    pub(crate) recorder: ActionRecorder,
     /// Reused command scratch for [`apply_action`] (allocation-free once
     /// warmed up).
-    pub cmd_scratch: &'a mut Vec<Command>,
+    pub(crate) cmd_scratch: Vec<Command>,
 }
 
 /// The single funnel every protocol input passes through: mints the
-/// [`Action`] at `ctx.now`, records it, feeds it to `node`'s pure machine,
+/// [`Action`] at `engine.now`, records it, feeds it to `node`'s pure machine,
 /// audits the emitted events, and dispatches the emitted commands into
 /// the exchange. Keeping one funnel guarantees the recorded action stream
 /// is complete — a machine-only replay of it reproduces every dispatch.
-pub fn apply_action(ctx: &mut StepCtx<'_>, node: NodeId, kind: ActionKind) {
+pub fn apply_action(engine: &mut Engine, node: NodeId, kind: ActionKind) {
     let action = Action {
-        at_s: ctx.now,
+        at_s: engine.now,
         kind,
     };
-    ctx.recorder.push(node, &action);
-    let mut cmds = std::mem::take(ctx.cmd_scratch);
+    engine.recorder.push(node, &action);
+    let mut cmds = std::mem::take(&mut engine.cmd_scratch);
     debug_assert!(cmds.is_empty(), "command scratch must drain every action");
-    ctx.cps[node.index()].apply(&action, &mut cmds);
+    engine.cps[node.index()].apply(&action, &mut cmds);
     // Events first, then commands — the recorder's digest lines follow the
     // same order (see `AuditLog`/`ActionRecorder`).
-    audit::audit(ctx, node);
-    ctx.recorder.absorb_commands(node, &cmds);
-    dispatch::dispatch(ctx, node, &mut cmds);
-    *ctx.cmd_scratch = cmds;
+    audit::audit(engine, node);
+    engine.recorder.absorb_commands(node, &cmds);
+    dispatch::dispatch(engine, node, &mut cmds);
+    engine.cmd_scratch = cmds;
 }

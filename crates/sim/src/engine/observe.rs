@@ -7,7 +7,7 @@
 //! departure of the same step — is preserved exactly.
 
 use super::exchange::deliver_routed;
-use super::{apply_action, StepCtx, Watch};
+use super::{apply_action, Engine, Watch};
 use crate::faults::drop_messages;
 use crate::source::{BatchIndex, ObservationBatch};
 use vcount_core::ActionKind;
@@ -19,54 +19,54 @@ use vcount_v2x::{AdjustMode, Message, SegmentWatch, VehicleId};
 /// Replays the step's event batch through the protocol, in order. `index`
 /// is the engine-derived event index over the same batch (see
 /// [`BatchIndex::rebuild`]).
-pub fn observe(ctx: &mut StepCtx<'_>, batch: &ObservationBatch, index: &BatchIndex) {
+pub fn observe(engine: &mut Engine, batch: &ObservationBatch, index: &BatchIndex) {
     for (i, ev) in batch.events.iter().enumerate() {
         match *ev {
             TrafficEvent::Entered {
                 vehicle,
                 node,
                 from,
-            } => on_entered(ctx, vehicle, node, from),
+            } => on_entered(engine, vehicle, node, from),
             TrafficEvent::Departed {
                 vehicle,
                 node,
                 onto,
-            } => on_departed(ctx, batch, index, i, vehicle, node, onto),
-            TrafficEvent::Exited { vehicle, node } => on_exited(ctx, vehicle, node),
+            } => on_departed(engine, batch, index, i, vehicle, node, onto),
+            TrafficEvent::Exited { vehicle, node } => on_exited(engine, vehicle, node),
             TrafficEvent::Overtake {
                 edge,
                 overtaker,
                 overtaken,
-            } => on_overtake(ctx, edge, overtaker, overtaken),
+            } => on_overtake(engine, edge, overtaker, overtaken),
         }
     }
 }
 
-fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Option<EdgeId>) {
-    let class = ctx.classes.class(vehicle);
+fn on_entered(engine: &mut Engine, vehicle: VehicleId, node: NodeId, from: Option<EdgeId>) {
+    let class = engine.classes.class(vehicle);
     let is_patrol = class.is_patrol();
-    let node_down = ctx.faults.down(node);
+    let node_down = engine.faults.down(node);
 
     // Deliver carried reports addressed to this node. A down checkpoint
     // cannot receive: the carrier surrenders them anyway (real radios
     // broadcast blind), the loss is counted, and the payloads are
     // discarded unparsed — a dead recipient never pays a decode.
-    let due = ctx.exchange.take_due_reports(vehicle, node);
+    let due = engine.exchange.take_due_reports(vehicle, node);
     if node_down {
         if !due.is_empty() {
-            drop_messages(ctx, node, due.len());
+            drop_messages(engine, node, due.len());
             for env in &due {
-                ctx.exchange.discard_payload(env.payload);
+                engine.exchange.discard_payload(env.payload);
             }
         }
     } else {
         for env in &due {
-            let r = match ctx.exchange.consume_payload(env.payload) {
+            let r = match engine.exchange.consume_payload(env.payload) {
                 Message::Report(r) => r,
                 other => unreachable!("carried report queue held {other:?}"),
             };
             apply_action(
-                ctx,
+                engine,
                 node,
                 ActionKind::Report {
                     from: r.from,
@@ -76,35 +76,36 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
             );
         }
     }
-    ctx.exchange.recycle_reports(due);
+    engine.exchange.recycle_reports(due);
 
     if is_patrol && !node_down {
         // Deliver circuitous messages addressed here, then pick up the
         // ones waiting, then exchange status snapshots. (At a down node
         // the patrol keeps its cargo and moves on — circuitous delivery
         // is deferred, not lost.)
-        let due = ctx.exchange.take_due_patrol(vehicle, node);
+        let due = engine.exchange.take_due_patrol(vehicle, node);
         for env in &due {
-            deliver_routed(ctx, env.to, env.payload);
+            deliver_routed(engine, env.to, env.payload);
         }
-        ctx.exchange.recycle_patrol(due);
-        ctx.exchange.pickup_patrol(vehicle, node);
-        let chaos = ctx.faults.chaos_patrol(ctx.now);
+        engine.exchange.recycle_patrol(due);
+        engine.exchange.pickup_patrol(vehicle, node);
+        let chaos = engine.faults.chaos_patrol(engine.now);
         if chaos.duplicate || chaos.reverse {
-            ctx.exchange
+            engine
+                .exchange
                 .chaos_patrol_carried(vehicle, chaos.duplicate, chaos.reverse);
         }
-        let status = ctx.exchange.relay_status(vehicle);
-        apply_action(ctx, node, ActionKind::PatrolStatus { vehicle, status });
+        let status = engine.exchange.relay_status(vehicle);
+        apply_action(engine, node, ActionKind::PatrolStatus { vehicle, status });
     }
 
     // Segment-watch bookkeeping on the arrival edge.
     if let Some(e) = from {
-        let finalize = match ctx.exchange.watch_mut(e) {
+        let finalize = match engine.exchange.watch_mut(e) {
             Some(w) if w.sw.label_vehicle() == vehicle => true,
             Some(w) => {
                 if !is_patrol {
-                    let counted = ctx.oracle.ever_counted(vehicle);
+                    let counted = engine.oracle.ever_counted(vehicle);
                     w.sw.record_arrival(vehicle, counted);
                 }
                 false
@@ -112,8 +113,8 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
             None => false,
         };
         if finalize {
-            let w = ctx.exchange.remove_watch(e).expect("checked above");
-            finalize_watch(ctx, w);
+            let w = engine.exchange.remove_watch(e).expect("checked above");
+            finalize_watch(engine, w);
         }
     }
 
@@ -125,23 +126,23 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
     // checkpoint would have counted is recorded as suppressed, so a
     // possible miscount is never silent.
     if node_down {
-        if ctx.exchange.discard_label(vehicle) {
-            ctx.faults.note_label_dropped();
-            ctx.audit.record(
-                ctx.now,
+        if engine.exchange.discard_label(vehicle) {
+            engine.faults.note_label_dropped();
+            engine.audit.record(
+                engine.now,
                 ProtocolEvent::FaultMessageDropped {
                     node: node.0,
                     messages: 1,
                 },
             );
         }
-        if ctx.cps[node.index()].is_active() && !is_patrol && ctx.filter.matches(&class) {
-            ctx.faults.note_suppressed_observation();
+        if engine.cps[node.index()].is_active() && !is_patrol && engine.filter.matches(&class) {
+            engine.faults.note_suppressed_observation();
         }
     } else {
-        let label = ctx.exchange.take_label(vehicle);
+        let label = engine.exchange.take_label(vehicle);
         apply_action(
-            ctx,
+            engine,
             node,
             ActionKind::Entered {
                 vehicle,
@@ -157,18 +158,18 @@ fn on_entered(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId, from: Opt
     // (a down checkpoint reads as inactive — that is what Alg. 4's
     // circuitous delivery is for).
     if is_patrol {
-        let active = !node_down && ctx.cps[node.index()].is_active();
-        ctx.exchange.observe_status(vehicle, node, active);
+        let active = !node_down && engine.cps[node.index()].is_active();
+        engine.exchange.observe_status(vehicle, node, active);
     }
 
     // Unsynchronized baselines observe the same surveillance stream.
-    ctx.naive.observe(&class);
-    ctx.dedup.observe(&class);
+    engine.naive.observe(&class);
+    engine.dedup.observe(&class);
 }
 
 #[allow(clippy::too_many_arguments)]
 fn on_departed(
-    ctx: &mut StepCtx<'_>,
+    engine: &mut Engine,
     batch: &ObservationBatch,
     index: &BatchIndex,
     event_idx: usize,
@@ -176,29 +177,29 @@ fn on_departed(
     node: NodeId,
     onto: EdgeId,
 ) {
-    let class = ctx.classes.class(vehicle);
+    let class = engine.classes.class(vehicle);
     let is_patrol = class.is_patrol();
 
     // A down checkpoint neither loads reports nor offers labels; nothing
     // is lost (its queues were dropped at crash time, and the label offer
     // simply retries after recovery), so this is not a degradation.
-    if ctx.faults.down(node) {
+    if engine.faults.down(node) {
         return;
     }
 
     // Pending reports that ride this edge board the departing vehicle.
-    ctx.exchange.load_reports(node, vehicle, onto);
+    engine.exchange.load_reports(node, vehicle, onto);
 
     // Phase 2: label handoff.
-    if let Some(label) = ctx.cps[node.index()].offer_label(onto) {
+    if let Some(label) = engine.cps[node.index()].offer_label(onto) {
         // A regional blackout fails every handoff outright — patrol
         // included — without consuming a protocol-RNG draw, so fault-free
         // replay stays byte-identical. Compensation (when configured)
         // absorbs the failure exactly like an ordinary channel loss.
-        let blackout = ctx.faults.blackout_handoff(ctx.now, node);
+        let blackout = engine.faults.blackout_handoff(engine.now, node);
         if blackout {
-            ctx.audit.record(
-                ctx.now,
+            engine.audit.record(
+                engine.now,
                 ProtocolEvent::ChannelBlackout {
                     node: node.0,
                     edge: onto.0,
@@ -210,29 +211,29 @@ fn on_departed(
             && (is_patrol || {
                 // Police equipment is reliable; civilian handoffs go
                 // through the lossy channel with ack confirmation.
-                ctx.channel.attempt(&mut *ctx.proto_rng).delivered()
+                engine.channel.attempt(&mut engine.proto_rng).delivered()
             });
         // On failure the checkpoint emits the compensation event (when
         // configured), and the audit stage mirrors it into the oracle — so
         // the compensation-disabled ablation shows up as violations.
         apply_action(
-            ctx,
+            engine,
             node,
             ActionKind::Departed {
                 vehicle,
                 onto,
                 delivered,
-                matches_filter: ctx.filter.matches(&class),
+                matches_filter: engine.filter.matches(&class),
             },
         );
         if delivered {
-            ctx.exchange.hand_label(vehicle, label);
+            engine.exchange.hand_label(vehicle, label);
             if !is_patrol {
-                ctx.exchange.ack_handoff(vehicle);
+                engine.exchange.ack_handoff(vehicle);
             }
-            let ahead = ahead_of(ctx, batch, index, event_idx, vehicle, onto);
-            let sw = SegmentWatch::new(ctx.adjust_mode, vehicle, ahead);
-            ctx.exchange.insert_watch(onto, node, sw);
+            let ahead = ahead_of(engine, batch, index, event_idx, vehicle, onto);
+            let sw = SegmentWatch::new(engine.adjust_mode, vehicle, ahead);
+            engine.exchange.insert_watch(onto, node, sw);
         }
     }
 }
@@ -241,7 +242,7 @@ fn on_departed(
 /// their counted status (see the runner's module docs for the
 /// reconstruction from the end-of-step snapshot).
 fn ahead_of(
-    ctx: &StepCtx<'_>,
+    engine: &Engine,
     batch: &ObservationBatch,
     index: &BatchIndex,
     idx: usize,
@@ -278,12 +279,12 @@ fn ahead_of(
         "a same-step later entry cannot still be in transit on the segment"
     );
     ahead.retain(|v| {
-        *v != label_vehicle && !later_departure(*v) && !ctx.classes.class(*v).is_patrol()
+        *v != label_vehicle && !later_departure(*v) && !engine.classes.class(*v).is_patrol()
     });
     dedup_first_occurrence(&mut ahead);
     ahead
         .into_iter()
-        .map(|v| (v, ctx.oracle.ever_counted(v)))
+        .map(|v| (v, engine.oracle.ever_counted(v)))
         .collect()
 }
 
@@ -304,83 +305,85 @@ fn dedup_first_occurrence(ahead: &mut Vec<VehicleId>) {
     ahead.truncate(kept);
 }
 
-fn finalize_watch(ctx: &mut StepCtx<'_>, w: Watch) {
+fn finalize_watch(engine: &mut Engine, w: Watch) {
     let adj = w.sw.finalize();
     // A down origin cannot apply the adjustment. Count what would have
     // been applied (without touching the oracle ledger — nothing was
     // actually adjusted) so the loss is explicit, and drop the watch.
-    if ctx.faults.down(w.origin) {
+    if engine.faults.down(w.origin) {
         let lost = adj
             .plus
             .iter()
-            .filter(|v| vehicle_matches(ctx, **v))
+            .filter(|v| vehicle_matches(engine, **v))
             .count()
             + adj
                 .minus
                 .iter()
-                .filter(|v| vehicle_matches(ctx, **v))
+                .filter(|v| vehicle_matches(engine, **v))
                 .count();
         if lost > 0 {
-            drop_messages(ctx, w.origin, lost);
+            drop_messages(engine, w.origin, lost);
         }
         return;
     }
     let mut plus = 0usize;
     let mut minus = 0usize;
     for v in &adj.plus {
-        if vehicle_matches(ctx, *v) {
-            ctx.oracle
+        if vehicle_matches(engine, *v) {
+            engine
+                .oracle
                 .record(*v, crate::oracle::Attribution::AdjustPlus);
             plus += 1;
         }
     }
     for v in &adj.minus {
-        if vehicle_matches(ctx, *v) {
-            ctx.oracle
+        if vehicle_matches(engine, *v) {
+            engine
+                .oracle
                 .record(*v, crate::oracle::Attribution::AdjustMinus);
             minus += 1;
         }
     }
     if plus > 0 || minus > 0 {
-        apply_action(ctx, w.origin, ActionKind::Adjust { plus, minus });
+        apply_action(engine, w.origin, ActionKind::Adjust { plus, minus });
     }
 }
 
-fn vehicle_matches(ctx: &StepCtx<'_>, v: VehicleId) -> bool {
-    let class = ctx.classes.class(v);
-    !class.is_patrol() && ctx.filter.matches(&class)
+fn vehicle_matches(engine: &Engine, v: VehicleId) -> bool {
+    let class = engine.classes.class(v);
+    !class.is_patrol() && engine.filter.matches(&class)
 }
 
-fn on_exited(ctx: &mut StepCtx<'_>, vehicle: VehicleId, node: NodeId) {
-    let class = ctx.classes.class(vehicle);
+fn on_exited(engine: &mut Engine, vehicle: VehicleId, node: NodeId) {
+    let class = engine.classes.class(vehicle);
     debug_assert!(
-        ctx.exchange.carried_is_empty(vehicle),
+        engine.exchange.carried_is_empty(vehicle),
         "reports are always delivered at the node before an exit"
     );
     // A down border checkpoint misses the exit; if it would have counted
     // it, the suppression is recorded so the miss is never silent.
-    if ctx.faults.down(node) {
-        if ctx.cps[node.index()].is_active() && vehicle_matches(ctx, vehicle) {
-            ctx.faults.note_suppressed_observation();
+    if engine.faults.down(node) {
+        if engine.cps[node.index()].is_active() && vehicle_matches(engine, vehicle) {
+            engine.faults.note_suppressed_observation();
         }
         return;
     }
     // A counted exit emits a BorderExit event; the audit stage mirrors it
     // into the oracle as an interaction-out attribution. Exits provably
     // dispatch no commands, so the funnel's dispatch pass is a no-op here.
-    apply_action(ctx, node, ActionKind::BorderExit { vehicle, class });
+    apply_action(engine, node, ActionKind::BorderExit { vehicle, class });
 }
 
-fn on_overtake(ctx: &mut StepCtx<'_>, edge: EdgeId, overtaker: VehicleId, overtaken: VehicleId) {
+fn on_overtake(engine: &mut Engine, edge: EdgeId, overtaker: VehicleId, overtaken: VehicleId) {
     // Only meaningful for the per-event adjustment ablation.
-    if ctx.adjust_mode != AdjustMode::PerEvent {
+    if engine.adjust_mode != AdjustMode::PerEvent {
         return;
     }
-    let counted_overtaken = ctx.oracle.ever_counted(overtaken);
-    let counted_overtaker = ctx.oracle.ever_counted(overtaker);
-    let matches_overtaken = vehicle_matches(ctx, overtaken);
-    let matches_overtaker = vehicle_matches(ctx, overtaker);
-    if let Some(w) = ctx.exchange.watch_mut(edge) {
+    let counted_overtaken = engine.oracle.ever_counted(overtaken);
+    let counted_overtaker = engine.oracle.ever_counted(overtaker);
+    let matches_overtaken = vehicle_matches(engine, overtaken);
+    let matches_overtaker = vehicle_matches(engine, overtaker);
+    if let Some(w) = engine.exchange.watch_mut(edge) {
         let label = w.sw.label_vehicle();
         if overtaker == label && matches_overtaken {
             w.sw.label_overtakes(overtaken, counted_overtaken);

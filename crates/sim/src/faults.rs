@@ -38,7 +38,7 @@
 //! `oracle_violations > 0` or a wrong count is always flagged degraded —
 //! faults never cause a *silent* miscount.
 
-use crate::engine::StepCtx;
+use crate::engine::Engine;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vcount_core::{ActionKind, CheckpointState};
@@ -518,10 +518,10 @@ impl FaultLayer {
 /// Counts `n` messages lost at down checkpoint `node` and audits the loss
 /// as one `FaultMessageDropped` record — the pair every delivery path that
 /// meets a down recipient runs.
-pub(crate) fn drop_messages(ctx: &mut StepCtx<'_>, node: NodeId, n: usize) {
-    ctx.faults.note_dropped_messages(n);
-    ctx.audit.record(
-        ctx.now,
+pub(crate) fn drop_messages(engine: &mut Engine, node: NodeId, n: usize) {
+    engine.faults.note_dropped_messages(n);
+    engine.audit.record(
+        engine.now,
         ProtocolEvent::FaultMessageDropped {
             node: node.0,
             messages: n as u32,
@@ -535,13 +535,13 @@ pub(crate) fn drop_messages(ctx: &mut StepCtx<'_>, node: NodeId, n: usize) {
 /// Refreshes recovery images at cadence, fires due crashes (dropping the
 /// node's queued messages), and fires due recoveries (rolling the
 /// checkpoint back to its last image).
-pub fn fault_step(ctx: &mut StepCtx<'_>) {
-    let now = ctx.now;
+pub fn fault_step(engine: &mut Engine) {
+    let now = engine.now;
     // Image refresh runs under a scoped borrow: the crash/recover
     // applications below feed [`crate::engine::apply_action`], which needs
-    // the whole context (recording, audit, dispatch).
+    // the whole engine (recording, audit, dispatch).
     let crash_count = {
-        let StepCtx { cps, faults, .. } = ctx;
+        let Engine { cps, faults, .. } = engine;
         let Some(state) = faults.state.as_deref_mut() else {
             return;
         };
@@ -565,13 +565,13 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
         // fault events) happen here; the recorded [`ActionKind::Crash`] is
         // a pure no-op that documents the fault schedule in the trace.
         let crashed = {
-            let StepCtx {
+            let Engine {
                 cps,
                 exchange,
                 audit: log,
                 faults,
                 ..
-            } = ctx;
+            } = engine;
             let state = faults.state.as_deref_mut().expect("checked above");
             let crash = state.plan.crashes[ci];
             let idx = crash.node as usize;
@@ -628,13 +628,13 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
             }
         };
         if let Some(node) = crashed {
-            crate::engine::apply_action(ctx, NodeId(node), ActionKind::Crash);
+            crate::engine::apply_action(engine, NodeId(node), ActionKind::Crash);
         }
 
         // Recovery: the rollback image travels *inside* the action, so a
         // machine-only replay restores the identical state.
         let recovered = {
-            let StepCtx { faults, .. } = ctx;
+            let Engine { faults, .. } = engine;
             let state = faults.state.as_deref_mut().expect("checked above");
             let crash = state.plan.crashes[ci];
             let idx = crash.node as usize;
@@ -649,8 +649,9 @@ pub fn fault_step(ctx: &mut StepCtx<'_>) {
             }
         };
         if let Some((node, image)) = recovered {
-            crate::engine::apply_action(ctx, NodeId(node), ActionKind::Recover { image });
-            ctx.audit
+            crate::engine::apply_action(engine, NodeId(node), ActionKind::Recover { image });
+            engine
+                .audit
                 .record(now, ProtocolEvent::CheckpointRecovered { node });
         }
     }

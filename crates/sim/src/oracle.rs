@@ -136,22 +136,6 @@ impl Oracle {
         }
         violations
     }
-
-    /// Count of vehicles with at least two direct counts and no
-    /// compensating entries — the classic "double counting" the paper's
-    /// baselines suffer. Diagnostic for ablations that intentionally break
-    /// the protocol.
-    pub fn raw_double_counts(&self) -> usize {
-        self.ledger
-            .values()
-            .filter(|h| {
-                h.iter()
-                    .filter(|a| matches!(a, Attribution::Counted))
-                    .count()
-                    >= 2
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +167,6 @@ mod tests {
         o.record(V, Attribution::Counted);
         o.record(V, Attribution::Counted);
         assert_eq!(o.verify([(V, true)]).len(), 1);
-        assert_eq!(o.raw_double_counts(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! vehicles whose same-step `Departed` (onto that edge) events come later —
 //! they joined behind the label.
 
-use crate::engine::{self, AuditLog, EngineSnapshot, Exchange, StepCtx};
+use crate::engine::{self, AuditLog, Engine, EngineSnapshot, Exchange};
 use crate::faults::{FaultLayer, FaultPlan};
 use crate::metrics::{ProgressSnapshot, RunMetrics, RunTelemetry};
 use crate::oracle::Oracle;
@@ -45,12 +45,11 @@ use crate::source::{
 };
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use vcount_core::Checkpoint;
-use vcount_core::{ActionKind, ClassDedupCounter, Command, NaiveIntervalCounter};
+use vcount_core::{ActionKind, Checkpoint, ClassDedupCounter, NaiveIntervalCounter};
 use vcount_obs::{EventRecord, EventSink};
 use vcount_roadnet::{NodeId, RoadNetwork};
 use vcount_traffic::{ReplayRng, SimSnapshot, Simulator};
-use vcount_v2x::{LossModel, VehicleId};
+use vcount_v2x::VehicleId;
 
 /// Ring-buffer capacity of the always-on post-mortem sink.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -71,40 +70,19 @@ pub struct Runner {
     /// The scenario this deployment was assembled from (kept so snapshots
     /// are self-contained).
     scenario: Scenario,
-    /// The road graph the deployment runs on (the source builds its own
-    /// copy from the same scenario — both are deterministic products of
-    /// the map spec).
-    net: RoadNetwork,
     /// Where observation batches come from: the in-process simulator by
     /// default, or an [`ExternalSource`] when batches are pushed in.
     source: Box<dyn ObservationSource>,
-    /// Camera-visible class of every vehicle announced by a batch so far.
-    classes: ClassTable,
-    /// Simulated time at the end of the last ingested batch, seconds.
-    now: f64,
+    seeds: Vec<NodeId>,
     /// Step counter of the last ingested batch.
     steps: u64,
-    cps: Vec<Checkpoint>,
-    channel: Box<dyn LossModel + Send>,
-    proto_rng: ReplayRng,
-    oracle: Oracle,
-    seeds: Vec<NodeId>,
-    /// The message layer: every in-flight payload lives here.
-    exchange: Exchange,
-    naive: NaiveIntervalCounter,
-    dedup: ClassDedupCounter,
     /// Reused per-step observation batch (pull path only).
     batch: ObservationBatch,
     /// Reused per-batch event indices, rebuilt on every ingest.
     index: BatchIndex,
-    /// Event stamping, telemetry and sink fan-out.
-    audit: AuditLog,
-    /// Deterministic fault injection (inactive unless a plan is loaded).
-    faults: FaultLayer,
-    /// Action-trace recorder (inert unless requested at build time).
-    recorder: ActionRecorder,
-    /// Reused command scratch for [`engine::apply_action`].
-    cmd_scratch: Vec<Command>,
+    /// The state the engine stages run on (its road graph is built from
+    /// the same map spec as the source's own copy).
+    engine: Engine,
 }
 
 /// Chained-setter construction of a [`Runner`]: a scenario
@@ -232,9 +210,11 @@ impl RunnerBuilder {
         self.try_build().expect("runner must assemble")
     }
 
-    /// Like [`RunnerBuilder::build`], but reports an invalid fault plan,
-    /// a snapshot that does not fit its scenario map, or a knob a resumed
-    /// run cannot take as an error instead of panicking.
+    /// Like [`RunnerBuilder::build`], but reports an invalid map, an
+    /// explicit seed outside it, an invalid traffic config (in-process
+    /// runs), an invalid fault plan, a snapshot that does not fit its
+    /// scenario map, or a knob a resumed run cannot take as an error
+    /// instead of panicking.
     pub fn try_build(self) -> Result<Runner, String> {
         let RunnerBuilder {
             scenario,
@@ -253,15 +233,29 @@ impl RunnerBuilder {
             );
         }
         let net = scenario.map.build(scenario.closed);
-        net.validate().expect("scenario map must be valid");
+        net.validate()
+            .map_err(|e| format!("scenario map is invalid: {e}"))?;
         let n = net.node_count();
+        if let SeedSpec::Explicit(list) = &scenario.seeds {
+            if let Some(seed) = list.iter().find(|&&s| s as usize >= n) {
+                return Err(format!(
+                    "scenario seed {seed} is not a node of the {n}-node map"
+                ));
+            }
+        }
         let source: Box<dyn ObservationSource> = match (&snapshot, external) {
             (_, true) => Box::new(ExternalSource::new()),
-            (None, false) => Box::new(SimulatorSource::from_scenario(&scenario, 1)),
+            (None, false) => {
+                scenario
+                    .sim
+                    .validate()
+                    .map_err(|e| format!("invalid simulator config: {e}"))?;
+                Box::new(SimulatorSource::from_scenario(&scenario, 1))
+            }
             (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)?),
         };
         let faults = match faults {
-            Some(plan) => FaultLayer::from_plan(plan, n)?,
+            Some(plan) => FaultLayer::from_plan(plan, n).map_err(|e| format!("fault plan: {e}"))?,
             None => FaultLayer::none(),
         };
         let cps = net
@@ -269,39 +263,45 @@ impl RunnerBuilder {
             .map(|node| Checkpoint::new(&net, node, scenario.protocol))
             .collect();
         let filter = scenario.protocol.filter;
-        let mut runner = Runner {
+        let engine = Engine {
+            now: 0.0,
+            net,
+            classes: ClassTable::new(),
+            cps,
+            // Vehicle-indexed capacity starts at zero and grows as batches
+            // announce the population (capacity is not semantics).
+            exchange: Exchange::new(0, n),
+            oracle: Oracle::new(),
+            channel: scenario.channel.build(),
             // Protocol-side randomness (seed selection, channel draws) is
             // decoupled from traffic randomness but derived from the same
             // seed for whole-run reproducibility. Draw-counted so snapshots
             // can resume the exact stream position.
             proto_rng: ReplayRng::seed_from_u64(engine::snapshot::proto_seed(scenario.sim.seed)),
-            channel: scenario.channel.build(),
-            audit: AuditLog::new(scenario.sim.seed, ring_capacity, sinks),
+            transport: scenario.transport,
+            filter,
+            adjust_mode: scenario.protocol.adjust_mode,
             naive: NaiveIntervalCounter::new(filter),
             dedup: ClassDedupCounter::new(filter),
-            scenario,
-            net,
-            source,
-            classes: ClassTable::new(),
-            now: 0.0,
-            steps: 0,
-            cps,
-            oracle: Oracle::new(),
-            seeds: Vec::new(),
-            // Vehicle-indexed capacity starts at zero and grows as batches
-            // announce the population (capacity is not semantics).
-            exchange: Exchange::new(0, n),
-            batch: ObservationBatch::default(),
-            index: BatchIndex::default(),
+            audit: AuditLog::new(scenario.sim.seed, ring_capacity, sinks),
             faults,
             recorder: ActionRecorder::new(record),
             cmd_scratch: Vec::new(),
+        };
+        let mut runner = Runner {
+            scenario,
+            source,
+            seeds: Vec::new(),
+            steps: 0,
+            batch: ObservationBatch::default(),
+            index: BatchIndex::default(),
+            engine,
         };
         match snapshot {
             None => runner.activate_seeds(),
             Some(snap) => runner.restore(snap)?,
         }
-        runner.exchange.set_eager_decode(eager_decode);
+        runner.engine.exchange.set_eager_decode(eager_decode);
         Ok(runner)
     }
 
@@ -323,12 +323,12 @@ impl Runner {
     /// Selects the scenario's seed checkpoints (drawing from the protocol
     /// RNG) and activates them at t = 0 — the start of a fresh run.
     fn activate_seeds(&mut self) {
-        let n = self.net.node_count();
-        let rng = &mut self.proto_rng;
+        let n = self.engine.net.node_count();
+        let rng = &mut self.engine.proto_rng;
         self.seeds = match &self.scenario.seeds {
             SeedSpec::Explicit(list) => list.iter().map(|i| NodeId(*i)).collect(),
             SeedSpec::AllBorder => {
-                let border = self.net.border_nodes();
+                let border = self.engine.net.border_nodes();
                 if border.is_empty() {
                     vec![NodeId(rng.gen_range(0..n as u32))]
                 } else {
@@ -345,15 +345,16 @@ impl Runner {
                 ids.into_iter().map(NodeId).collect()
             }
         };
-        for s in self.seeds.clone() {
-            self.with_ctx(0.0, |ctx| engine::apply_action(ctx, s, ActionKind::Seed));
+        for &s in &self.seeds {
+            engine::apply_action(&mut self.engine, s, ActionKind::Seed);
         }
     }
 
     /// Moves a frozen run's dynamic state into this freshly wired
     /// deployment of the same scenario.
     fn restore(&mut self, snap: EngineSnapshot) -> Result<(), String> {
-        let n = self.cps.len();
+        let engine = &mut self.engine;
+        let n = engine.cps.len();
         if snap.checkpoints.len() != n {
             return Err("snapshot checkpoint count must match the scenario map".into());
         }
@@ -363,25 +364,25 @@ impl Runner {
                 seed.0
             ));
         }
-        self.exchange = Exchange::restore(&snap.exchange, &self.net)
+        engine.exchange = Exchange::restore(&snap.exchange, &engine.net)
             .map_err(|e| format!("snapshot exchange: {e}"))?;
-        for (cp, state) in self.cps.iter_mut().zip(snap.checkpoints) {
+        for (cp, state) in engine.cps.iter_mut().zip(snap.checkpoints) {
             cp.restore_state(state);
         }
-        self.proto_rng = ReplayRng::resume(self.proto_rng.seed(), snap.proto_rng_draws);
-        self.channel.restore_state(snap.channel_state);
-        self.classes = ClassTable::from_snapshot(&snap.sim);
-        self.now = snap.sim.time_s;
+        engine.proto_rng = ReplayRng::resume(engine.proto_rng.seed(), snap.proto_rng_draws);
+        engine.channel.restore_state(snap.channel_state);
+        engine.classes = ClassTable::from_snapshot(&snap.sim);
+        engine.now = snap.sim.time_s;
         self.steps = snap.sim.steps;
         // The in-process simulator was already rebuilt from this state
         // (and ignores it); an external source keeps it for re-freezing.
         self.source.provide_sim_state(snap.sim);
-        self.oracle = Oracle::from_ledger(snap.ledger);
+        engine.oracle = Oracle::from_ledger(snap.ledger);
         self.seeds = snap.seeds;
-        self.naive = snap.naive;
-        self.dedup = snap.dedup;
+        engine.naive = snap.naive;
+        engine.dedup = snap.dedup;
         if let (Some(plan), Some(state)) = (snap.fault_plan, &snap.faults) {
-            self.faults = FaultLayer::restore(plan, state);
+            engine.faults = FaultLayer::restore(plan, state);
         }
         Ok(())
     }
@@ -403,20 +404,21 @@ impl Runner {
              supply one (service: a Snapshot request carries it) before freezing"
                 .to_string()
         })?;
+        let engine = &self.engine;
         Ok(EngineSnapshot {
             schema: engine::SNAPSHOT_SCHEMA.to_string(),
             scenario: self.scenario.clone(),
             seeds: self.seeds.clone(),
-            proto_rng_draws: self.proto_rng.draws(),
-            channel_state: self.channel.save_state(),
+            proto_rng_draws: engine.proto_rng.draws(),
+            channel_state: engine.channel.save_state(),
             sim,
-            checkpoints: self.cps.iter().map(Checkpoint::export_state).collect(),
-            exchange: self.exchange.snapshot(),
-            ledger: self.oracle.ledger().clone(),
-            naive: self.naive.clone(),
-            dedup: self.dedup.clone(),
-            fault_plan: self.faults.plan().cloned(),
-            faults: self.faults.snapshot(),
+            checkpoints: engine.cps.iter().map(Checkpoint::export_state).collect(),
+            exchange: engine.exchange.snapshot(),
+            ledger: engine.oracle.ledger().clone(),
+            naive: engine.naive.clone(),
+            dedup: engine.dedup.clone(),
+            fault_plan: engine.faults.plan().cloned(),
+            faults: engine.faults.snapshot(),
         })
     }
 
@@ -435,47 +437,6 @@ impl Runner {
         self.source.provide_sim_state(snap);
     }
 
-    /// Builds a stage context over this runner's state and runs `f` in it.
-    fn with_ctx<R>(&mut self, now: f64, f: impl FnOnce(&mut StepCtx<'_>) -> R) -> R {
-        let Runner {
-            scenario,
-            net,
-            classes,
-            cps,
-            channel,
-            proto_rng,
-            oracle,
-            exchange,
-            naive,
-            dedup,
-            audit,
-            faults,
-            recorder,
-            cmd_scratch,
-            ..
-        } = self;
-        let mut ctx = StepCtx {
-            now,
-            net,
-            classes,
-            cps,
-            exchange,
-            oracle,
-            channel: &**channel,
-            proto_rng,
-            transport: scenario.transport,
-            filter: scenario.protocol.filter,
-            adjust_mode: scenario.protocol.adjust_mode,
-            naive,
-            dedup,
-            audit,
-            faults,
-            recorder,
-            cmd_scratch,
-        };
-        f(&mut ctx)
-    }
-
     /// The scenario this deployment runs (a resumed run's is its
     /// snapshot's).
     pub fn scenario(&self) -> &Scenario {
@@ -484,14 +445,14 @@ impl Runner {
 
     /// The road network under simulation.
     pub fn net(&self) -> &RoadNetwork {
-        &self.net
+        &self.engine.net
     }
 
     /// Vehicles announced to the engine so far (the dense-id population
     /// the next batch's class announcements must start at) — what the
     /// service boundary validates wire batches against.
     pub fn announced_vehicles(&self) -> usize {
-        self.classes.len()
+        self.engine.classes.len()
     }
 
     /// The traffic simulator (read access for examples and tests).
@@ -505,7 +466,7 @@ impl Runner {
 
     /// A checkpoint's state machine.
     pub fn checkpoint(&self, node: NodeId) -> &Checkpoint {
-        &self.cps[node.index()]
+        &self.engine.cps[node.index()]
     }
 
     /// The seed checkpoints of this deployment.
@@ -515,30 +476,31 @@ impl Runner {
 
     /// The ground-truth oracle.
     pub fn oracle(&self) -> &Oracle {
-        &self.oracle
+        &self.engine.oracle
     }
 
     /// Simulated time, seconds (of the last ingested batch).
     pub fn time_s(&self) -> f64 {
-        self.now
+        self.engine.now
     }
 
     /// Whether every checkpoint's non-interaction counting stabilized.
     pub fn all_stable(&self) -> bool {
-        self.cps.iter().all(Checkpoint::is_stable)
+        self.engine.cps.iter().all(Checkpoint::is_stable)
     }
 
     /// Whether every seed holds its tree total.
     pub fn all_collected(&self) -> bool {
         self.seeds
             .iter()
-            .all(|s| self.cps[s.index()].tree_total().is_some())
+            .all(|s| self.engine.cps[s.index()].tree_total().is_some())
     }
 
     /// The distributed sum of all local counts plus (for open systems) the
     /// live interaction net — the protocol's region-wide vehicle count.
     pub fn distributed_count(&self) -> i64 {
-        self.cps
+        self.engine
+            .cps
             .iter()
             .map(|c| c.local_count() + c.interaction_net())
             .sum()
@@ -550,10 +512,11 @@ impl Runner {
         let tree: Option<i64> = self
             .seeds
             .iter()
-            .map(|s| self.cps[s.index()].tree_total())
+            .map(|s| self.engine.cps[s.index()].tree_total())
             .sum();
         tree.map(|t| {
             t + self
+                .engine
                 .cps
                 .iter()
                 .map(Checkpoint::interaction_net)
@@ -574,7 +537,7 @@ impl Runner {
     /// verdict.
     pub fn verify(&self) -> Vec<crate::oracle::Violation> {
         match self.source.truth() {
-            Some(truth) => self.oracle.verify(truth.vehicles),
+            Some(truth) => self.engine.oracle.verify(truth.vehicles),
             None => Vec::new(),
         }
     }
@@ -587,7 +550,7 @@ impl Runner {
         let t_traffic = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
         let advanced = self.source.next_batch(&mut batch);
-        self.audit.telemetry.traffic_step_secs += t_traffic.elapsed().as_secs_f64();
+        self.engine.audit.telemetry.traffic_step_secs += t_traffic.elapsed().as_secs_f64();
         if advanced {
             self.ingest(&batch);
         }
@@ -602,34 +565,33 @@ impl Runner {
     /// just a pull wrapper around it, and the service pushes batches here
     /// directly.
     pub fn ingest(&mut self, batch: &ObservationBatch) {
-        self.classes.learn(&batch.new_classes);
-        self.exchange.ensure_vehicle_capacity(self.classes.len());
+        let engine = &mut self.engine;
+        engine.classes.learn(&batch.new_classes);
+        engine
+            .exchange
+            .ensure_vehicle_capacity(engine.classes.len());
         // Events are timestamped at the end of the step they occurred in.
-        self.now = batch.now;
+        engine.now = batch.now;
         self.steps = batch.steps;
-        let mut index = std::mem::take(&mut self.index);
-        index.rebuild(&batch.events);
-        self.with_ctx(batch.now, |ctx| {
-            let t_protocol = Instant::now();
-            // Fault transitions fire at the step boundary — after the
-            // traffic advance, before any observation — where checkpoint
-            // event buffers are provably drained.
-            crate::faults::fault_step(ctx);
-            engine::observe(ctx, batch, &index);
-            ctx.audit.telemetry.protocol_secs += t_protocol.elapsed().as_secs_f64();
+        self.index.rebuild(&batch.events);
+        let t_protocol = Instant::now();
+        // Fault transitions fire at the step boundary — after the traffic
+        // advance, before any observation — where checkpoint event buffers
+        // are provably drained.
+        crate::faults::fault_step(engine);
+        engine::observe(engine, batch, &self.index);
+        engine.audit.telemetry.protocol_secs += t_protocol.elapsed().as_secs_f64();
 
-            let t_relay = Instant::now();
-            engine::exchange(ctx);
-            ctx.audit.telemetry.relay_secs += t_relay.elapsed().as_secs_f64();
-        });
-        self.index = index;
+        let t_relay = Instant::now();
+        engine::exchange(engine);
+        engine.audit.telemetry.relay_secs += t_relay.elapsed().as_secs_f64();
     }
 
     /// Whether any report message is still in transit (on a vehicle,
     /// waiting at a node, in the relay, or on a patrol car). Collection is
     /// final only when the last re-report has landed.
     pub fn reports_in_flight(&self) -> bool {
-        self.exchange.reports_in_flight()
+        self.engine.exchange.reports_in_flight()
     }
 
     /// Whether `goal` holds in the current state: the one completion
@@ -657,7 +619,7 @@ impl Runner {
     /// elapses, then flushes the sinks and returns
     /// [`Runner::metrics_now`].
     pub fn run(&mut self, goal: Goal, max_time_s: f64) -> RunMetrics {
-        while self.now < max_time_s && !self.reached(goal) && self.step() {}
+        while self.engine.now < max_time_s && !self.reached(goal) && self.step() {}
         self.flush_sinks();
         self.metrics_now()
     }
@@ -666,7 +628,7 @@ impl Runner {
     /// of [`Runner::run`]; externally driven loops should call it once
     /// done stepping).
     pub fn flush_sinks(&mut self) {
-        for sink in &mut self.audit.sinks {
+        for sink in &mut self.engine.audit.sinks {
             sink.flush();
         }
     }
@@ -675,8 +637,8 @@ impl Runner {
     /// phase timings, plus the exchange's wire counters and the fault
     /// layer's chaos and watch counters as of this call.
     pub fn telemetry(&self) -> RunTelemetry {
-        let wire = self.exchange.counters();
-        let fc = self.faults.counters();
+        let wire = self.engine.exchange.counters();
+        let fc = self.engine.faults.counters();
         RunTelemetry {
             relay_messages: wire.relay_messages,
             messages_encoded: wire.encoded,
@@ -688,19 +650,19 @@ impl Runner {
             chaos_delays: fc.chaos_delays,
             chaos_reorders: fc.chaos_reorders,
             watches_dropped: fc.watches_dropped,
-            ..self.audit.telemetry
+            ..self.engine.audit.telemetry
         }
     }
 
     /// The fault layer's injection counters (all zero without a plan).
     pub fn fault_counters(&self) -> crate::faults::FaultCounters {
-        self.faults.counters()
+        self.engine.faults.counters()
     }
 
     /// Whether injected faults may have cost protocol information (the
     /// explicit degraded status — see [`crate::faults`]).
     pub fn degraded(&self) -> bool {
-        self.faults.degraded()
+        self.engine.faults.degraded()
     }
 
     /// Finishes recording and packages the run's action stream as a
@@ -708,22 +670,23 @@ impl Runner {
     /// final counts). `None` unless the runner was built with
     /// [`RunnerBuilder::record_actions`]; recording stops once taken.
     pub fn take_action_trace(&mut self) -> Option<ActionTrace> {
-        let (records, dispatch_digest) = self.recorder.take()?;
+        let (records, dispatch_digest) = self.engine.recorder.take()?;
+        let cps = &self.engine.cps;
         Some(ActionTrace {
             schema: TRACE_SCHEMA.to_string(),
             scenario: self.scenario.clone(),
             records,
             dispatch_digest,
-            final_local_counts: self.cps.iter().map(Checkpoint::local_count).collect(),
-            final_interaction_nets: self.cps.iter().map(Checkpoint::interaction_net).collect(),
-            final_tree_totals: self.cps.iter().map(Checkpoint::tree_total).collect(),
+            final_local_counts: cps.iter().map(Checkpoint::local_count).collect(),
+            final_interaction_nets: cps.iter().map(Checkpoint::interaction_net).collect(),
+            final_tree_totals: cps.iter().map(Checkpoint::tree_total).collect(),
         })
     }
 
     /// The retained post-mortem events mentioning `vehicle`, oldest first —
     /// its attribution chain as far as the ring buffer remembers.
     pub fn violation_trace(&self, vehicle: VehicleId) -> Vec<EventRecord> {
-        self.audit.ring.for_vehicle(vehicle.0)
+        self.engine.audit.ring.for_vehicle(vehicle.0)
     }
 
     /// Metrics derived from the current state, with the goal times taken
@@ -746,7 +709,7 @@ impl Runner {
                 v.expected,
                 violations.len()
             );
-            let chain = self.audit.ring.for_vehicle(v.vehicle.0);
+            let chain = self.engine.audit.ring.for_vehicle(v.vehicle.0);
             if chain.is_empty() {
                 eprintln!("  (no retained events — raise the ring capacity)");
             }
@@ -761,56 +724,49 @@ impl Runner {
         } else {
             None
         };
+        let engine = &self.engine;
+        let cps = &engine.cps;
         RunMetrics {
             constitution_done_s: self.reached(Goal::Constitution).then(|| {
-                self.cps
-                    .iter()
+                cps.iter()
                     .filter_map(Checkpoint::stable_at)
                     .fold(0.0f64, f64::max)
             }),
             collection_done_s: self.reached(Goal::Collection).then(|| {
                 self.seeds
                     .iter()
-                    .filter_map(|s| self.cps[s.index()].collected_at())
+                    .filter_map(|s| cps[s.index()].collected_at())
                     .fold(0.0f64, f64::max)
             }),
-            checkpoint_stable_s: self.cps.iter().filter_map(Checkpoint::stable_at).collect(),
-            checkpoint_activated_s: self
-                .cps
-                .iter()
-                .filter_map(Checkpoint::activated_at)
-                .collect(),
+            checkpoint_stable_s: cps.iter().filter_map(Checkpoint::stable_at).collect(),
+            checkpoint_activated_s: cps.iter().filter_map(Checkpoint::activated_at).collect(),
             global_count,
             true_population: self.true_population(),
             oracle_violations: violations.len(),
-            handoff_failures: self.audit.telemetry.handoff_retries,
-            overtake_adjustments: self.cps.iter().map(|c| c.counters().overtake_total()).sum(),
-            baseline_naive: self.naive.total(),
-            baseline_dedup: self.dedup.total(),
-            elapsed_s: self.now,
+            handoff_failures: engine.audit.telemetry.handoff_retries,
+            overtake_adjustments: cps.iter().map(|c| c.counters().overtake_total()).sum(),
+            baseline_naive: engine.naive.total(),
+            baseline_dedup: engine.dedup.total(),
+            elapsed_s: engine.now,
             steps: self.steps,
-            degraded: self.faults.degraded(),
+            degraded: engine.faults.degraded(),
             telemetry: self.telemetry(),
         }
     }
 
-    /// Baseline counters (ablation access).
-    pub fn baselines(&self) -> (u64, u64) {
-        (self.naive.total(), self.dedup.total())
-    }
-
     /// A point-in-time progress view of the deployment.
     pub fn progress(&self) -> ProgressSnapshot {
+        let cps = &self.engine.cps;
         ProgressSnapshot {
-            time_s: self.now,
-            active: self.cps.iter().filter(|c| c.is_active()).count(),
-            stable: self.cps.iter().filter(|c| c.is_stable()).count(),
+            time_s: self.engine.now,
+            active: cps.iter().filter(|c| c.is_active()).count(),
+            stable: cps.iter().filter(|c| c.is_stable()).count(),
             collected_seeds: self
                 .seeds
                 .iter()
-                .filter(|s| self.cps[s.index()].tree_total().is_some())
+                .filter(|s| cps[s.index()].tree_total().is_some())
                 .count(),
-            checkpoints: self.cps.len(),
+            checkpoints: cps.len(),
             distributed_count: self.distributed_count(),
             population: self.true_population(),
         }

@@ -431,9 +431,10 @@ impl RunManager {
             }
         };
         // Construction is a trust boundary: a wire scenario or snapshot
-        // that violates an internal contract (an invalid map, an
-        // out-of-range explicit seed) must answer this request with an
-        // Error, not kill the daemon and every other tenant with it.
+        // that `try_build` refuses (an invalid map, an out-of-range
+        // explicit seed) answers this request with an Error, and the
+        // panic guard covers the contracts validation does not reach yet
+        // — neither may kill the daemon and every other tenant with it.
         let buffer = events.clone();
         let built = catch_panic_message(AssertUnwindSafe(move || {
             let mut builder = builder.external(true).sink(Box::new(BufferSink(buffer)));

@@ -196,9 +196,9 @@ fn malformed_batches_error_without_perturbing_the_run() {
 }
 
 /// A Start whose scenario violates an *internal* contract (here: an
-/// explicit seed index no checkpoint has) would panic deep inside engine
-/// construction; the service converts that unwind into an Error and stays
-/// fully serviceable — the next tenant on the same manager runs
+/// explicit seed index no checkpoint has) is refused by engine assembly's
+/// validation instead of panicking inside it: an Error, and the service
+/// stays fully serviceable — the next tenant on the same manager runs
 /// byte-identically to its solo reference.
 #[test]
 fn panicking_start_becomes_an_error_and_spares_the_manager() {
@@ -210,7 +210,10 @@ fn panicking_start_becomes_an_error_and_spares_the_manager() {
     match call(&mut mgr, start_request("evil", &hostile), &mut events) {
         ServiceResponse::Error { run, message } => {
             assert_eq!(run, "evil");
-            assert!(message.contains("start failed"), "got {message:?}");
+            assert!(
+                message.contains("start failed: scenario seed 9999"),
+                "got {message:?}"
+            );
         }
         other => panic!("hostile Start answered with {other:?}"),
     }

@@ -25,6 +25,12 @@ run cargo test -q --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
 
+# vbench, the end-to-end benchmark, is its own workspace over the library
+# crates: a library change that breaks it fails here. --locked also fails
+# any change that would make cargo rewrite vbench/Cargo.lock.
+run cargo build --offline --locked --manifest-path vbench/Cargo.toml
+run cargo test --offline --locked --manifest-path vbench/Cargo.toml
+
 # Docs must build clean: every public item is documented, every intra-doc
 # link resolves, and cargo itself emits no warnings (e.g. doc-path
 # collisions, which -D warnings alone would not catch).
@@ -275,7 +281,7 @@ print(f"backpressure smoke ok: {accepted} accepted, {throttled} explicit Throttl
 EOF
 
 # Malformed-line smoke: the wire is a trust boundary (DESIGN.md §10) — a
-# garbage line, a Start that would panic engine assembly (out-of-range
+# garbage line, a Start failing engine assembly's validation (out-of-range
 # seed node), and an Observe failing batch validation (out-of-range node
 # id) must each get an explicit Error response, and the good tenant fed
 # by the very same stream must still produce the byte-identical trace.
@@ -308,8 +314,7 @@ for line in good:
 assert poisoned, "recorded stream has no Observe with events to poison"
 open(f"{d}/poisoned.jsonl", "w", encoding="utf-8").write("\n".join(out) + "\n")
 EOF
-# stderr holds the contained panic's backtrace (the default hook prints
-# it even under catch_unwind) — expected noise, kept out of the CI log.
+# Every refusal comes from validation, so stderr must hold no panic.
 cargo run --release -q -p vcount-cli --bin vcount -- \
     serve < "$serve_dir/poisoned.jsonl" > "$serve_dir/poisoned_responses.jsonl" \
     2> "$serve_dir/poisoned_stderr.log"
@@ -328,8 +333,10 @@ replay = ("\n".join(lines) + "\n").encode() if lines else b""
 assert replay == batch, "poison lines perturbed the good tenant's stream"
 msgs = [e["message"] for e in errors]
 assert any("malformed request" in m for m in msgs), msgs
-assert any("start failed" in m for m in msgs), msgs
+assert any("start failed: scenario seed 9999" in m for m in msgs), msgs
 assert any("malformed batch" in m for m in msgs), msgs
+assert "panicked" not in open(f"{d}/poisoned_stderr.log").read(), \
+    "a poisoned request reached a panic instead of validation"
 print(f"malformed-line smoke ok: {len(errors)} explicit Errors, "
       f"good stream byte-identical ({len(lines)} events)")
 EOF
