@@ -444,6 +444,7 @@ pub fn feed(args: &Args) -> Result<(), String> {
     let path = args.positional(0).ok_or("missing SCENARIO.json argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let scenario: Scenario = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    scenario.validate().map_err(|e| format!("{path}: {e}"))?;
     let run = args.flag("run").unwrap_or("run-1").to_string();
     let goal = parse_goal(args, Goal::Collection)?;
     let faults = load_fault_plan(args)?;
@@ -663,7 +664,7 @@ fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, St
 
 /// `vcount map`.
 pub fn map(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["preset", "speed-mph", "stats"])?;
+    args.reject_unknown(&["preset", "speed-mph"])?;
     let base = match args.flag("preset").unwrap_or("paper") {
         "paper" => ManhattanConfig::default(),
         "small" => ManhattanConfig::small(),

@@ -1,7 +1,9 @@
 //! Drive the `vcount` binary end to end through its public interface.
 
 use std::process::Command;
+use vcount_roadnet::builders::ManhattanConfig;
 use vcount_sim::{MapSpec, Scenario, SeedSpec};
+use vcount_v2x::ChannelKind;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vcount"))
@@ -103,10 +105,34 @@ fn run_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// A grid of `cols` × 3 intersections with `lanes` lanes per direction.
+fn grid(cols: usize, lanes: u8, speed_mps: f64) -> MapSpec {
+    MapSpec::Grid {
+        cols,
+        rows: 3,
+        spacing_m: 100.0,
+        lanes,
+        speed_mps,
+    }
+}
+
+/// Runs `vcount <cmd> <path> <extra…>` and asserts it refuses the file
+/// the way validation does: exit 1, `error: <path>: <want>`, no panic.
+fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str) {
+    let out = bin().arg(cmd).arg(path).args(extra).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{}: {err}", path.display());
+    assert!(
+        err.contains(&format!("error: {}: {want}", path.display())),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// A scenario file that would break engine or simulator assembly — an
-/// invalid map, an explicit seed outside the map, an invalid traffic
-/// config — is refused by validation: exit 1 with an `error:` line, never
-/// a panic.
+/// invalid map or map size, an explicit seed outside the map, an invalid
+/// traffic config, a channel probability outside [0, 1] — is refused by
+/// validation: exit 1 with an `error:` line, never a panic.
 #[test]
 fn run_refuses_an_invalid_scenario() {
     let dir = std::env::temp_dir().join(format!("vcount-cli-bad-{}", std::process::id()));
@@ -120,34 +146,79 @@ fn run_refuses_an_invalid_scenario() {
     assert!(out.status.success());
     let scenario: Scenario =
         serde_json::from_str(&std::fs::read_to_string(&good).unwrap()).unwrap();
-    fn grid(speed_mps: f64) -> MapSpec {
-        MapSpec::Grid {
-            cols: 3,
-            rows: 3,
-            spacing_m: 100.0,
-            lanes: 1,
-            speed_mps,
-        }
-    }
     type Poison = (&'static str, fn(&mut Scenario), &'static str);
-    let cases: [Poison; 3] = [
+    let cases: [Poison; 10] = [
         (
             "bad_map",
-            |s| s.map = grid(0.0),
+            |s| s.map = grid(3, 1, 0.0),
             "scenario map is invalid: edge e0 has non-positive length or speed",
         ),
         (
             "bad_seed",
             |s| {
-                s.map = grid(10.0);
+                s.map = grid(3, 1, 10.0);
                 s.seeds = SeedSpec::Explicit(vec![9999]);
             },
             "scenario seed 9999 is not a node of the 9-node map",
         ),
         (
+            "dup_seed",
+            |s| s.seeds = SeedSpec::Explicit(vec![0, 0]),
+            "scenario seed 0 is listed twice",
+        ),
+        (
             "bad_sim",
             |s| s.sim.dt_s = 0.0,
             "invalid simulator config: dt_s must be positive",
+        ),
+        (
+            "bernoulli_1.5",
+            |s| s.channel = ChannelKind::Bernoulli(1.5),
+            "channel Bernoulli(1.5): probability 1.5 is outside [0, 1]",
+        ),
+        (
+            "burst_p_bad_2",
+            |s| {
+                s.channel = ChannelKind::Burst {
+                    p_good: 0.05,
+                    p_bad: 2.0,
+                    p_g2b: 0.1,
+                    p_b2g: 0.2,
+                }
+            },
+            "channel Burst { p_good: 0.05, p_bad: 2.0, p_g2b: 0.1, p_b2g: 0.2 }: \
+             probability 2 is outside [0, 1]",
+        ),
+        (
+            "grid_0_cols",
+            |s| s.map = grid(0, 1, 10.0),
+            "scenario map needs cols >= 1, got 0",
+        ),
+        (
+            "grid_0_lanes",
+            |s| s.map = grid(3, 0, 10.0),
+            "scenario map needs lanes >= 1, got 0",
+        ),
+        (
+            "ring_1_node",
+            |s| {
+                s.map = MapSpec::DirectedRing {
+                    nodes: 1,
+                    spacing_m: 100.0,
+                    speed_mps: 10.0,
+                }
+            },
+            "scenario map needs nodes >= 2, got 1",
+        ),
+        (
+            "midtown_1_avenue",
+            |s| {
+                s.map = MapSpec::Manhattan(ManhattanConfig {
+                    avenues: 1,
+                    ..ManhattanConfig::small()
+                })
+            },
+            "scenario map needs avenues >= 2, got 1",
         ),
     ];
     for (name, poison, want) in cases {
@@ -155,15 +226,28 @@ fn run_refuses_an_invalid_scenario() {
         poison(&mut bad);
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
-        let out = bin().arg("run").arg(&path).output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
-        assert!(
-            err.contains(&format!("error: {}: {want}", path.display())),
-            "{name}: {err}"
-        );
-        assert!(!err.contains("panicked"), "{name}: {err}");
+        assert_refused("run", &path, &[], want);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `vcount feed` checks its scenario before it builds a simulator from
+/// it: a zero-speed grid is an `error:` line, not a panic.
+#[test]
+fn feed_refuses_an_invalid_scenario() {
+    let dir = std::env::temp_dir().join(format!("vcount-cli-bad-feed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut scenario = Scenario::fig1_walkthrough(5);
+    scenario.map = grid(3, 1, 0.0);
+    let path = dir.join("zero_speed.json");
+    std::fs::write(&path, serde_json::to_string(&scenario).unwrap()).unwrap();
+    let emit = dir.join("cmds.jsonl");
+    assert_refused(
+        "feed",
+        &path,
+        &["--emit", emit.to_str().unwrap()],
+        "scenario map is invalid: edge e0 has non-positive length or speed",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

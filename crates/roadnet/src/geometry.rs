@@ -34,27 +34,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Linear interpolation from `self` toward `other` by fraction `t`
-    /// (`t = 0` yields `self`, `t = 1` yields `other`).
-    pub fn lerp(&self, other: &Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
-    /// Heading from `self` to `other` in radians, measured counter-clockwise
-    /// from east. Returns 0 for coincident points.
-    pub fn heading_to(&self, other: &Point) -> f64 {
-        let dy = other.y - self.y;
-        let dx = other.x - self.x;
-        if dx == 0.0 && dy == 0.0 {
-            0.0
-        } else {
-            dy.atan2(dx)
-        }
-    }
 }
 
 /// Axis-aligned bounding box of a set of points.
@@ -113,11 +92,6 @@ pub fn mph_to_mps(mph: f64) -> f64 {
     mph * 0.44704
 }
 
-/// Converts metres per second to miles per hour.
-pub fn mps_to_mph(mps: f64) -> f64 {
-    mps / 0.44704
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,30 +109,6 @@ mod tests {
         let a = Point::new(-2.5, 7.0);
         let b = Point::new(10.0, -1.0);
         assert_eq!(a.distance(&b), b.distance(&a));
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Point::new(1.0, 2.0);
-        let b = Point::new(-3.0, 9.0);
-        let p0 = a.lerp(&b, 0.0);
-        let p1 = a.lerp(&b, 1.0);
-        assert_eq!((p0.x, p0.y), (1.0, 2.0));
-        assert_eq!((p1.x, p1.y), (-3.0, 9.0));
-    }
-
-    #[test]
-    fn heading_cardinal_directions() {
-        let o = Point::new(0.0, 0.0);
-        assert!((o.heading_to(&Point::new(1.0, 0.0)) - 0.0).abs() < 1e-12);
-        let north = o.heading_to(&Point::new(0.0, 1.0));
-        assert!((north - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heading_of_coincident_points_is_zero() {
-        let o = Point::new(3.0, 3.0);
-        assert_eq!(o.heading_to(&o), 0.0);
     }
 
     #[test]
@@ -185,11 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn mph_round_trips() {
-        for mph in [15.0, 25.0, 66.0] {
-            assert!((mps_to_mph(mph_to_mps(mph)) - mph).abs() < 1e-9);
-        }
-        // The paper's two operating points.
+    fn mph_converts_at_the_papers_operating_points() {
         assert!((mph_to_mps(15.0) - 6.7056).abs() < 1e-4);
         assert!((mph_to_mps(25.0) - 11.176).abs() < 1e-3);
     }

@@ -30,7 +30,7 @@ pub mod graph;
 pub mod patrol;
 pub mod routing;
 
-pub use geometry::{mph_to_mps, mps_to_mph, Bounds, Point};
+pub use geometry::{mph_to_mps, Bounds, Point};
 pub use graph::{Edge, EdgeId, Interaction, NetError, Node, NodeId, NodeKind, RoadNetwork};
 pub use patrol::{covering_cycle, edge_covering_cycle, PatrolCycle};
-pub use routing::{random_turn, shortest_path, travel_time_diameter, travel_times_from, Path};
+pub use routing::{shortest_path, travel_time_diameter, travel_times_from, Path};

@@ -1,17 +1,8 @@
-//! Routing over the road network.
-//!
-//! Two policies matter for the reproduction:
-//!
-//! * [`shortest_path`] — Dijkstra by free-flow travel time. Used by patrol
-//!   cycle construction and by trip-based demand.
-//! * [`random_turn`] — the *unpredictable trajectory* of Section I: at every
-//!   intersection a vehicle picks a random outbound direction, avoiding an
-//!   immediate U-turn when any alternative exists. This is the adversarial
-//!   workload the protocol must tolerate ("the target can deliberately drive
-//!   in an unpredictable manner").
+//! Routing over the road network: [`shortest_path`], Dijkstra by free-flow
+//! travel time, used by patrol cycle construction and trip-based demand,
+//! and the travel-time tables built on it.
 
 use crate::graph::{EdgeId, NodeId, RoadNetwork};
-use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -162,41 +153,11 @@ fn dijkstra(
     (dist, prev)
 }
 
-/// Picks the next outbound edge for a vehicle arriving at `node` via
-/// `arrived_on` (or `None` for a fresh departure), avoiding an immediate
-/// U-turn (the twin of the arrival edge) whenever another choice exists.
-///
-/// Panics if `node` has no outbound edges — a dead end, which valid
-/// (strongly connected) networks never contain.
-pub fn random_turn<R: Rng + ?Sized>(
-    net: &RoadNetwork,
-    node: NodeId,
-    arrived_on: Option<EdgeId>,
-    rng: &mut R,
-) -> EdgeId {
-    let out = net.out_edges(node);
-    assert!(!out.is_empty(), "dead end at {node}: no outbound edges");
-    let forbidden = arrived_on.and_then(|e| net.edge(e).twin);
-    let candidates: Vec<EdgeId> = out
-        .iter()
-        .copied()
-        .filter(|e| Some(*e) != forbidden)
-        .collect();
-    let pool: &[EdgeId] = if candidates.is_empty() {
-        out
-    } else {
-        &candidates
-    };
-    pool[rng.gen_range(0..pool.len())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::grid;
     use crate::geometry::Point;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn small_grid() -> RoadNetwork {
         grid(4, 4, 100.0, 1, 10.0)
@@ -261,40 +222,5 @@ mod tests {
         let net = small_grid();
         let d = travel_time_diameter(&net, 1);
         assert!((d - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn random_turn_avoids_u_turn_when_possible() {
-        let net = small_grid();
-        let mut rng = StdRng::seed_from_u64(7);
-        // Node 5 is interior with 4 neighbours; arriving from node 1.
-        let arrival = net.edge_between(NodeId(1), NodeId(5)).unwrap();
-        for _ in 0..100 {
-            let e = random_turn(&net, NodeId(5), Some(arrival), &mut rng);
-            assert_ne!(net.edge(e).to, NodeId(1), "took a U-turn with options left");
-        }
-    }
-
-    #[test]
-    fn random_turn_u_turns_at_cul_de_sac() {
-        // a <-> b, arrive at b from a: the only exit is back to a.
-        let mut net = RoadNetwork::new();
-        let a = net.add_node(Point::new(0.0, 0.0));
-        let b = net.add_node(Point::new(10.0, 0.0));
-        let (ab, ba) = net.add_two_way(a, b, 1, 5.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let e = random_turn(&net, b, Some(ab), &mut rng);
-        assert_eq!(e, ba);
-    }
-
-    #[test]
-    fn random_turn_covers_all_options() {
-        let net = small_grid();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..200 {
-            seen.insert(random_turn(&net, NodeId(5), None, &mut rng));
-        }
-        assert_eq!(seen.len(), net.out_edges(NodeId(5)).len());
     }
 }

@@ -39,7 +39,7 @@
 //! faults never cause a *silent* miscount.
 
 use crate::engine::Engine;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vcount_core::{ActionKind, CheckpointState};
 use vcount_obs::ProtocolEvent;
@@ -113,22 +113,17 @@ pub struct FaultPlan {
     /// Message-chaos window, if any.
     #[serde(default)]
     pub chaos: Option<ChaosFault>,
-    /// Cadence of the per-checkpoint recovery state images, seconds
-    /// (0 or absent = [`DEFAULT_IMAGE_EVERY_S`]).
+    /// Cadence of the per-checkpoint recovery state images, seconds.
+    /// Absent reads as 0, which [`FaultLayer::from_plan`] turns into
+    /// [`DEFAULT_IMAGE_EVERY_S`] for every run, however the plan arrived.
     #[serde(default)]
     pub image_every_s: f64,
 }
 
 impl FaultPlan {
-    /// Parses a plan from JSON. An absent (or zero) `image_every_s` is
-    /// normalized to [`DEFAULT_IMAGE_EVERY_S`].
+    /// Parses a plan from JSON.
     pub fn from_json(s: &str) -> Result<FaultPlan, String> {
-        let mut plan: FaultPlan =
-            serde_json::from_str(s).map_err(|e| format!("invalid fault plan: {e}"))?;
-        if plan.image_every_s == 0.0 {
-            plan.image_every_s = DEFAULT_IMAGE_EVERY_S;
-        }
-        Ok(plan)
+        serde_json::from_str(s).map_err(|e| format!("invalid fault plan: {e}"))
     }
 
     /// Serializes the plan to pretty JSON.
@@ -256,7 +251,7 @@ pub struct FaultCounters {
 }
 
 /// Serializable image of a live [`FaultLayer`] (the plan itself rides
-/// separately in the engine snapshot).
+/// separately in the engine snapshot) — also the layer's live state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSnapshot {
     /// Draws consumed from the fault RNG stream.
@@ -302,13 +297,9 @@ pub struct PatrolChaos {
 struct FaultState {
     plan: FaultPlan,
     rng: ReplayRng,
-    counters: FaultCounters,
-    /// Last recovery image per checkpoint (refreshed at cadence while up).
-    images: Vec<Option<CheckpointState>>,
-    next_image_s: f64,
-    crash_fired: Vec<bool>,
-    recover_fired: Vec<bool>,
-    down: Vec<bool>,
+    /// Everything else that moves; its `rng_draws` is read from `rng` only
+    /// when the layer is snapshotted.
+    live: FaultSnapshot,
 }
 
 /// The engine's fault-injection layer. Inactive by default (every query is
@@ -325,14 +316,25 @@ impl FaultLayer {
         FaultLayer::default()
     }
 
-    /// Activates a validated plan over a deployment of `nodes` checkpoints.
-    pub fn from_plan(plan: FaultPlan, nodes: usize) -> Result<Self, String> {
+    /// Activates `plan` over a deployment of `nodes` checkpoints: fresh,
+    /// or resumed from the `image` a snapshot carries. An `image_every_s`
+    /// of 0 (absent) becomes [`DEFAULT_IMAGE_EVERY_S`]. The plan must pass
+    /// [`FaultPlan::validate`], and a resumed image must have one
+    /// `down`/`images` entry per checkpoint and one
+    /// `crash_fired`/`recover_fired` entry per crash.
+    pub fn from_plan(
+        mut plan: FaultPlan,
+        nodes: usize,
+        image: Option<FaultSnapshot>,
+    ) -> Result<Self, String> {
+        if plan.image_every_s == 0.0 {
+            plan.image_every_s = DEFAULT_IMAGE_EVERY_S;
+        }
         plan.validate(nodes)?;
         let k = plan.crashes.len();
-        let rng = ReplayRng::seed_from_u64(plan.seed);
-        Ok(FaultLayer {
-            state: Some(Box::new(FaultState {
-                rng,
+        let live = match image {
+            None => FaultSnapshot {
+                rng_draws: 0,
                 counters: FaultCounters::default(),
                 images: vec![None; nodes],
                 // First fault_step images every checkpoint immediately, so
@@ -342,37 +344,43 @@ impl FaultLayer {
                 crash_fired: vec![false; k],
                 recover_fired: vec![false; k],
                 down: vec![false; nodes],
+            },
+            Some(image) => {
+                if image.next_image_s.is_nan() || image.next_image_s < 0.0 {
+                    return Err(format!(
+                        "fault state next_image_s must be >= 0, got {:?}",
+                        image.next_image_s
+                    ));
+                }
+                for (name, len, want) in [
+                    ("down", image.down.len(), nodes),
+                    ("images", image.images.len(), nodes),
+                    ("crash_fired", image.crash_fired.len(), k),
+                    ("recover_fired", image.recover_fired.len(), k),
+                ] {
+                    if len != want {
+                        return Err(format!(
+                            "fault state has {len} {name} entries, the plan needs {want}"
+                        ));
+                    }
+                }
+                image
+            }
+        };
+        Ok(FaultLayer {
+            state: Some(Box::new(FaultState {
+                rng: ReplayRng::resume(plan.seed, live.rng_draws),
                 plan,
+                live,
             })),
         })
-    }
-
-    /// Rebuilds a mid-run layer from a snapshot.
-    pub fn restore(plan: FaultPlan, snap: &FaultSnapshot) -> Self {
-        FaultLayer {
-            state: Some(Box::new(FaultState {
-                rng: ReplayRng::resume(plan.seed, snap.rng_draws),
-                counters: snap.counters,
-                images: snap.images.clone(),
-                next_image_s: snap.next_image_s,
-                crash_fired: snap.crash_fired.clone(),
-                recover_fired: snap.recover_fired.clone(),
-                down: snap.down.clone(),
-                plan,
-            })),
-        }
     }
 
     /// Serializable image of the live layer (`None` when inactive).
     pub fn snapshot(&self) -> Option<FaultSnapshot> {
         self.state.as_ref().map(|s| FaultSnapshot {
             rng_draws: s.rng.draws(),
-            counters: s.counters,
-            images: s.images.clone(),
-            next_image_s: s.next_image_s,
-            crash_fired: s.crash_fired.clone(),
-            recover_fired: s.recover_fired.clone(),
-            down: s.down.clone(),
+            ..s.live.clone()
         })
     }
 
@@ -388,7 +396,10 @@ impl FaultLayer {
 
     /// The injection counters so far (zero when inactive).
     pub fn counters(&self) -> FaultCounters {
-        self.state.as_ref().map(|s| s.counters).unwrap_or_default()
+        self.state
+            .as_ref()
+            .map(|s| s.live.counters)
+            .unwrap_or_default()
     }
 
     /// The degraded-status contract (see the module docs): true as soon as
@@ -405,7 +416,9 @@ impl FaultLayer {
 
     /// Whether `node`'s checkpoint is currently down.
     pub fn down(&self, node: NodeId) -> bool {
-        self.state.as_ref().is_some_and(|s| s.down[node.index()])
+        self.state
+            .as_ref()
+            .is_some_and(|s| s.live.down[node.index()])
     }
 
     /// Whether a handoff at `node` at time `now` falls in a blackout
@@ -421,7 +434,7 @@ impl FaultLayer {
             .iter()
             .any(|b| now >= b.from_s && now < b.until_s && b.nodes.contains(&node.0));
         if hit {
-            state.counters.blackout_handoffs += 1;
+            state.live.counters.blackout_handoffs += 1;
         }
         hit
     }
@@ -445,20 +458,20 @@ impl FaultLayer {
         // it would shift every later draw in the fault stream.
         let duplicate = state.rng.gen_bool(chaos.duplicate_p);
         let duplicate_extra_delay_s = if duplicate {
-            state.counters.chaos_duplicates += 1;
+            state.live.counters.chaos_duplicates += 1;
             state.rng.gen::<f64>() * chaos.max_delay_s
         } else {
             0.0
         };
         let extra_delay_s = if state.rng.gen_bool(chaos.delay_p) {
-            state.counters.chaos_delays += 1;
+            state.live.counters.chaos_delays += 1;
             state.rng.gen::<f64>() * chaos.max_delay_s
         } else {
             0.0
         };
         let reorder = state.rng.gen_bool(chaos.reorder_p);
         if reorder {
-            state.counters.chaos_reorders += 1;
+            state.live.counters.chaos_reorders += 1;
         }
         RelayChaos {
             duplicate,
@@ -485,10 +498,10 @@ impl FaultLayer {
             reverse: state.rng.gen_bool(chaos.reorder_p),
         };
         if out.duplicate {
-            state.counters.chaos_duplicates += 1;
+            state.live.counters.chaos_duplicates += 1;
         }
         if out.reverse {
-            state.counters.chaos_reorders += 1;
+            state.live.counters.chaos_reorders += 1;
         }
         out
     }
@@ -496,21 +509,21 @@ impl FaultLayer {
     /// Counts messages dropped because a checkpoint was down.
     pub fn note_dropped_messages(&mut self, n: usize) {
         if let Some(s) = self.state.as_deref_mut() {
-            s.counters.dropped_messages += n as u64;
+            s.live.counters.dropped_messages += n as u64;
         }
     }
 
     /// Counts a carried label lost at a down checkpoint.
     pub fn note_label_dropped(&mut self) {
         if let Some(s) = self.state.as_deref_mut() {
-            s.counters.labels_dropped += 1;
+            s.live.counters.labels_dropped += 1;
         }
     }
 
     /// Counts an observation suppressed at an active-but-down checkpoint.
     pub fn note_suppressed_observation(&mut self) {
         if let Some(s) = self.state.as_deref_mut() {
-            s.counters.suppressed_observations += 1;
+            s.live.counters.suppressed_observations += 1;
         }
     }
 }
@@ -542,22 +555,22 @@ pub fn fault_step(engine: &mut Engine) {
     // the whole engine (recording, audit, dispatch).
     let crash_count = {
         let Engine { cps, faults, .. } = engine;
-        let Some(state) = faults.state.as_deref_mut() else {
+        let Some(FaultState { plan, live, .. }) = faults.state.as_deref_mut() else {
             return;
         };
         // Refresh recovery images at cadence; down checkpoints keep their
         // pre-crash image (that is what they recover from).
-        if now >= state.next_image_s {
+        if now >= live.next_image_s {
             for (i, cp) in cps.iter().enumerate() {
-                if !state.down[i] {
-                    state.images[i] = Some(cp.export_state());
+                if !live.down[i] {
+                    live.images[i] = Some(cp.export_state());
                 }
             }
-            while state.next_image_s <= now {
-                state.next_image_s += state.plan.image_every_s;
+            while live.next_image_s <= now {
+                live.next_image_s += plan.image_every_s;
             }
         }
-        state.plan.crashes.len()
+        plan.crashes.len()
     };
 
     for ci in 0..crash_count {
@@ -574,22 +587,23 @@ pub fn fault_step(engine: &mut Engine) {
             } = engine;
             let state = faults.state.as_deref_mut().expect("checked above");
             let crash = state.plan.crashes[ci];
+            let live = &mut state.live;
             let idx = crash.node as usize;
-            if !state.crash_fired[ci] && now >= crash.at_s {
-                state.crash_fired[ci] = true;
-                state.down[idx] = true;
-                state.counters.crashes += 1;
+            if !live.crash_fired[ci] && now >= crash.at_s {
+                live.crash_fired[ci] = true;
+                live.down[idx] = true;
+                live.counters.crashes += 1;
                 // The crash loses whatever accrued since the last image.
-                let state_lost = match &state.images[idx] {
+                let state_lost = match &live.images[idx] {
                     Some(img) => *img != cps[idx].export_state(),
                     None => true,
                 };
                 if state_lost {
-                    state.counters.state_lost_crashes += 1;
+                    live.counters.state_lost_crashes += 1;
                 }
                 let dropped = exchange.drop_node_queues(NodeId(crash.node));
                 if dropped > 0 {
-                    state.counters.dropped_messages += dropped as u64;
+                    live.counters.dropped_messages += dropped as u64;
                     log.record(
                         now,
                         ProtocolEvent::FaultMessageDropped {
@@ -606,7 +620,7 @@ pub fn fault_step(engine: &mut Engine) {
                 // silent miscount.
                 let watches = exchange.drop_origin_watches(NodeId(crash.node));
                 if watches > 0 {
-                    state.counters.watches_dropped += watches as u64;
+                    live.counters.watches_dropped += watches as u64;
                     log.record(
                         now,
                         ProtocolEvent::FaultWatchDropped {
@@ -637,12 +651,13 @@ pub fn fault_step(engine: &mut Engine) {
             let Engine { faults, .. } = engine;
             let state = faults.state.as_deref_mut().expect("checked above");
             let crash = state.plan.crashes[ci];
+            let live = &mut state.live;
             let idx = crash.node as usize;
-            if state.crash_fired[ci] && !state.recover_fired[ci] && now >= crash.recover_s {
-                state.recover_fired[ci] = true;
-                state.down[idx] = false;
-                state.counters.recoveries += 1;
-                let image = state.images[idx].clone().map(Box::new);
+            if live.crash_fired[ci] && !live.recover_fired[ci] && now >= crash.recover_s {
+                live.recover_fired[ci] = true;
+                live.down[idx] = false;
+                live.counters.recoveries += 1;
+                let image = live.images[idx].clone().map(Box::new);
                 Some((crash.node, image))
             } else {
                 None
@@ -691,11 +706,13 @@ mod tests {
         let p = plan();
         let back = FaultPlan::from_json(&p.to_json()).unwrap();
         assert_eq!(back, p);
-        // A minimal plan fills every default.
+        // A minimal plan parses as written; the layer fills the image
+        // cadence default.
         let minimal = FaultPlan::from_json("{\"seed\": 3}").unwrap();
         assert!(minimal.is_empty());
-        assert_eq!(minimal.image_every_s, 60.0);
-        assert!(minimal.validate(4).is_ok());
+        assert_eq!(minimal.image_every_s, 0.0);
+        let layer = FaultLayer::from_plan(minimal, 4, None).unwrap();
+        assert_eq!(layer.plan().unwrap().image_every_s, 60.0);
     }
 
     #[test]
@@ -737,7 +754,7 @@ mod tests {
 
     #[test]
     fn blackout_windows_hit_only_listed_nodes_in_window() {
-        let mut layer = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut layer = FaultLayer::from_plan(plan(), 3, None).unwrap();
         assert!(layer.blackout_handoff(30.0, NodeId(0)));
         assert!(layer.blackout_handoff(89.9, NodeId(2)));
         assert!(!layer.blackout_handoff(29.9, NodeId(0)));
@@ -750,13 +767,13 @@ mod tests {
 
     #[test]
     fn chaos_stream_is_deterministic_and_snapshot_resumable() {
-        let mut a = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut a = FaultLayer::from_plan(plan(), 3, None).unwrap();
         let seq_a: Vec<RelayChaos> = (0..40).map(|i| a.chaos_relay(i as f64)).collect();
-        let mut b = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut b = FaultLayer::from_plan(plan(), 3, None).unwrap();
         let prefix: Vec<RelayChaos> = (0..17).map(|i| b.chaos_relay(i as f64)).collect();
         assert_eq!(prefix[..], seq_a[..17]);
         let snap = b.snapshot().unwrap();
-        let mut resumed = FaultLayer::restore(plan(), &snap);
+        let mut resumed = FaultLayer::from_plan(plan(), 3, Some(snap)).unwrap();
         assert_eq!(resumed.counters(), b.counters());
         let tail: Vec<RelayChaos> = (17..40).map(|i| resumed.chaos_relay(i as f64)).collect();
         assert_eq!(tail[..], seq_a[17..]);
@@ -766,7 +783,7 @@ mod tests {
 
     #[test]
     fn chaos_outside_window_consumes_no_draws() {
-        let mut layer = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut layer = FaultLayer::from_plan(plan(), 3, None).unwrap();
         assert_eq!(layer.chaos_relay(400.0), RelayChaos::default());
         assert_eq!(layer.chaos_patrol(400.0), PatrolChaos::default());
         assert_eq!(layer.snapshot().unwrap().rng_draws, 0);
@@ -774,15 +791,15 @@ mod tests {
 
     #[test]
     fn degraded_tracks_information_loss_classes() {
-        let mut layer = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut layer = FaultLayer::from_plan(plan(), 3, None).unwrap();
         assert!(!layer.degraded());
         layer.note_dropped_messages(2);
         assert!(layer.degraded());
         assert_eq!(layer.counters().dropped_messages, 2);
-        let mut layer = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut layer = FaultLayer::from_plan(plan(), 3, None).unwrap();
         layer.note_label_dropped();
         assert!(layer.degraded());
-        let mut layer = FaultLayer::from_plan(plan(), 3).unwrap();
+        let mut layer = FaultLayer::from_plan(plan(), 3, None).unwrap();
         layer.note_suppressed_observation();
         assert!(layer.degraded());
     }

@@ -166,12 +166,11 @@ impl ReplayReport {
 /// Re-drives the pure machines from `trace` — without the simulator — and
 /// reports whether dispatches and final counts are byte-identical to the
 /// recording. `Err` is reserved for traces that cannot be replayed at all
-/// (bad map, out-of-range node); a clean replay with divergent outcomes
-/// returns `Ok` with the mismatch flags set.
+/// (a scenario failing [`crate::Scenario::validate`], an out-of-range
+/// node); a clean replay with divergent outcomes returns `Ok` with the
+/// mismatch flags set.
 pub fn replay_trace(trace: &ActionTrace) -> Result<ReplayReport, String> {
-    let net = trace.scenario.map.build(trace.scenario.closed);
-    net.validate()
-        .map_err(|e| format!("trace scenario map invalid: {e}"))?;
+    let net = trace.scenario.validate()?;
     let nodes = net.node_count();
     let mut rp = Replayer::new(&net, trace.scenario.protocol);
     for rec in &trace.records {

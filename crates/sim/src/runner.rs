@@ -210,11 +210,10 @@ impl RunnerBuilder {
         self.try_build().expect("runner must assemble")
     }
 
-    /// Like [`RunnerBuilder::build`], but reports an invalid map, an
-    /// explicit seed outside it, an invalid traffic config (in-process
-    /// runs), an invalid fault plan, a snapshot that does not fit its
-    /// scenario map, or a knob a resumed run cannot take as an error
-    /// instead of panicking.
+    /// Like [`RunnerBuilder::build`], but reports a scenario failing
+    /// [`Scenario::validate`], an invalid fault plan, a snapshot that does
+    /// not fit its scenario, or a knob a resumed run cannot take as an
+    /// error instead of panicking.
     pub fn try_build(self) -> Result<Runner, String> {
         let RunnerBuilder {
             scenario,
@@ -232,30 +231,17 @@ impl RunnerBuilder {
                 "a resumed run keeps its snapshot's fault plan and records no actions".into(),
             );
         }
-        let net = scenario.map.build(scenario.closed);
-        net.validate()
-            .map_err(|e| format!("scenario map is invalid: {e}"))?;
+        let net = scenario.validate()?;
         let n = net.node_count();
-        if let SeedSpec::Explicit(list) = &scenario.seeds {
-            if let Some(seed) = list.iter().find(|&&s| s as usize >= n) {
-                return Err(format!(
-                    "scenario seed {seed} is not a node of the {n}-node map"
-                ));
-            }
-        }
         let source: Box<dyn ObservationSource> = match (&snapshot, external) {
             (_, true) => Box::new(ExternalSource::new()),
-            (None, false) => {
-                scenario
-                    .sim
-                    .validate()
-                    .map_err(|e| format!("invalid simulator config: {e}"))?;
-                Box::new(SimulatorSource::from_scenario(&scenario, 1))
-            }
+            (None, false) => Box::new(SimulatorSource::from_scenario(&scenario, 1)),
             (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)?),
         };
         let faults = match faults {
-            Some(plan) => FaultLayer::from_plan(plan, n).map_err(|e| format!("fault plan: {e}"))?,
+            Some(plan) => {
+                FaultLayer::from_plan(plan, n, None).map_err(|e| format!("fault plan: {e}"))?
+            }
             None => FaultLayer::none(),
         };
         let cps = net
@@ -381,9 +367,12 @@ impl Runner {
         self.seeds = snap.seeds;
         engine.naive = snap.naive;
         engine.dedup = snap.dedup;
-        if let (Some(plan), Some(state)) = (snap.fault_plan, &snap.faults) {
-            engine.faults = FaultLayer::restore(plan, state);
-        }
+        engine.faults = match (snap.fault_plan, snap.faults) {
+            (None, None) => FaultLayer::none(),
+            (Some(plan), Some(image)) => FaultLayer::from_plan(plan, n, Some(image))
+                .map_err(|e| format!("snapshot faults: {e}"))?,
+            _ => return Err("snapshot faults: plan without state or state without plan".into()),
+        };
         Ok(())
     }
 

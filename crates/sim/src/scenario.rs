@@ -165,6 +165,71 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The one check of a scenario from outside the process (a file, a
+    /// wire `Start`, a snapshot, an action trace), returning its built map:
+    /// the map sizes the builders assert on, the map itself
+    /// ([`RoadNetwork::validate`]), explicit seeds inside it and listed
+    /// once, the traffic config ([`SimConfig::validate`]) and every channel
+    /// probability. A scenario that passes assembles into a run without a
+    /// panic.
+    pub fn validate(&self) -> Result<RoadNetwork, String> {
+        let sizes = match &self.map {
+            MapSpec::Grid {
+                cols, rows, lanes, ..
+            } => vec![
+                ("cols", *cols, 1),
+                ("rows", *rows, 1),
+                ("lanes", (*lanes).into(), 1),
+            ],
+            MapSpec::DirectedRing { nodes, .. } => vec![("nodes", *nodes, 2)],
+            MapSpec::Manhattan(cfg) => {
+                vec![("avenues", cfg.avenues, 2), ("streets", cfg.streets, 2)]
+            }
+            MapSpec::Fig1Triangle { .. } | MapSpec::Random(_) => vec![],
+        };
+        if let Some((name, size, min)) = sizes.into_iter().find(|&(_, size, min)| size < min) {
+            return Err(format!("scenario map needs {name} >= {min}, got {size}"));
+        }
+        let net = self.map.build(self.closed);
+        net.validate()
+            .map_err(|e| format!("scenario map is invalid: {e}"))?;
+        let n = net.node_count();
+        if let SeedSpec::Explicit(list) = &self.seeds {
+            let mut listed = vec![false; n];
+            for &seed in list {
+                match listed.get_mut(seed as usize) {
+                    None => {
+                        return Err(format!(
+                            "scenario seed {seed} is not a node of the {n}-node map"
+                        ))
+                    }
+                    Some(true) => return Err(format!("scenario seed {seed} is listed twice")),
+                    Some(slot) => *slot = true,
+                }
+            }
+        }
+        self.sim
+            .validate()
+            .map_err(|e| format!("invalid simulator config: {e}"))?;
+        let probabilities = match self.channel {
+            ChannelKind::Perfect => vec![],
+            ChannelKind::Bernoulli(p) => vec![p],
+            ChannelKind::Burst {
+                p_good,
+                p_bad,
+                p_g2b,
+                p_b2g,
+            } => vec![p_good, p_bad, p_g2b, p_b2g],
+        };
+        if let Some(p) = probabilities.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+            return Err(format!(
+                "channel {:?}: probability {p} is outside [0, 1]",
+                self.channel
+            ));
+        }
+        Ok(net)
+    }
+
     /// The paper's closed-system evaluation on the midtown map at a given
     /// traffic volume, seed count, and RNG seed: 30% lossy channel,
     /// extended protocol (Alg. 3 + Alg. 4). The 100%-volume density is

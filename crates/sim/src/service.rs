@@ -43,7 +43,6 @@ use crate::scenario::Scenario;
 use crate::source::{ObservationBatch, TruthSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 use vcount_obs::{EventFilter, EventRecord, EventSink, JsonlSink};
 use vcount_traffic::SimSnapshot;
@@ -431,19 +430,15 @@ impl RunManager {
             }
         };
         // Construction is a trust boundary: a wire scenario or snapshot
-        // that `try_build` refuses (an invalid map, an out-of-range
-        // explicit seed) answers this request with an Error, and the
-        // panic guard covers the contracts validation does not reach yet
-        // — neither may kill the daemon and every other tenant with it.
-        let buffer = events.clone();
-        let built = catch_panic_message(AssertUnwindSafe(move || {
-            let mut builder = builder.external(true).sink(Box::new(BufferSink(buffer)));
-            if let Some(sink) = trace_sink {
-                builder = builder.sink(sink);
-            }
-            builder.try_build()
-        }));
-        let runner = match built {
+        // that `try_build` refuses answers this request with an Error, and
+        // the daemon serves every other tenant on.
+        let mut builder = builder
+            .external(true)
+            .sink(Box::new(BufferSink(events.clone())));
+        if let Some(sink) = trace_sink {
+            builder = builder.sink(sink);
+        }
+        let runner = match builder.try_build() {
             Ok(runner) => runner,
             Err(e) => {
                 out.push(ServiceResponse::Error {
@@ -604,26 +599,6 @@ fn trace_sink(path: Option<&str>) -> Result<Option<Box<dyn EventSink + Send>>, S
         Some(p) => JsonlSink::to_file(std::path::Path::new(p), EventFilter::all())
             .map(|s| Some(Box::new(s) as Box<dyn EventSink + Send>))
             .map_err(|e| format!("trace {p}: {e}")),
-    }
-}
-
-/// Runs fallible construction behind a panic boundary, converting an
-/// unwind into the error message the wire expects. The daemon must survive
-/// inputs that violate internal contracts deep inside construction — those
-/// panics are debug aids for in-process callers, not a wire protocol.
-fn catch_panic_message<T>(
-    f: AssertUnwindSafe<impl FnOnce() -> Result<T, String>>,
-) -> Result<T, String> {
-    match std::panic::catch_unwind(f) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "construction panicked".to_string());
-            Err(msg)
-        }
     }
 }
 

@@ -9,16 +9,17 @@
 mod common;
 
 use common::{capture_batch, fnv_digest, grid_scenario};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use vcount_core::ProtocolVariant;
+use vcount_roadnet::builders::ManhattanConfig;
 use vcount_roadnet::{EdgeId, NodeId};
-use vcount_sim::SeedSpec;
 use vcount_sim::{
-    serve_connections, serve_stream, Conn, EngineSnapshot, Goal, Listener, ObservationBatch,
-    ObservationSource, RunManager, Scenario, ServiceConfig, ServiceRequest, ServiceResponse,
-    SimulatorSource, WireClient,
+    serve_connections, serve_stream, Blackout, ChaosFault, Conn, CrashFault, EngineSnapshot,
+    FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager, Scenario,
+    SeedSpec, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource, WireClient,
 };
 use vcount_traffic::TrafficEvent;
-use vcount_v2x::{VehicleClass, VehicleId};
+use vcount_v2x::{ChannelKind, VehicleClass, VehicleId};
 
 /// Applies one request; event lines go to `events`, everything else (the
 /// terminal response — possibly an Error, which is what these tests are
@@ -40,14 +41,45 @@ fn call(mgr: &mut RunManager, req: ServiceRequest, events: &mut Vec<String>) -> 
 }
 
 fn start_request(run: &str, scen: &Scenario) -> ServiceRequest {
+    faulted_start(run, scen, None)
+}
+
+fn faulted_start(run: &str, scen: &Scenario, faults: Option<FaultPlan>) -> ServiceRequest {
     ServiceRequest::Start {
         run: run.into(),
         scenario: Box::new(scen.clone()),
         goal: Some(Goal::Collection),
         shards: 0,
         eager_decode: false,
-        faults: None,
+        faults,
         trace: None,
+    }
+}
+
+/// A chaos window from the start, and a blackout and a crash that begin
+/// after the 60 batches (30 s) the Resume tests feed before they snapshot.
+fn fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 7,
+        crashes: vec![CrashFault {
+            node: 1,
+            at_s: 120.0,
+            recover_s: 300.0,
+        }],
+        blackouts: vec![Blackout {
+            nodes: vec![2],
+            from_s: 60.0,
+            until_s: 180.0,
+        }],
+        chaos: Some(ChaosFault {
+            from_s: 0.0,
+            until_s: 240.0,
+            duplicate_p: 0.2,
+            delay_p: 0.2,
+            max_delay_s: 10.0,
+            reorder_p: 0.1,
+        }),
+        image_every_s: 60.0,
     }
 }
 
@@ -413,19 +445,24 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
 /// Resume's error must say after `resume failed: `.
 type SnapshotPoison = (&'static str, fn(&mut EngineSnapshot), &'static str);
 
-/// Starts tenant `live` on `grid_scenario(Simple, seed)`, feeds it
-/// `batches` batches and snapshots it through the manager. A Resume of
-/// each poisoned copy of that snapshot must be refused at the service
-/// edge: an Error reading `resume failed: <expected>…`, no tenant, no
-/// events. The live tenant then runs on, byte-identical to its solo run.
-fn assert_poisoned_resumes_refused(seed: u64, batches: usize, poisons: &[SnapshotPoison]) {
+/// Starts tenant `live` on `grid_scenario(Simple, seed)` under `plan`,
+/// feeds it `batches` batches, snapshots it through the manager and hands
+/// the manager and snapshot to `meddle`, which must leave no tenant but
+/// `live` behind. The live tenant then runs on, byte-identical to its
+/// solo run.
+fn beside_a_live_tenant(
+    seed: u64,
+    batches: usize,
+    plan: Option<FaultPlan>,
+    meddle: impl FnOnce(&mut RunManager, &EngineSnapshot),
+) {
     let scen = grid_scenario(ProtocolVariant::Simple, seed);
-    let (reference, _) = capture_batch(&scen, None);
+    let (reference, _) = capture_batch(&scen, plan.clone());
 
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut events = Vec::new();
     assert!(matches!(
-        call(&mut mgr, start_request("live", &scen), &mut events),
+        call(&mut mgr, faulted_start("live", &scen, plan), &mut events),
         ServiceResponse::Started { .. }
     ));
     let mut source = SimulatorSource::from_scenario(&scen, 1);
@@ -449,37 +486,8 @@ fn assert_poisoned_resumes_refused(seed: u64, batches: usize, poisons: &[Snapsho
         other => panic!("Snapshot answered with {other:?}"),
     };
 
-    for (what, poison, expected) in poisons {
-        let mut bad = snap.clone();
-        poison(&mut bad);
-        let before = events.len();
-        let resp = call(
-            &mut mgr,
-            ServiceRequest::Resume {
-                run: "bad".into(),
-                snapshot: bad,
-                goal: Some(Goal::Collection),
-                trace: None,
-            },
-            &mut events,
-        );
-        match resp {
-            ServiceResponse::Error { run, message } => {
-                assert_eq!(run, "bad");
-                assert!(
-                    message.starts_with(&format!("resume failed: {expected}")),
-                    "{what}: got {message:?}"
-                );
-            }
-            other => panic!("{what}: Resume answered with {other:?}"),
-        }
-        assert_eq!(
-            events.len(),
-            before,
-            "{what}: a refused Resume emitted events"
-        );
-        assert_eq!(mgr.runs().collect::<Vec<_>>(), ["live"]);
-    }
+    meddle(&mut mgr, &snap);
+    assert_eq!(mgr.runs().collect::<Vec<_>>(), ["live"]);
 
     let mut done = false;
     while !done && source.next_batch(&mut batch) {
@@ -499,9 +507,51 @@ fn assert_poisoned_resumes_refused(seed: u64, batches: usize, poisons: &[Snapsho
     assert_eq!(
         fnv_digest(&events),
         fnv_digest(&reference),
-        "the live tenant diverged beside refused Resumes"
+        "the live tenant diverged beside refused requests"
     );
     assert_eq!(events, reference);
+}
+
+/// Handles one request of a test table, returning its whole answer; a
+/// panic inside the manager fails the test naming `what`.
+fn handle_naming(mgr: &mut RunManager, what: &str, req: ServiceRequest) -> Vec<ServiceResponse> {
+    let mut out = Vec::new();
+    catch_unwind(AssertUnwindSafe(|| mgr.handle(req, &mut out)))
+        .unwrap_or_else(|_| panic!("{what}: the manager panicked"));
+    out
+}
+
+/// Next to a live tenant (see [`beside_a_live_tenant`]), a Resume of each
+/// poisoned copy of its snapshot must be refused at the service edge: one
+/// Error reading `resume failed: <expected>…`, no tenant, no events.
+fn assert_poisoned_resumes_refused(
+    seed: u64,
+    batches: usize,
+    plan: Option<FaultPlan>,
+    poisons: &[SnapshotPoison],
+) {
+    beside_a_live_tenant(seed, batches, plan, |mgr, snap| {
+        for (what, poison, expected) in poisons {
+            let mut bad = Box::new(snap.clone());
+            poison(&mut bad);
+            let resume = ServiceRequest::Resume {
+                run: "bad".into(),
+                snapshot: bad,
+                goal: Some(Goal::Collection),
+                trace: None,
+            };
+            match &handle_naming(mgr, what, resume)[..] {
+                [ServiceResponse::Error { run, message }] => {
+                    assert_eq!(run, "bad");
+                    assert!(
+                        message.starts_with(&format!("resume failed: {expected}")),
+                        "{what}: got {message:?}"
+                    );
+                }
+                other => panic!("{what}: Resume answered with {other:?}"),
+            }
+        }
+    });
 }
 
 /// A Resume carrying a snapshot whose schema tag is not the current one —
@@ -512,6 +562,7 @@ fn resume_with_a_foreign_schema_tag_is_an_error() {
     assert_poisoned_resumes_refused(
         139,
         40,
+        None,
         &[
             (
                 "v0",
@@ -535,6 +586,7 @@ fn resume_with_garbage_label_bytes_is_an_error() {
     assert_poisoned_resumes_refused(
         81,
         60,
+        None,
         &[(
             "label bytes 0xFF",
             |s| {
@@ -556,11 +608,299 @@ fn resume_with_a_seed_outside_the_map_is_an_error() {
     assert_poisoned_resumes_refused(
         81,
         60,
+        None,
         &[(
             "seed 9999",
             |s| s.seeds.push(NodeId(9999)),
             "snapshot seed 9999 is not a node of the 16-node map",
         )],
+    );
+}
+
+/// A faulted run's snapshot whose fault state does not fit its plan and
+/// map is refused at Resume. Accepted with `faults.down` emptied, it
+/// panicked the daemon on the next Observe that named a checkpoint.
+#[test]
+fn resume_with_inconsistent_fault_state_is_an_error() {
+    assert_poisoned_resumes_refused(
+        81,
+        60,
+        Some(fault_plan()),
+        &[
+            (
+                "down emptied",
+                |s| s.faults.as_mut().unwrap().down.clear(),
+                "snapshot faults: fault state has 0 down entries, the plan needs 16",
+            ),
+            (
+                "images one short",
+                |s| {
+                    s.faults.as_mut().unwrap().images.pop();
+                },
+                "snapshot faults: fault state has 15 images entries, the plan needs 16",
+            ),
+            (
+                "crash on node 9999",
+                |s| s.fault_plan.as_mut().unwrap().crashes[0].node = 9999,
+                "snapshot faults: crash node 9999 out of range (16 nodes)",
+            ),
+            (
+                "plan without state",
+                |s| s.faults = None,
+                "snapshot faults: plan without state or state without plan",
+            ),
+        ],
+    );
+}
+
+/// A Start whose fault plan omits `image_every_s` runs at the default
+/// cadence, as the same plan does under `vcount run --faults`.
+#[test]
+fn start_with_a_plan_without_image_cadence_is_started() {
+    let scen = grid_scenario(ProtocolVariant::Simple, 153);
+    let line = format!(
+        r#"{{"Start":{{"run":"p","scenario":{},"faults":{{"seed":3}}}}}}"#,
+        serde_json::to_string(&scen).unwrap()
+    );
+    let mut mgr = RunManager::new(ServiceConfig::default());
+    let mut out = Vec::new();
+    mgr.handle_line(&line, &mut out);
+    assert!(
+        matches!(out.last(), Some(ServiceResponse::Started { .. })),
+        "Start answered with {:?}",
+        out.last()
+    );
+}
+
+/// One Start mutation of a table: its name, whether the request stays
+/// valid under it, and the change to the scenario and fault plan.
+type StartMutation = (String, bool, Box<dyn Fn(&mut Scenario, &mut FaultPlan)>);
+
+fn start_mutation(
+    what: impl Into<String>,
+    valid: bool,
+    mutate: impl Fn(&mut Scenario, &mut FaultPlan) + 'static,
+) -> StartMutation {
+    (what.into(), valid, Box::new(mutate))
+}
+
+/// One at a time, every map size, channel probability, traffic setting,
+/// seed and fault-plan field a Start can break construction with.
+fn start_mutations() -> Vec<StartMutation> {
+    fn grid(cols: usize, rows: usize, lanes: u8) -> MapSpec {
+        MapSpec::Grid {
+            cols,
+            rows,
+            spacing_m: 130.0,
+            lanes,
+            speed_mps: 10.0,
+        }
+    }
+    fn midtown(avenues: usize, streets: usize) -> MapSpec {
+        MapSpec::Manhattan(ManhattanConfig {
+            avenues,
+            streets,
+            ..ManhattanConfig::small()
+        })
+    }
+    fn burst(i: usize, p: f64) -> ChannelKind {
+        let mut ps = [0.05, 0.8, 0.1, 0.2];
+        ps[i] = p;
+        ChannelKind::Burst {
+            p_good: ps[0],
+            p_bad: ps[1],
+            p_g2b: ps[2],
+            p_b2g: ps[3],
+        }
+    }
+    let mut out = Vec::new();
+    // A one-wide grid or a one-lane road is still a map.
+    for v in [0, 1] {
+        out.extend([
+            start_mutation(format!("grid cols {v}"), v == 1, move |s, _| {
+                s.map = grid(v, 4, 2)
+            }),
+            start_mutation(format!("grid rows {v}"), v == 1, move |s, _| {
+                s.map = grid(4, v, 2)
+            }),
+            start_mutation(format!("grid lanes {v}"), v == 1, move |s, _| {
+                s.map = grid(4, 4, v as u8)
+            }),
+            start_mutation(format!("ring nodes {v}"), false, move |s, _| {
+                s.map = MapSpec::DirectedRing {
+                    nodes: v,
+                    spacing_m: 100.0,
+                    speed_mps: 10.0,
+                }
+            }),
+            start_mutation(format!("midtown avenues {v}"), false, move |s, _| {
+                s.map = midtown(v, 10)
+            }),
+            start_mutation(format!("midtown streets {v}"), false, move |s, _| {
+                s.map = midtown(6, v)
+            }),
+        ]);
+    }
+    for p in [-0.5, 1.5] {
+        out.push(start_mutation(
+            format!("Bernoulli {p}"),
+            false,
+            move |s, _| s.channel = ChannelKind::Bernoulli(p),
+        ));
+        for i in 0..4 {
+            out.push(start_mutation(
+                format!("Burst probability {i} at {p}"),
+                false,
+                move |s, _| s.channel = burst(i, p),
+            ));
+        }
+    }
+    out.extend([
+        start_mutation("dt_s 0", false, |s, _| s.sim.dt_s = 0.0),
+        start_mutation("min_gap_m 0", false, |s, _| s.sim.min_gap_m = 0.0),
+        start_mutation("admit_per_step 0", false, |s, _| s.sim.admit_per_step = 0),
+        start_mutation("lane_change_prob 1.5", false, |s, _| {
+            s.sim.lane_change_prob = 1.5
+        }),
+        start_mutation("exit_prob 1.5", false, |s, _| s.sim.exit_prob = 1.5),
+        start_mutation("u_turn_prob 1.5", false, |s, _| s.sim.u_turn_prob = 1.5),
+        start_mutation("speed_factor_range reversed", false, |s, _| {
+            s.sim.speed_factor_range = (1.0, 0.6)
+        }),
+        start_mutation("explicit seed 16", false, |s, _| {
+            s.seeds = SeedSpec::Explicit(vec![16])
+        }),
+        start_mutation("explicit seed listed twice", false, |s, _| {
+            s.seeds = SeedSpec::Explicit(vec![3, 3])
+        }),
+        start_mutation("crash node 16", false, |_, p| p.crashes[0].node = 16),
+        start_mutation("blackout node 16", false, |_, p| {
+            p.blackouts[0].nodes.push(16)
+        }),
+        start_mutation("crash window reversed", false, |_, p| {
+            let c = &mut p.crashes[0];
+            std::mem::swap(&mut c.at_s, &mut c.recover_s);
+        }),
+        start_mutation("chaos duplicate_p 1.5", false, |_, p| {
+            p.chaos.as_mut().unwrap().duplicate_p = 1.5
+        }),
+    ]);
+    out
+}
+
+/// Construction never panics, so the daemon needs no panic guard. Each
+/// Start below carries one mutation of a valid faulted Start, and each
+/// Resume one mutation of a faulted tenant's snapshot: every answer is an
+/// Error, or Started where the mutation is still valid. A panic inside
+/// the manager fails the test naming its mutation, and the faulted tenant
+/// fed alongside stays byte-identical to its solo run.
+///
+/// Out of scope: checkpoint states, watch vehicle ids and the oracle
+/// ledger (a bad value there can still panic a later Observe), and sizes
+/// (a huge grid or fleet has no bound).
+#[test]
+fn mutated_starts_and_resumes_never_panic() {
+    let scen = grid_scenario(ProtocolVariant::Simple, 154);
+    beside_a_live_tenant(154, 60, Some(fault_plan()), |mgr, _| {
+        for (what, valid, mutate) in start_mutations() {
+            let (mut bad, mut plan) = (scen.clone(), fault_plan());
+            mutate(&mut bad, &mut plan);
+            let answer = handle_naming(mgr, &what, faulted_start("m", &bad, Some(plan)));
+            match (&answer[..], valid) {
+                ([.., ServiceResponse::Started { .. }], true) => {
+                    handle_naming(mgr, &what, ServiceRequest::Stop { run: "m".into() });
+                }
+                ([ServiceResponse::Error { .. }], false) => {}
+                (other, _) => panic!("{what}: Start answered with {other:?}"),
+            }
+        }
+    });
+    assert_poisoned_resumes_refused(
+        155,
+        60,
+        Some(fault_plan()),
+        &[
+            (
+                "images one short",
+                |s| {
+                    s.faults.as_mut().unwrap().images.pop();
+                },
+                "snapshot faults: fault state has 15 images entries, the plan needs 16",
+            ),
+            (
+                "images one long",
+                |s| s.faults.as_mut().unwrap().images.push(None),
+                "snapshot faults: fault state has 17 images entries, the plan needs 16",
+            ),
+            (
+                "down one short",
+                |s| {
+                    s.faults.as_mut().unwrap().down.pop();
+                },
+                "snapshot faults: fault state has 15 down entries, the plan needs 16",
+            ),
+            (
+                "down one long",
+                |s| s.faults.as_mut().unwrap().down.push(false),
+                "snapshot faults: fault state has 17 down entries, the plan needs 16",
+            ),
+            (
+                "crash_fired one short",
+                |s| {
+                    s.faults.as_mut().unwrap().crash_fired.pop();
+                },
+                "snapshot faults: fault state has 0 crash_fired entries, the plan needs 1",
+            ),
+            (
+                "crash_fired one long",
+                |s| s.faults.as_mut().unwrap().crash_fired.push(false),
+                "snapshot faults: fault state has 2 crash_fired entries, the plan needs 1",
+            ),
+            (
+                "recover_fired one short",
+                |s| {
+                    s.faults.as_mut().unwrap().recover_fired.pop();
+                },
+                "snapshot faults: fault state has 0 recover_fired entries, the plan needs 1",
+            ),
+            (
+                "recover_fired one long",
+                |s| s.faults.as_mut().unwrap().recover_fired.push(false),
+                "snapshot faults: fault state has 2 recover_fired entries, the plan needs 1",
+            ),
+            (
+                "crash node 16",
+                |s| s.fault_plan.as_mut().unwrap().crashes[0].node = 16,
+                "snapshot faults: crash node 16 out of range (16 nodes)",
+            ),
+            (
+                "plan without state",
+                |s| s.faults = None,
+                "snapshot faults: plan without state or state without plan",
+            ),
+            (
+                "state without plan",
+                |s| s.fault_plan = None,
+                "snapshot faults: plan without state or state without plan",
+            ),
+            (
+                "seed 16",
+                |s| s.seeds.push(NodeId(16)),
+                "snapshot seed 16 is not a node of the 16-node map",
+            ),
+            (
+                "next image time -1e300",
+                |s| s.faults.as_mut().unwrap().next_image_s = -1e300,
+                "snapshot faults: fault state next_image_s must be >= 0, got -1e300",
+            ),
+            (
+                "checkpoint table one short",
+                |s| {
+                    s.checkpoints.pop();
+                },
+                "snapshot checkpoint count must match the scenario map",
+            ),
+        ],
     );
 }
 

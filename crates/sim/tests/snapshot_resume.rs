@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use common::{fnv_digest, small_grid_scenario, VecSink};
 use vcount_core::ProtocolVariant;
 use vcount_roadnet::NodeId;
-use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder};
+use vcount_sim::{CrashFault, EngineSnapshot, FaultPlan, Goal, Runner, RunnerBuilder};
 use vcount_traffic::SimSnapshot;
 use vcount_v2x::VehicleId;
 
@@ -141,8 +141,17 @@ fn goal_run_after_resume_matches_reference() {
 /// Resumes a snapshot taken 50 steps into a closed grid run after
 /// `mutate` corrupts it: the refusal, or "accepted".
 fn refusal(mutate: impl FnOnce(&mut EngineSnapshot)) -> String {
+    refusal_under(None, mutate)
+}
+
+/// [`refusal`] for a run under a fault plan.
+fn refusal_under(plan: Option<FaultPlan>, mutate: impl FnOnce(&mut EngineSnapshot)) -> String {
     let scen = small_grid_scenario(ProtocolVariant::Simple, 9);
-    let mut runner = Runner::builder(&scen).build();
+    let mut builder = Runner::builder(&scen);
+    if let Some(plan) = plan {
+        builder = builder.faults(plan);
+    }
+    let mut runner = builder.build();
     for _ in 0..50 {
         runner.step();
     }
@@ -217,4 +226,46 @@ fn resume_rejects_garbage_label_bytes() {
 fn resume_rejects_a_seed_outside_the_map() {
     let err = refusal(|snap| snap.seeds.push(NodeId(9999)));
     assert!(err.contains("snapshot seed 9999 is not a node"), "{err}");
+}
+
+/// A faulted run's fault state must fit its plan and map, and a plan
+/// never comes without its state: each poison is refused at build.
+#[test]
+fn resume_rejects_fault_state_that_does_not_fit() {
+    let plan = FaultPlan {
+        seed: 7,
+        crashes: vec![CrashFault {
+            node: 1,
+            at_s: 120.0,
+            recover_s: 300.0,
+        }],
+        blackouts: vec![],
+        chaos: None,
+        image_every_s: 60.0,
+    };
+    type Poison = (fn(&mut EngineSnapshot), &'static str);
+    let poisons: [Poison; 4] = [
+        (
+            |s| s.faults.as_mut().unwrap().down.clear(),
+            "fault state has 0 down entries, the plan needs 9",
+        ),
+        (
+            |s| {
+                s.faults.as_mut().unwrap().images.pop();
+            },
+            "fault state has 8 images entries, the plan needs 9",
+        ),
+        (
+            |s| s.fault_plan.as_mut().unwrap().crashes[0].node = 9999,
+            "crash node 9999 out of range (9 nodes)",
+        ),
+        (
+            |s| s.faults = None,
+            "plan without state or state without plan",
+        ),
+    ];
+    for (poison, want) in poisons {
+        let err = refusal_under(Some(plan.clone()), poison);
+        assert_eq!(err, format!("snapshot faults: {want}"));
+    }
 }

@@ -281,10 +281,11 @@ print(f"backpressure smoke ok: {accepted} accepted, {throttled} explicit Throttl
 EOF
 
 # Malformed-line smoke: the wire is a trust boundary (DESIGN.md §10) — a
-# garbage line, a Start failing engine assembly's validation (out-of-range
-# seed node), and an Observe failing batch validation (out-of-range node
-# id) must each get an explicit Error response, and the good tenant fed
-# by the very same stream must still produce the byte-identical trace.
+# garbage line, Starts failing scenario validation (an out-of-range seed
+# node, a channel probability of 1.5, a grid with 0 columns), and an
+# Observe failing batch validation (out-of-range node id) must each get an
+# explicit Error response, and the good tenant fed by the very same stream
+# must still produce the byte-identical trace.
 echo "+ vcount serve < poisoned cmds.jsonl (trust-boundary errors, byte-diff good run)"
 run python3 - "$serve_dir" <<'EOF'
 import json, sys
@@ -295,6 +296,13 @@ assert "Start" in start, "first recorded command is the Start"
 hostile = json.loads(good[0])
 hostile["Start"]["run"] = "adv"
 hostile["Start"]["scenario"]["seeds"] = {"Explicit": [9999]}
+bad_channel = json.loads(good[0])
+bad_channel["Start"]["run"] = "adv_channel"
+bad_channel["Start"]["scenario"]["channel"] = {"Bernoulli": 1.5}
+bad_grid = json.loads(good[0])
+bad_grid["Start"]["run"] = "adv_grid"
+bad_grid["Start"]["scenario"]["map"] = {"Grid": {
+    "cols": 0, "rows": 3, "spacing_m": 100.0, "lanes": 1, "speed_mps": 10.0}}
 
 def poison_nodes(v):
     if isinstance(v, dict):
@@ -303,7 +311,8 @@ def poison_nodes(v):
         return [poison_nodes(x) for x in v]
     return v
 
-out = ["this is not json", json.dumps(hostile)]
+out = ["this is not json", json.dumps(hostile), json.dumps(bad_channel),
+       json.dumps(bad_grid)]
 poisoned = False
 for line in good:
     cmd = json.loads(line)
@@ -334,6 +343,9 @@ assert replay == batch, "poison lines perturbed the good tenant's stream"
 msgs = [e["message"] for e in errors]
 assert any("malformed request" in m for m in msgs), msgs
 assert any("start failed: scenario seed 9999" in m for m in msgs), msgs
+for run in ("adv_channel", "adv_grid"):
+    assert any(e["run"] == run and e["message"].startswith("start failed:")
+               for e in errors), (run, errors)
 assert any("malformed batch" in m for m in msgs), msgs
 assert "panicked" not in open(f"{d}/poisoned_stderr.log").read(), \
     "a poisoned request reached a panic instead of validation"
