@@ -133,8 +133,9 @@ impl FaultPlan {
 
     /// Validates the plan against a deployment of `nodes` checkpoints:
     /// node indices in range, positive windows, probabilities in `[0, 1]`,
-    /// and no two crash windows overlapping on the same node.
-    pub fn validate(&self, nodes: usize) -> Result<(), String> {
+    /// and no two crash windows overlapping on the same node. Reached only
+    /// through [`FaultLayer::from_plan`], after the cadence default.
+    pub(crate) fn validate(&self, nodes: usize) -> Result<(), String> {
         if self.image_every_s.is_nan() || self.image_every_s <= 0.0 {
             return Err(format!(
                 "image_every_s must be positive, got {}",
@@ -204,11 +205,6 @@ impl FaultPlan {
             }
         }
         Ok(())
-    }
-
-    /// Whether the plan schedules no fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.blackouts.is_empty() && self.chaos.is_none()
     }
 }
 
@@ -318,8 +314,8 @@ impl FaultLayer {
 
     /// Activates `plan` over a deployment of `nodes` checkpoints: fresh,
     /// or resumed from the `image` a snapshot carries. An `image_every_s`
-    /// of 0 (absent) becomes [`DEFAULT_IMAGE_EVERY_S`]. The plan must pass
-    /// [`FaultPlan::validate`], and a resumed image must have one
+    /// of 0 (absent) becomes [`DEFAULT_IMAGE_EVERY_S`], the plan must then
+    /// pass `FaultPlan::validate`, and a resumed image must have one
     /// `down`/`images` entry per checkpoint and one
     /// `crash_fired`/`recover_fired` entry per crash.
     pub fn from_plan(
@@ -346,12 +342,6 @@ impl FaultLayer {
                 down: vec![false; nodes],
             },
             Some(image) => {
-                if image.next_image_s.is_nan() || image.next_image_s < 0.0 {
-                    return Err(format!(
-                        "fault state next_image_s must be >= 0, got {:?}",
-                        image.next_image_s
-                    ));
-                }
                 for (name, len, want) in [
                     ("down", image.down.len(), nodes),
                     ("images", image.images.len(), nodes),
@@ -387,11 +377,6 @@ impl FaultLayer {
     /// The plan driving this layer (`None` when inactive).
     pub fn plan(&self) -> Option<&FaultPlan> {
         self.state.as_ref().map(|s| &s.plan)
-    }
-
-    /// Whether any plan is active.
-    pub fn is_active(&self) -> bool {
-        self.state.is_some()
     }
 
     /// The injection counters so far (zero when inactive).
@@ -566,8 +551,20 @@ pub fn fault_step(engine: &mut Engine) {
                     live.images[i] = Some(cp.export_state());
                 }
             }
+            // Ticks are stepped one at a time, as a step crosses about one;
+            // past 64 (a clock far ahead of the schedule, a cadence finer
+            // than the clock resolves) the rest is jumped in closed form, at
+            // worst landing short so that the next step refreshes again.
+            let period = plan.image_every_s;
+            let mut ticks = 0;
             while live.next_image_s <= now {
-                live.next_image_s += plan.image_every_s;
+                if ticks == 64 {
+                    live.next_image_s +=
+                        (((now - live.next_image_s) / period).floor() + 1.0) * period;
+                    break;
+                }
+                live.next_image_s += period;
+                ticks += 1;
             }
         }
         plan.crashes.len()
@@ -709,8 +706,16 @@ mod tests {
         // A minimal plan parses as written; the layer fills the image
         // cadence default.
         let minimal = FaultPlan::from_json("{\"seed\": 3}").unwrap();
-        assert!(minimal.is_empty());
-        assert_eq!(minimal.image_every_s, 0.0);
+        assert_eq!(
+            minimal,
+            FaultPlan {
+                seed: 3,
+                crashes: vec![],
+                blackouts: vec![],
+                chaos: None,
+                image_every_s: 0.0,
+            }
+        );
         let layer = FaultLayer::from_plan(minimal, 4, None).unwrap();
         assert_eq!(layer.plan().unwrap().image_every_s, 60.0);
     }
@@ -743,7 +748,7 @@ mod tests {
     #[test]
     fn inactive_layer_is_inert() {
         let mut layer = FaultLayer::none();
-        assert!(!layer.is_active());
+        assert!(layer.plan().is_none());
         assert!(!layer.degraded());
         assert!(!layer.down(NodeId(0)));
         assert!(!layer.blackout_handoff(50.0, NodeId(0)));

@@ -170,25 +170,41 @@ impl Scenario {
     /// the map sizes the builders assert on, the map itself
     /// ([`RoadNetwork::validate`]), explicit seeds inside it and listed
     /// once, the traffic config ([`SimConfig::validate`]) and every channel
-    /// probability. A scenario that passes assembles into a run without a
-    /// panic.
+    /// probability. A scenario that passes assembles into a `vcountd`
+    /// tenant without a panic. Sizes are checked only against what the map
+    /// builders can index (32-bit node ids, the random city's node-pair
+    /// table): a huge map, fleet or demand is not refused.
     pub fn validate(&self) -> Result<RoadNetwork, String> {
-        let sizes = match &self.map {
+        let (mins, nodes) = match &self.map {
             MapSpec::Grid {
                 cols, rows, lanes, ..
-            } => vec![
-                ("cols", *cols, 1),
-                ("rows", *rows, 1),
-                ("lanes", (*lanes).into(), 1),
-            ],
-            MapSpec::DirectedRing { nodes, .. } => vec![("nodes", *nodes, 2)],
-            MapSpec::Manhattan(cfg) => {
-                vec![("avenues", cfg.avenues, 2), ("streets", cfg.streets, 2)]
-            }
-            MapSpec::Fig1Triangle { .. } | MapSpec::Random(_) => vec![],
+            } => (
+                vec![
+                    ("cols", *cols, 1),
+                    ("rows", *rows, 1),
+                    ("lanes", (*lanes).into(), 1),
+                ],
+                cols.checked_mul(*rows),
+            ),
+            MapSpec::DirectedRing { nodes, .. } => (vec![("nodes", *nodes, 2)], Some(*nodes)),
+            MapSpec::Manhattan(cfg) => (
+                vec![("avenues", cfg.avenues, 2), ("streets", cfg.streets, 2)],
+                cfg.avenues.checked_mul(cfg.streets),
+            ),
+            MapSpec::Random(cfg) => (
+                vec![],
+                cfg.nodes
+                    .checked_mul(cfg.nodes)
+                    .filter(|&pairs| pairs <= isize::MAX as usize)
+                    .map(|_| cfg.nodes),
+            ),
+            MapSpec::Fig1Triangle { .. } => (vec![], Some(3)),
         };
-        if let Some((name, size, min)) = sizes.into_iter().find(|&(_, size, min)| size < min) {
+        if let Some((name, size, min)) = mins.into_iter().find(|&(_, size, min)| size < min) {
             return Err(format!("scenario map needs {name} >= {min}, got {size}"));
+        }
+        if nodes.is_none_or(|n| n > u32::MAX as usize) {
+            return Err("scenario map is too large to build".into());
         }
         let net = self.map.build(self.closed);
         net.validate()

@@ -25,7 +25,7 @@ use common::VecSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vcount_core::{CheckpointConfig, ProtocolVariant};
-use vcount_sim::{Blackout, ChaosFault, CrashFault, FaultPlan};
+use vcount_sim::{Blackout, ChaosFault, CrashFault, FaultLayer, FaultPlan};
 use vcount_sim::{EngineSnapshot, Goal, Runner, RunnerBuilder, Scenario};
 use vcount_sim::{MapSpec, PatrolSpec, SeedSpec, TransportMode};
 use vcount_traffic::{Demand, SimConfig};
@@ -127,7 +127,7 @@ fn randomized_plans_never_miscount_silently() {
         let scen = scenario(variant, 1000 + case);
         // JSON round-trip every plan so the sweep also covers the schema.
         let plan = FaultPlan::from_json(&random_plan(&mut rng).to_json()).unwrap();
-        plan.validate(NODES as usize).unwrap();
+        FaultLayer::from_plan(plan.clone(), NODES as usize, None).unwrap();
         let mut runner = Runner::builder(&scen).faults(plan.clone()).build();
         let m = runner.run(Goal::Collection, scen.max_time_s);
         crashes_fired += m.telemetry.crashes;
@@ -183,7 +183,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
         chaos: None,
         image_every_s: 60.0,
     };
-    assert!(empty.is_empty());
+    assert!(empty.crashes.is_empty() && empty.blackouts.is_empty() && empty.chaos.is_none());
     let without = capture(&scen, None, 600);
     let with = capture(&scen, Some(empty), 600);
     assert!(!without.is_empty(), "reference run emitted no events");
@@ -245,7 +245,7 @@ fn crash_mid_watch_drops_open_watches_explicitly() {
         chaos: None,
         image_every_s: 60.0,
     };
-    plan.validate(NODES as usize).unwrap();
+    FaultLayer::from_plan(plan.clone(), NODES as usize, None).unwrap();
 
     let lines = Arc::new(Mutex::new(Vec::new()));
     let mut runner = Runner::builder(&scen)

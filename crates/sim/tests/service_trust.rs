@@ -11,7 +11,7 @@ mod common;
 use common::{capture_batch, fnv_digest, grid_scenario};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vcount_core::ProtocolVariant;
-use vcount_roadnet::builders::ManhattanConfig;
+use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::{
     serve_connections, serve_stream, Blackout, ChaosFault, Conn, CrashFault, EngineSnapshot,
@@ -617,42 +617,6 @@ fn resume_with_a_seed_outside_the_map_is_an_error() {
     );
 }
 
-/// A faulted run's snapshot whose fault state does not fit its plan and
-/// map is refused at Resume. Accepted with `faults.down` emptied, it
-/// panicked the daemon on the next Observe that named a checkpoint.
-#[test]
-fn resume_with_inconsistent_fault_state_is_an_error() {
-    assert_poisoned_resumes_refused(
-        81,
-        60,
-        Some(fault_plan()),
-        &[
-            (
-                "down emptied",
-                |s| s.faults.as_mut().unwrap().down.clear(),
-                "snapshot faults: fault state has 0 down entries, the plan needs 16",
-            ),
-            (
-                "images one short",
-                |s| {
-                    s.faults.as_mut().unwrap().images.pop();
-                },
-                "snapshot faults: fault state has 15 images entries, the plan needs 16",
-            ),
-            (
-                "crash on node 9999",
-                |s| s.fault_plan.as_mut().unwrap().crashes[0].node = 9999,
-                "snapshot faults: crash node 9999 out of range (16 nodes)",
-            ),
-            (
-                "plan without state",
-                |s| s.faults = None,
-                "snapshot faults: plan without state or state without plan",
-            ),
-        ],
-    );
-}
-
 /// A Start whose fault plan omits `image_every_s` runs at the default
 /// cadence, as the same plan does under `vcount run --faults`.
 #[test]
@@ -741,6 +705,18 @@ fn start_mutations() -> Vec<StartMutation> {
             }),
         ]);
     }
+    // Too many nodes for 32-bit ids, or for the random city's pair table.
+    out.extend([
+        start_mutation("grid of 2^32 nodes", false, |s, _| {
+            s.map = grid(1 << 16, 1 << 16, 1)
+        }),
+        start_mutation("random city of usize::MAX nodes", false, |s, _| {
+            s.map = MapSpec::Random(RandomCityConfig {
+                nodes: usize::MAX,
+                ..RandomCityConfig::default()
+            })
+        }),
+    ]);
     for p in [-0.5, 1.5] {
         out.push(start_mutation(
             format!("Bernoulli {p}"),
@@ -797,7 +773,7 @@ fn start_mutations() -> Vec<StartMutation> {
 ///
 /// Out of scope: checkpoint states, watch vehicle ids and the oracle
 /// ledger (a bad value there can still panic a later Observe), and sizes
-/// (a huge grid or fleet has no bound).
+/// a builder can index (a huge grid or fleet has no bound below that).
 #[test]
 fn mutated_starts_and_resumes_never_panic() {
     let scen = grid_scenario(ProtocolVariant::Simple, 154);
@@ -831,6 +807,11 @@ fn mutated_starts_and_resumes_never_panic() {
                 "images one long",
                 |s| s.faults.as_mut().unwrap().images.push(None),
                 "snapshot faults: fault state has 17 images entries, the plan needs 16",
+            ),
+            (
+                "down emptied",
+                |s| s.faults.as_mut().unwrap().down.clear(),
+                "snapshot faults: fault state has 0 down entries, the plan needs 16",
             ),
             (
                 "down one short",
@@ -889,11 +870,6 @@ fn mutated_starts_and_resumes_never_panic() {
                 "snapshot seed 16 is not a node of the 16-node map",
             ),
             (
-                "next image time -1e300",
-                |s| s.faults.as_mut().unwrap().next_image_s = -1e300,
-                "snapshot faults: fault state next_image_s must be >= 0, got -1e300",
-            ),
-            (
                 "checkpoint table one short",
                 |s| {
                     s.checkpoints.pop();
@@ -902,6 +878,74 @@ fn mutated_starts_and_resumes_never_panic() {
             ),
         ],
     );
+}
+
+/// The recovery-image schedule catches up with any clock in bounded time:
+/// a plan cadence of 1e-300 s, a resumed schedule at -1e300 s and a batch
+/// stamped 1e300 s each get their answer. Stepped one tick at a time,
+/// each kept the owner thread in the refresh loop for good.
+#[test]
+fn image_refresh_ends_whatever_the_clock_says() {
+    let worker = std::thread::spawn(|| {
+        let scen = grid_scenario(ProtocolVariant::Simple, 156);
+        let plan = FaultPlan {
+            image_every_s: 1e-300,
+            ..fault_plan()
+        };
+        let mut mgr = RunManager::new(ServiceConfig::default());
+        let mut events = Vec::new();
+        let mut call = |req| call(&mut mgr, req, &mut events);
+        assert!(matches!(
+            call(faulted_start("fine", &scen, Some(plan))),
+            ServiceResponse::Started { .. }
+        ));
+        let mut source = SimulatorSource::from_scenario(&scen, 1);
+        let mut batch = ObservationBatch::default();
+        for _ in 0..10 {
+            assert!(source.next_batch(&mut batch));
+            let answer = call(observe("fine", &batch));
+            assert!(
+                matches!(answer, ServiceResponse::Accepted { .. }),
+                "{answer:?}"
+            );
+        }
+        let mut snap = match call(ServiceRequest::Snapshot {
+            run: "fine".into(),
+            sim: source.sim_state(),
+        }) {
+            ServiceResponse::Snapshot { snapshot, .. } => snapshot,
+            other => panic!("Snapshot answered with {other:?}"),
+        };
+        snap.faults.as_mut().unwrap().next_image_s = -1e300;
+        let answer = call(ServiceRequest::Resume {
+            run: "behind".into(),
+            snapshot: snap,
+            goal: Some(Goal::Collection),
+            trace: None,
+        });
+        assert!(
+            matches!(answer, ServiceResponse::Resumed { .. }),
+            "{answer:?}"
+        );
+        for now in [None, Some(1e300)] {
+            assert!(source.next_batch(&mut batch));
+            batch.now = now.unwrap_or(batch.now);
+            let answer = call(observe("behind", &batch));
+            assert!(
+                matches!(answer, ServiceResponse::Accepted { .. }),
+                "{answer:?}"
+            );
+        }
+    });
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while !worker.is_finished() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "an image refresh never ended"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    worker.join().expect("the refresh test panicked");
 }
 
 /// The adversarial daemon test, over a real TCP connection: one feeder
