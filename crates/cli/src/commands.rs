@@ -70,7 +70,7 @@ USAGE:
       replicates ended degraded.
 
   vcount serve [--socket PATH | --listen HOST:PORT] [--max-conns N]
-               [--queue-capacity N] [--pump-budget N]
+               [--queue-capacity N] [--pump-budget N] [--trace-dir DIR]
       Run the vcountd multi-tenant service: newline-delimited JSON
       requests in, responses (protocol events included) out. Without a
       listener the service answers on stdin/stdout — `vcount serve <
@@ -89,14 +89,17 @@ USAGE:
       queue (default 64); a batch arriving at a full queue gets an
       explicit Throttled response, never a silent drop.
       --pump-budget caps batches ingested per request (default: drain
-      fully; 0 makes ingest manual via Pump requests).
+      fully; 0 makes ingest manual via Pump requests). --trace-dir DIR is
+      the only directory the daemon writes server-side traces in: a
+      request's `trace` is a bare file name inside it, and without
+      --trace-dir every request naming a trace is refused.
       Transport is a deployment knob, never a semantics knob: a scenario
       driven through the service produces the byte-identical event
       stream and counts `vcount run` produces.
 
   vcount feed SCENARIO.json (--socket PATH | --connect HOST:PORT | --emit FILE)
               [--run ID] [--goal constitution|collection] [--faults PLAN.json]
-              [--trace FILE.jsonl] [--server-trace FILE.jsonl]
+              [--trace FILE.jsonl] [--server-trace NAME.jsonl]
       Drive a scenario through the service as a simulator-fed client:
       Start the run, push one observation batch per tick (resending
       after any Throttled backpressure), then Finish with ground truth
@@ -106,8 +109,9 @@ USAGE:
       the exact wire command stream to FILE for later `vcount serve <
       FILE` replay. --trace writes the returned protocol-event lines as
       JSONL, byte-identical to `vcount run --trace`; --server-trace asks
-      the daemon to write the same trace on its side (flushed even if
-      this feeder dies mid-run).
+      the daemon to write the same trace on its side, as NAME inside its
+      --trace-dir (flushed even if this feeder dies mid-run; not with
+      --emit).
 
   vcount map [--preset paper|small] [--speed-mph MPH]
       Build the synthetic midtown map and print its statistics.
@@ -292,11 +296,16 @@ pub fn serve(args: &Args) -> Result<(), String> {
         "max-conns",
         "queue-capacity",
         "pump-budget",
+        "trace-dir",
     ])?;
     let cfg = ServiceConfig {
         queue_capacity: args.flag_or("queue-capacity", DEFAULT_QUEUE_CAPACITY)?,
         pump_budget: args.flag_or("pump-budget", u64::MAX)?,
+        trace_dir: args.flag("trace-dir").map(std::path::PathBuf::from),
     };
+    if let Some(dir) = cfg.trace_dir.as_ref().filter(|d| !d.is_dir()) {
+        return Err(format!("--trace-dir {}: not a directory", dir.display()));
+    }
     if cfg.queue_capacity == 0 {
         return Err("--queue-capacity must be at least 1".into());
     }
@@ -441,6 +450,9 @@ pub fn feed(args: &Args) -> Result<(), String> {
         }
         _ => return Err("--emit, --socket, and --connect are mutually exclusive".into()),
     };
+    if matches!(dest, Dest::Emit(_)) && args.flag("server-trace").is_some() {
+        return Err("--server-trace needs a daemon (--socket or --connect), not --emit".into());
+    }
     let path = args.positional(0).ok_or("missing SCENARIO.json argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let scenario: Scenario = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;

@@ -14,10 +14,10 @@
 //!             [--threads N] [--goal G] [--map paper|small] [--open]
 //!             [--rng SEED] [--out FILE] [--faults PLAN.json]
 //! vcount serve [--socket PATH | --listen HOST:PORT] [--max-conns N]
-//!             [--queue-capacity N] [--pump-budget N]
+//!             [--queue-capacity N] [--pump-budget N] [--trace-dir DIR]
 //! vcount feed SCENARIO.json (--socket PATH | --connect HOST:PORT | --emit FILE)
 //!             [--run ID] [--goal G] [--faults PLAN.json]
-//!             [--trace FILE.jsonl] [--server-trace FILE.jsonl]
+//!             [--trace FILE.jsonl] [--server-trace NAME.jsonl]
 //! vcount map [--preset paper|small] [--speed-mph MPH]
 //! vcount help
 //! ```

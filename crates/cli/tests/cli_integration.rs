@@ -117,11 +117,39 @@ fn grid(cols: usize, lanes: u8, speed_mps: f64) -> MapSpec {
 }
 
 /// Runs `vcount <cmd> <path> <extra…>` and asserts it refuses the file
-/// the way validation does: exit 1, `error: <path>: <want>`, no panic.
+/// the way validation does: exit 1 within 5 s, `error: <path>: <want>`,
+/// no panic.
 fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str) {
-    let out = bin().arg(cmd).arg(path).args(extra).output().unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{}: {err}", path.display());
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let mut child = bin()
+        .arg(cmd)
+        .arg(path)
+        .args(extra)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{}: still running after 5 s", path.display());
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    assert_eq!(status.code(), Some(1), "{}: {err}", path.display());
     assert!(
         err.contains(&format!("error: {}: {want}", path.display())),
         "{err}"
@@ -131,8 +159,9 @@ fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str)
 
 /// A scenario file that would break engine or simulator assembly — an
 /// invalid map or map size, an explicit seed outside the map, an invalid
-/// traffic config, a channel probability outside [0, 1] — is refused by
-/// validation: exit 1 with an `error:` line, never a panic.
+/// traffic config or demand, a patrol fleet past its cap, a channel
+/// probability outside [0, 1] — is refused by validation: exit 1 with an
+/// `error:` line, never a panic or a hang.
 #[test]
 fn run_refuses_an_invalid_scenario() {
     let dir = std::env::temp_dir().join(format!("vcount-cli-bad-{}", std::process::id()));
@@ -147,7 +176,7 @@ fn run_refuses_an_invalid_scenario() {
     let scenario: Scenario =
         serde_json::from_str(&std::fs::read_to_string(&good).unwrap()).unwrap();
     type Poison = (&'static str, fn(&mut Scenario), &'static str);
-    let cases: [Poison; 10] = [
+    let cases: [Poison; 14] = [
         (
             "bad_map",
             |s| s.map = grid(3, 1, 0.0),
@@ -169,7 +198,29 @@ fn run_refuses_an_invalid_scenario() {
         (
             "bad_sim",
             |s| s.sim.dt_s = 0.0,
-            "invalid simulator config: dt_s must be positive",
+            "invalid simulator config: dt_s must be in [0.01, 10.0], got 0.0",
+        ),
+        // These four hung (steps without end, a population without
+        // bound) or panicked with `capacity overflow` before their limits.
+        (
+            "dt_1e300",
+            |s| s.sim.dt_s = 1e300,
+            "invalid simulator config: dt_s must be in [0.01, 10.0], got 1e300",
+        ),
+        (
+            "dt_1e-300",
+            |s| s.sim.dt_s = 1e-300,
+            "invalid simulator config: dt_s must be in [0.01, 10.0], got 1e-300",
+        ),
+        (
+            "volume_1e300",
+            |s| s.demand.volume_pct = 1e300,
+            "invalid demand: volume_pct must be in [0.0, 500.0], got 1e300",
+        ),
+        (
+            "patrol_2e62",
+            |s| s.patrol.cars = 1 << 62,
+            "scenario patrol needs cars <= 1000, got 4611686018427387904",
         ),
         (
             "bernoulli_1.5",

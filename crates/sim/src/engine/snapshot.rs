@@ -13,7 +13,7 @@ use vcount_v2x::VehicleId;
 
 /// Schema tag stamped on every serialized snapshot, and the only one
 /// accepted on read ([`EngineSnapshot::check_schema`]).
-pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v5";
+pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v6";
 
 /// Protocol-side RNG seed derivation: decoupled from the traffic stream
 /// but derived from the same scenario seed for whole-run reproducibility.

@@ -234,9 +234,20 @@ impl RunnerBuilder {
         let net = scenario.validate()?;
         let n = net.node_count();
         let source: Box<dyn ObservationSource> = match (&snapshot, external) {
-            (_, true) => Box::new(ExternalSource::new()),
+            (None, true) => Box::new(ExternalSource::new()),
+            // An external source stores the snapshot's traffic state and
+            // hands it out again: it must pass the check the in-process
+            // restore makes.
+            (Some(snap), true) => {
+                snap.sim.validate(&net)?;
+                Box::new(ExternalSource::new())
+            }
             (None, false) => Box::new(SimulatorSource::from_scenario(&scenario, 1)),
-            (Some(snap), false) => Box::new(SimulatorSource::resume_from(&scenario, &snap.sim)?),
+            (Some(snap), false) => Box::new(SimulatorSource::resume_from(
+                &scenario,
+                net.clone(),
+                &snap.sim,
+            )?),
         };
         let faults = match faults {
             Some(plan) => {
@@ -421,9 +432,13 @@ impl Runner {
 
     /// Hands externally produced traffic state to the observation source
     /// so [`Runner::try_snapshot`] can freeze the run (push-fed runs; a
-    /// no-op on the in-process simulator).
-    pub fn provide_sim_state(&mut self, snap: SimSnapshot) {
+    /// no-op on the in-process simulator), or refuses a state that fails
+    /// [`SimSnapshot::validate`] on this run's map: a run never freezes
+    /// into a snapshot its own resume refuses.
+    pub fn provide_sim_state(&mut self, snap: SimSnapshot) -> Result<(), String> {
+        snap.validate(&self.engine.net)?;
         self.source.provide_sim_state(snap);
+        Ok(())
     }
 
     /// The scenario this deployment runs (a resumed run's is its

@@ -132,6 +132,10 @@ impl Default for TransportMode {
     }
 }
 
+/// Most patrol cars a scenario may deploy: each car holds its own copy of
+/// the patrol cycle, so the fleet is bounded before any is built.
+pub const MAX_PATROL_CARS: usize = 1000;
+
 /// Police patrol deployment (Theorems 3/4).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PatrolSpec {
@@ -169,12 +173,20 @@ impl Scenario {
     /// wire `Start`, a snapshot, an action trace), returning its built map:
     /// the map sizes the builders assert on, the map itself
     /// ([`RoadNetwork::validate`]), explicit seeds inside it and listed
-    /// once, the traffic config ([`SimConfig::validate`]) and every channel
-    /// probability. A scenario that passes assembles into a `vcountd`
-    /// tenant without a panic. Sizes are checked only against what the map
-    /// builders can index (32-bit node ids, the random city's node-pair
-    /// table): a huge map, fleet or demand is not refused.
+    /// once, the traffic config ([`SimConfig::validate`]), the demand
+    /// ([`Demand::validate`]), the patrol fleet ([`MAX_PATROL_CARS`]) and
+    /// every channel probability. A scenario that passes assembles into a
+    /// `vcountd` tenant without a panic, and its traffic runs in steps of
+    /// bounded size and count. Map sizes are checked only against what the
+    /// map builders can index (32-bit node ids, the random city's
+    /// node-pair table): a huge map is not refused.
     pub fn validate(&self) -> Result<RoadNetwork, String> {
+        if self.patrol.cars > MAX_PATROL_CARS {
+            return Err(format!(
+                "scenario patrol needs cars <= {MAX_PATROL_CARS}, got {}",
+                self.patrol.cars
+            ));
+        }
         let (mins, nodes) = match &self.map {
             MapSpec::Grid {
                 cols, rows, lanes, ..
@@ -227,6 +239,9 @@ impl Scenario {
         self.sim
             .validate()
             .map_err(|e| format!("invalid simulator config: {e}"))?;
+        self.demand
+            .validate()
+            .map_err(|e| format!("invalid demand: {e}"))?;
         let probabilities = match self.channel {
             ChannelKind::Perfect => vec![],
             ChannelKind::Bernoulli(p) => vec![p],

@@ -27,7 +27,7 @@
 //!   [`ServiceResponse::Throttled`] — it is *not* enqueued and *not*
 //!   dropped silently; the producer must resend it after draining.
 //! * **Snapshots keep their schema.** A tenant freezes into the same
-//!   [`EngineSnapshot`] (schema v5) a batch run produces, and a frozen
+//!   [`EngineSnapshot`] (schema v6) a batch run produces, and a frozen
 //!   run restarts via [`ServiceRequest::Resume`] to a byte-identical
 //!   continuation.
 //! * **Completion parity.** A tenant stops ingesting where `vcount run`
@@ -43,6 +43,7 @@ use crate::scenario::Scenario;
 use crate::source::{ObservationBatch, TruthSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use vcount_obs::{EventFilter, EventRecord, EventSink, JsonlSink};
 use vcount_traffic::SimSnapshot;
@@ -51,7 +52,7 @@ use vcount_traffic::SimSnapshot;
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Tuning knobs of a [`RunManager`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Ingest-queue bound per tenant; a batch arriving at a full queue is
     /// rejected with [`ServiceResponse::Throttled`].
@@ -62,6 +63,10 @@ pub struct ServiceConfig {
     /// backpressure tests use that. Kept as the wire's `u64` end to end
     /// so a 32-bit host cannot silently truncate a feeder's budget.
     pub pump_budget: u64,
+    /// The only directory server-side traces are written in: a wire
+    /// `trace` is a bare file name inside it. `None` (the default)
+    /// refuses every wire `trace`.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl Default for ServiceConfig {
@@ -69,6 +74,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             pump_budget: u64::MAX,
+            trace_dir: None,
         }
     }
 }
@@ -99,9 +105,11 @@ pub enum ServiceRequest {
         /// Optional fault-injection plan.
         #[serde(default)]
         faults: Option<FaultPlan>,
-        /// Optional server-side JSONL trace file for this tenant's
-        /// protocol events — written and flushed by the daemon, so a
-        /// feeder that dies mid-run still leaves a complete trace behind.
+        /// Optional server-side JSONL trace of this tenant's protocol
+        /// events: a bare file name inside the daemon's
+        /// [`ServiceConfig::trace_dir`]. Written and flushed by the
+        /// daemon, so a feeder that dies mid-run still leaves a complete
+        /// trace behind.
         #[serde(default)]
         trace: Option<String>,
     },
@@ -109,13 +117,14 @@ pub enum ServiceRequest {
     Resume {
         /// New run id (must not exist).
         run: String,
-        /// The frozen engine state (schema v5, scenario embedded; boxed —
+        /// The frozen engine state (schema v6, scenario embedded; boxed —
         /// a snapshot dwarfs every other request).
         snapshot: Box<EngineSnapshot>,
         /// Goal the resumed run drives toward (default: collection).
         #[serde(default)]
         goal: Option<Goal>,
-        /// Optional server-side JSONL trace file for the resumed tail.
+        /// Optional server-side JSONL trace of the resumed tail, named as
+        /// in [`ServiceRequest::Start`].
         #[serde(default)]
         trace: Option<String>,
     },
@@ -214,7 +223,7 @@ pub enum ServiceResponse {
     Snapshot {
         /// Target run id.
         run: String,
-        /// The snapshot (schema v5, scenario embedded; boxed — it dwarfs
+        /// The snapshot (schema v6, scenario embedded; boxed — it dwarfs
         /// every other response).
         snapshot: Box<EngineSnapshot>,
     },
@@ -422,7 +431,7 @@ impl RunManager {
             }
         };
         let events: SharedLines = Arc::default();
-        let trace_sink = match trace_sink(trace.as_deref()) {
+        let trace_sink = match trace_sink(self.cfg.trace_dir.as_deref(), trace.as_deref()) {
             Ok(sink) => sink,
             Err(e) => {
                 out.push(ServiceResponse::Error { message: e, run });
@@ -532,6 +541,17 @@ impl RunManager {
             out.push(unknown_run(run));
             return;
         };
+        // A sim state the tenant's own Resume would refuse is refused
+        // here, before anything changes.
+        if let Some(sim) = sim {
+            if let Err(e) = tenant.runner.provide_sim_state(sim) {
+                out.push(ServiceResponse::Error {
+                    message: format!("snapshot failed: {e}"),
+                    run,
+                });
+                return;
+            }
+        }
         // Drain the queue before freezing: queued batches were answered
         // Accepted, so they are committed history — a snapshot taken
         // behind them would silently lose them across a restart + Resume
@@ -539,9 +559,6 @@ impl RunManager {
         // the post-production state, so draining first is also what keeps
         // the frozen engine and the frozen simulator at the same step.
         tenant.pump(u64::MAX);
-        if let Some(sim) = sim {
-            tenant.runner.provide_sim_state(sim);
-        }
         drain_events(&tenant.events, &run, out);
         match tenant.runner.try_snapshot() {
             Ok(snapshot) => out.push(ServiceResponse::Snapshot {
@@ -592,14 +609,33 @@ impl RunManager {
     }
 }
 
-/// Opens the optional server-side JSONL trace sink of a tenant.
-fn trace_sink(path: Option<&str>) -> Result<Option<Box<dyn EventSink + Send>>, String> {
-    match path {
-        None => Ok(None),
-        Some(p) => JsonlSink::to_file(std::path::Path::new(p), EventFilter::all())
-            .map(|s| Some(Box::new(s) as Box<dyn EventSink + Send>))
-            .map_err(|e| format!("trace {p}: {e}")),
+/// Opens the optional server-side JSONL trace sink of a tenant: `name`
+/// must be a bare file name, and is opened inside `dir`. A feeder chooses
+/// the name, so a path (a separator, `..`) and any trace on a daemon with
+/// no trace directory are refused before a file is touched.
+fn trace_sink(
+    dir: Option<&Path>,
+    name: Option<&str>,
+) -> Result<Option<Box<dyn EventSink + Send>>, String> {
+    let Some(name) = name else {
+        return Ok(None);
+    };
+    let Some(dir) = dir else {
+        return Err(format!(
+            "trace {name:?}: this daemon writes no server-side traces (no --trace-dir)"
+        ));
+    };
+    let mut parts = Path::new(name).components();
+    let bare = matches!(
+        (parts.next(), parts.next()),
+        (Some(Component::Normal(_)), None)
+    ) && !name.chars().any(std::path::is_separator);
+    if !bare {
+        return Err(format!("trace {name:?} is not a bare file name"));
     }
+    JsonlSink::to_file(&dir.join(name), EventFilter::all())
+        .map(|s| Some(Box::new(s) as Box<dyn EventSink + Send>))
+        .map_err(|e| format!("trace {name:?}: {e}"))
 }
 
 /// Moves the tenant's captured event lines into the response stream, in

@@ -16,7 +16,7 @@
 //! in-process (pinned by `tests/service_identity.rs`).
 
 use serde::{Deserialize, Serialize};
-use vcount_roadnet::{edge_covering_cycle, EdgeId, NodeId};
+use vcount_roadnet::{edge_covering_cycle, EdgeId, NodeId, RoadNetwork};
 use vcount_traffic::{SimSnapshot, Simulator, TrafficEvent};
 use vcount_v2x::{ClassFilter, VehicleClass, VehicleId};
 
@@ -252,10 +252,11 @@ impl ClassTable {
         ClassTable::default()
     }
 
-    /// Rebuilds the table from a snapshot's vehicle list (resume path).
+    /// Rebuilds the table from a snapshot's class column (resume path; the
+    /// snapshot passed [`SimSnapshot::validate`]).
     pub fn from_snapshot(snap: &SimSnapshot) -> Self {
         ClassTable {
-            classes: snap.vehicles.iter().map(|v| v.class).collect(),
+            classes: snap.vehicles.classes().collect(),
         }
     }
 
@@ -378,14 +379,16 @@ impl SimulatorSource {
         SimulatorSource::wrap(sim, scenario.protocol.filter, 0)
     }
 
-    /// Restores the simulator from a snapshot (resume path), or reports
-    /// why the snapshot's traffic state does not fit the scenario (see
-    /// [`Simulator::restore`]). The restored population counts as already
-    /// announced — the engine rebuilds its class table from the same
-    /// snapshot.
-    pub fn resume_from(scenario: &Scenario, snap: &SimSnapshot) -> Result<Self, String> {
-        let net = scenario.map.build(scenario.closed);
-        net.validate().expect("snapshot scenario map must be valid");
+    /// Restores the simulator from a snapshot (resume path) on `net`, the
+    /// map [`Scenario::validate`] built, or reports why the snapshot's
+    /// traffic state does not fit it (see [`Simulator::restore`]). The
+    /// restored population counts as already announced — the engine
+    /// rebuilds its class table from the same snapshot.
+    pub fn resume_from(
+        scenario: &Scenario,
+        net: RoadNetwork,
+        snap: &SimSnapshot,
+    ) -> Result<Self, String> {
         let sim = Simulator::restore(net, scenario.sim.clone(), scenario.demand.clone(), snap)?;
         let announced = sim.vehicles().len();
         Ok(SimulatorSource::wrap(

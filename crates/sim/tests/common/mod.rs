@@ -7,11 +7,12 @@ use std::sync::{Arc, Mutex};
 use vcount_core::{CheckpointConfig, ProtocolVariant};
 use vcount_obs::{EventRecord, EventSink};
 use vcount_roadnet::builders::ManhattanConfig;
+use vcount_roadnet::EdgeId;
 use vcount_sim::{
     FaultPlan, Goal, MapSpec, PatrolSpec, RunMetrics, Runner, Scenario, SeedSpec, ServiceRequest,
     ServiceResponse, TransportMode, WireClient,
 };
-use vcount_traffic::{Demand, SimConfig};
+use vcount_traffic::{Demand, SimConfig, SimSnapshot, Spot};
 use vcount_v2x::ChannelKind;
 
 /// Collects every record's JSON line — the same encoding `JsonlSink`
@@ -184,4 +185,18 @@ pub fn wire_call(
     events: &mut Vec<String>,
 ) -> ServiceResponse {
     split_answer(client.call(req).expect("wire call failed"), events)
+}
+
+/// The first on-edge vehicle of a snapshot's traffic state: its index,
+/// and its edge, lane and position, to poison in place.
+pub fn first_on_edge(sim: &mut SimSnapshot) -> (usize, &mut EdgeId, &mut u8, &mut f64) {
+    sim.vehicles
+        .at
+        .iter_mut()
+        .enumerate()
+        .find_map(|(i, spot)| match spot {
+            Spot::On(edge, lane, pos) => Some((i, edge, lane, pos)),
+            Spot::Out | Spot::Queued => None,
+        })
+        .expect("a vehicle on an edge")
 }

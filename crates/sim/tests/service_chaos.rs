@@ -67,16 +67,21 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
     let (reference, ref_metrics) = capture_batch(&scen, None);
     assert!(reference.len() > 10, "reference emitted too few events");
 
-    let dir = std::env::temp_dir();
-    let trace1 = dir.join(format!("vcountd-chaos-{}-1.jsonl", std::process::id()));
-    let trace2 = dir.join(format!("vcountd-chaos-{}-2.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&trace1);
-    let _ = std::fs::remove_file(&trace2);
+    // The daemon writes server-side traces only inside its trace
+    // directory; a wire `trace` names a file there.
+    let dir = std::env::temp_dir().join(format!("vcountd-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let (trace1, trace2) = (dir.join("1.jsonl"), dir.join("2.jsonl"));
 
     let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr();
+    let cfg = ServiceConfig {
+        trace_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
     let server = std::thread::spawn(move || {
-        let mut mgr = RunManager::new(ServiceConfig::default());
+        let mut mgr = RunManager::new(cfg);
         serve_connections(&listener, &mut mgr, Some(2)).expect("serve_connections")
     });
 
@@ -96,7 +101,7 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
                 shards: 0,
                 eager_decode: false,
                 faults: None,
-                trace: Some(trace1.to_str().expect("utf-8 temp path").into()),
+                trace: Some("1.jsonl".into()),
             },
             &mut prefix,
         );
@@ -146,7 +151,8 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
         ServiceResponse::Stopped { .. }
     ));
     let mut source =
-        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
+        SimulatorSource::resume_from(&snap.scenario, snap.scenario.validate().unwrap(), &snap.sim)
+            .expect("snapshot restores");
     assert!(matches!(
         wire_call(
             &mut client,
@@ -154,7 +160,7 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
                 run: "t2".into(),
                 snapshot: snap,
                 goal: Some(Goal::Collection),
-                trace: Some(trace2.to_str().expect("utf-8 temp path").into()),
+                trace: Some("2.jsonl".into()),
             },
             &mut tail,
         ),
@@ -213,6 +219,5 @@ fn killed_feeder_leaves_flushed_trace_and_resumable_run() {
     assert_eq!(metrics.elapsed_s, ref_metrics.elapsed_s);
     assert_eq!(metrics.steps, ref_metrics.steps);
 
-    let _ = std::fs::remove_file(&trace1);
-    let _ = std::fs::remove_file(&trace2);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -317,6 +317,7 @@ fn over_rate_producer_gets_explicit_backpressure() {
     let cfg = ServiceConfig {
         queue_capacity: 2,
         pump_budget: 0,
+        ..ServiceConfig::default()
     };
     let mut mgr = RunManager::new(cfg);
     let mut events = Vec::new();
@@ -475,7 +476,8 @@ fn service_snapshot_restart_resumes_byte_identically() {
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
     let mut source =
-        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
+        SimulatorSource::resume_from(&snap.scenario, snap.scenario.validate().unwrap(), &snap.sim)
+            .expect("snapshot restores");
     call(
         &mut mgr,
         ServiceRequest::Resume {

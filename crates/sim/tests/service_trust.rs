@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{capture_batch, fnv_digest, grid_scenario};
+use common::{capture_batch, first_on_edge, fnv_digest, grid_scenario};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vcount_core::ProtocolVariant;
 use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
@@ -18,7 +18,7 @@ use vcount_sim::{
     FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager, Scenario,
     SeedSpec, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource, WireClient,
 };
-use vcount_traffic::TrafficEvent;
+use vcount_traffic::{Loop, Spot, TrafficEvent};
 use vcount_v2x::{ChannelKind, VehicleClass, VehicleId};
 
 /// Applies one request; event lines go to `events`, everything else (the
@@ -351,6 +351,7 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     let mut mgr = RunManager::new(ServiceConfig {
         queue_capacity: 64,
         pump_budget: 0,
+        ..ServiceConfig::default()
     });
     let mut prefix = Vec::new();
     assert!(matches!(
@@ -396,7 +397,8 @@ fn snapshot_under_backpressure_keeps_accepted_batches() {
     let mut mgr = RunManager::new(ServiceConfig::default());
     let mut tail = Vec::new();
     let mut source =
-        SimulatorSource::resume_from(&snap.scenario, &snap.sim).expect("snapshot restores");
+        SimulatorSource::resume_from(&snap.scenario, snap.scenario.validate().unwrap(), &snap.sim)
+            .expect("snapshot restores");
     assert!(matches!(
         call(
             &mut mgr,
@@ -617,6 +619,193 @@ fn resume_with_a_seed_outside_the_map_is_an_error() {
     );
 }
 
+/// Marks the first on-edge vehicle Queued and lists it `times` times in
+/// the queue at the head of its edge.
+fn queue_first_on_edge(s: &mut EngineSnapshot, times: usize) {
+    let (i, &mut edge, ..) = first_on_edge(&mut s.sim);
+    let head = s.scenario.validate().expect("a valid map").edge(edge).to;
+    s.sim.vehicles.at[i] = Spot::Queued;
+    let queue = &mut s.sim.queues[head.index()];
+    queue.extend(std::iter::repeat_n((VehicleId(i as u64), edge), times));
+}
+
+/// One poison per field check of a snapshot's traffic state. Before
+/// schema v6 an external Resume stored the traffic state unchecked and
+/// echoed it into the next Snapshot.
+const SIM_POISONS: [SnapshotPoison; 11] = [
+    (
+        "speed_mps one entry short",
+        |s| {
+            s.sim.vehicles.speed_mps.pop();
+        },
+        "snapshot vehicles.speed_mps has",
+    ),
+    (
+        "on-edge edge off the map",
+        |s| *first_on_edge(&mut s.sim).1 = EdgeId(999_999),
+        "snapshot vehicles.at[",
+    ),
+    (
+        "lane 2 on a two-lane edge",
+        |s| *first_on_edge(&mut s.sim).2 = 2,
+        "snapshot vehicles.at[",
+    ),
+    (
+        "NaN position",
+        |s| *first_on_edge(&mut s.sim).3 = f64::NAN,
+        "snapshot vehicles.at[",
+    ),
+    (
+        "position past the edge",
+        |s| *first_on_edge(&mut s.sim).3 = 1e6,
+        "snapshot vehicles.at[",
+    ),
+    (
+        "NaN speed factor",
+        |s| s.sim.vehicles.speed_factor[0] = f64::NAN,
+        "snapshot vehicles.speed_factor[0] = NaN",
+    ),
+    (
+        "queued vehicle in no queue",
+        |s| queue_first_on_edge(s, 0),
+        "snapshot vehicles.at[",
+    ),
+    (
+        "queued vehicle listed twice",
+        |s| queue_first_on_edge(s, 2),
+        "snapshot queues list vehicle",
+    ),
+    (
+        "loop next out of range",
+        |s| {
+            s.sim
+                .vehicles
+                .loops
+                .push(Loop(VehicleId(0), vec![EdgeId(0)], 999))
+        },
+        "snapshot vehicles.loops[0]: next 999 is past its 1 edges",
+    ),
+    (
+        "empty loop",
+        |s| s.sim.vehicles.loops.push(Loop(VehicleId(0), vec![], 0)),
+        "snapshot vehicles.loops[0] is empty",
+    ),
+    (
+        "NaN clock",
+        |s| s.sim.time_s = f64::NAN,
+        "snapshot time_s NaN",
+    ),
+];
+
+/// A Resume whose traffic state fails a field check is refused at the
+/// service edge, naming the field; the tenant beside it runs on
+/// byte-identical to its solo run.
+#[test]
+fn resume_with_a_poisoned_sim_state_is_an_error() {
+    assert_poisoned_resumes_refused(158, 60, None, &SIM_POISONS);
+}
+
+/// A Snapshot request whose traffic state fails the same checks is
+/// refused before anything changes, so the daemon never hands out a
+/// snapshot its own Resume refuses; the tenant runs on byte-identical.
+#[test]
+fn snapshot_with_a_poisoned_sim_state_is_an_error() {
+    beside_a_live_tenant(159, 60, None, |mgr, snap| {
+        for (what, poison, expected) in SIM_POISONS {
+            let mut bad = snap.clone();
+            poison(&mut bad);
+            let req = ServiceRequest::Snapshot {
+                run: "live".into(),
+                sim: Some(bad.sim),
+            };
+            match &handle_naming(mgr, what, req)[..] {
+                [ServiceResponse::Error { run, message }] => {
+                    assert_eq!(run, "live");
+                    assert!(
+                        message.starts_with(&format!("snapshot failed: {expected}")),
+                        "{what}: got {message:?}"
+                    );
+                }
+                other => panic!("{what}: Snapshot answered with {other:?}"),
+            }
+        }
+    });
+}
+
+/// Server-side traces stay inside the daemon's trace directory. A Start
+/// naming a path (`../x.jsonl`, an absolute path) is refused and creates
+/// no file, as is any trace on a daemon with no trace directory. A bare
+/// name writes that file inside the directory, byte-identical to the
+/// event lines the feeder received.
+#[test]
+fn server_side_traces_stay_inside_the_trace_dir() {
+    let scen = grid_scenario(ProtocolVariant::Simple, 160);
+    let root = std::env::temp_dir().join(format!("vcountd-trace-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("traces");
+    std::fs::create_dir_all(&dir).expect("trace dir");
+    let escaped = root.join("x.jsonl");
+    let with_trace = |trace: &str| ServiceRequest::Start {
+        run: "t".into(),
+        scenario: Box::new(scen.clone()),
+        goal: Some(Goal::Collection),
+        shards: 0,
+        eager_decode: false,
+        faults: None,
+        trace: Some(trace.into()),
+    };
+    let refused = |mgr: &mut RunManager, trace: &str, want: &str| {
+        match &handle_naming(mgr, trace, with_trace(trace))[..] {
+            [ServiceResponse::Error { message, .. }] => {
+                assert!(message.contains(want), "{trace}: got {message:?}")
+            }
+            other => panic!("{trace}: Start answered with {other:?}"),
+        }
+        assert_eq!(mgr.runs().count(), 0, "{trace}: a tenant was built");
+        assert!(!escaped.exists(), "{trace}: a file was created outside");
+    };
+
+    let mut mgr = RunManager::new(ServiceConfig::default());
+    refused(&mut mgr, "x.jsonl", "no --trace-dir");
+    assert!(!dir.join("x.jsonl").exists());
+
+    let mut mgr = RunManager::new(ServiceConfig {
+        trace_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let absolute = escaped.to_str().expect("utf-8 temp path").to_string();
+    for bad in ["../x.jsonl", &absolute, "", "..", "sub/x.jsonl"] {
+        refused(&mut mgr, bad, "is not a bare file name");
+    }
+
+    let mut events = Vec::new();
+    assert!(matches!(
+        call(&mut mgr, with_trace("x.jsonl"), &mut events),
+        ServiceResponse::Started { .. }
+    ));
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    let mut batch = ObservationBatch::default();
+    let mut done = false;
+    while !done && source.next_batch(&mut batch) {
+        match call(&mut mgr, observe("t", &batch), &mut events) {
+            ServiceResponse::Accepted { done: d, .. } => done = d,
+            other => panic!("Observe answered with {other:?}"),
+        }
+    }
+    let finish = ServiceRequest::Finish {
+        run: "t".into(),
+        truth: source.truth(),
+    };
+    assert!(matches!(
+        call(&mut mgr, finish, &mut events),
+        ServiceResponse::Finished { .. }
+    ));
+    let written = std::fs::read_to_string(dir.join("x.jsonl")).expect("trace written");
+    assert!(!events.is_empty());
+    assert_eq!(written, events.join("\n") + "\n");
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// A Start whose fault plan omits `image_every_s` runs at the default
 /// cadence, as the same plan does under `vcount run --faults`.
 #[test]
@@ -743,6 +932,13 @@ fn start_mutations() -> Vec<StartMutation> {
         start_mutation("speed_factor_range reversed", false, |s, _| {
             s.sim.speed_factor_range = (1.0, 0.6)
         }),
+        // Each hung or panicked `vcount run` before it had a bound.
+        start_mutation("dt_s 1e300", false, |s, _| s.sim.dt_s = 1e300),
+        start_mutation("dt_s 1e-300", false, |s, _| s.sim.dt_s = 1e-300),
+        start_mutation("volume_pct 1e300", false, |s, _| {
+            s.demand.volume_pct = 1e300
+        }),
+        start_mutation("patrol cars 2^62", false, |s, _| s.patrol.cars = 1 << 62),
         start_mutation("explicit seed 16", false, |s, _| {
             s.seeds = SeedSpec::Explicit(vec![16])
         }),
@@ -766,8 +962,9 @@ fn start_mutations() -> Vec<StartMutation> {
 
 /// Construction never panics, so the daemon needs no panic guard. Each
 /// Start below carries one mutation of a valid faulted Start, and each
-/// Resume one mutation of a faulted tenant's snapshot: every answer is an
-/// Error, or Started where the mutation is still valid. A panic inside
+/// Resume one mutation of a faulted tenant's snapshot: every answer is a
+/// `start failed:`/`resume failed:` Error, or Started where the mutation
+/// is still valid. A panic inside
 /// the manager fails the test naming its mutation, and the faulted tenant
 /// fed alongside stays byte-identical to its solo run.
 ///
@@ -786,7 +983,8 @@ fn mutated_starts_and_resumes_never_panic() {
                 ([.., ServiceResponse::Started { .. }], true) => {
                     handle_naming(mgr, &what, ServiceRequest::Stop { run: "m".into() });
                 }
-                ([ServiceResponse::Error { .. }], false) => {}
+                ([ServiceResponse::Error { message, .. }], false)
+                    if message.starts_with("start failed: ") => {}
                 (other, _) => panic!("{what}: Start answered with {other:?}"),
             }
         }

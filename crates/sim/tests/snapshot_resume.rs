@@ -2,30 +2,41 @@
 //! snapshot to JSON, and resuming from the parsed copy must replay the
 //! exact event stream the uninterrupted run produces — byte for byte —
 //! under all three protocol variants (DESIGN.md §6quater). A snapshot
-//! whose traffic tables contradict its map or vehicle table is refused.
+//! whose traffic state does not fit its map is refused, naming the field.
 
 mod common;
 
 use std::sync::{Arc, Mutex};
 
-use common::{fnv_digest, small_grid_scenario, VecSink};
+use common::{
+    first_on_edge, fnv_digest, grid_scenario, open_scenario, small_grid_scenario, VecSink,
+};
 use vcount_core::ProtocolVariant;
-use vcount_roadnet::NodeId;
-use vcount_sim::{CrashFault, EngineSnapshot, FaultPlan, Goal, Runner, RunnerBuilder};
-use vcount_traffic::SimSnapshot;
+use vcount_roadnet::builders::ManhattanConfig;
+use vcount_roadnet::{EdgeId, NodeId};
+use vcount_sim::{
+    CrashFault, EngineSnapshot, FaultPlan, Goal, MapSpec, Runner, RunnerBuilder, Scenario,
+};
+use vcount_traffic::{SimSnapshot, Spot};
 use vcount_v2x::VehicleId;
 
 /// Runs `prefix_steps`, snapshots through a JSON round-trip, resumes, and
 /// checks the stitched prefix+tail stream is byte-identical (same FNV
 /// digest, same lines) to an uninterrupted run of the same total length.
 fn roundtrip(variant: ProtocolVariant, seed: u64) {
-    let scen = small_grid_scenario(variant, seed);
+    roundtrip_scenario(&small_grid_scenario(variant, seed), &format!("{variant:?}"));
+}
+
+/// [`roundtrip`] for any scenario. The resumed run also freezes again at
+/// once, to JSON byte-identical to the snapshot it resumed from: restore
+/// rebuilds exactly the state the snapshot stores.
+fn roundtrip_scenario(scen: &Scenario, variant: &str) {
     let total_steps = 600usize;
     let prefix_steps = 217usize;
 
     // Uninterrupted reference run.
     let full = Arc::new(Mutex::new(Vec::new()));
-    let mut reference = Runner::builder(&scen)
+    let mut reference = Runner::builder(scen)
         .sink(Box::new(VecSink(full.clone())))
         .build();
     for _ in 0..total_steps {
@@ -40,7 +51,7 @@ fn roundtrip(variant: ProtocolVariant, seed: u64) {
 
     // Interrupted run: prefix, freeze, JSON round-trip, resume, tail.
     let prefix = Arc::new(Mutex::new(Vec::new()));
-    let mut first = Runner::builder(&scen)
+    let mut first = Runner::builder(scen)
         .sink(Box::new(VecSink(prefix.clone())))
         .build();
     for _ in 0..prefix_steps {
@@ -57,6 +68,10 @@ fn roundtrip(variant: ProtocolVariant, seed: u64) {
         .sink(Box::new(VecSink(tail.clone())))
         .build();
     assert_eq!(resumed.time_s(), frozen_at, "resume restores the clock");
+    assert!(
+        resumed.snapshot().to_json() == snap_json,
+        "{variant}: a resumed run froze to different JSON"
+    );
     for _ in 0..(total_steps - prefix_steps) {
         resumed.step();
     }
@@ -101,6 +116,55 @@ fn open_variant_resumes_byte_identical() {
     roundtrip(ProtocolVariant::Open, 33);
 }
 
+/// The JSON round trip and the stitched stream hold on three maps: a grid
+/// with two patrol cars, a one-way ring, and the open midtown map, where
+/// vehicles have left the region.
+#[test]
+fn snapshots_round_trip_on_three_maps() {
+    let mut patrolled = grid_scenario(ProtocolVariant::Extended, 41);
+    patrolled.patrol.cars = 2;
+    let mut ring = small_grid_scenario(ProtocolVariant::Extended, 42);
+    ring.map = MapSpec::DirectedRing {
+        nodes: 8,
+        spacing_m: 120.0,
+        speed_mps: 10.0,
+    };
+    let midtown = open_scenario(43);
+    let mut runner = Runner::builder(&midtown).build();
+    for _ in 0..217 {
+        runner.step();
+    }
+    assert!(
+        runner.snapshot().sim.vehicles.at.contains(&Spot::Out),
+        "no vehicle left the open map; the open case is vacuous"
+    );
+    for (scen, what) in [
+        (patrolled, "grid with two patrol cars"),
+        (ring, "one-way ring"),
+        (midtown, "open midtown"),
+    ] {
+        roundtrip_scenario(&scen, what);
+    }
+}
+
+/// The v6 layout keeps a midtown snapshot small: 50 steps into the
+/// paper's closed run it serializes to at most 0.6x the v5 layout, which
+/// took 1,120,780 bytes on this run (seed 1).
+#[test]
+fn midtown_snapshot_stays_within_its_size_budget() {
+    const V5_BYTES: usize = 1_120_780;
+    let scen = Scenario::paper_closed(ManhattanConfig::default(), 60.0, 2, 1);
+    let mut runner = Runner::builder(&scen).build();
+    for _ in 0..50 {
+        runner.step();
+    }
+    let bytes = runner.snapshot().to_json().len();
+    assert!(
+        bytes * 10 <= V5_BYTES * 6,
+        "the snapshot takes {bytes} bytes, over 0.6x the v5 layout's {V5_BYTES}"
+    );
+}
+
 #[test]
 fn snapshot_rejects_wrong_schema() {
     let scen = small_grid_scenario(ProtocolVariant::Simple, 5);
@@ -109,7 +173,7 @@ fn snapshot_rejects_wrong_schema() {
     let mut snap = runner.snapshot();
     assert!(EngineSnapshot::from_json(&snap.to_json()).is_ok());
     // Every retired tag is refused, not just an invented one.
-    for v in 0..=4 {
+    for v in 0..=5 {
         snap.schema = format!("vcount-engine-snapshot/v{v}");
         let err = EngineSnapshot::from_json(&snap.to_json()).unwrap_err();
         assert!(err.contains("unsupported snapshot schema"), "v{v}: {err}");
@@ -146,7 +210,19 @@ fn refusal(mutate: impl FnOnce(&mut EngineSnapshot)) -> String {
 
 /// [`refusal`] for a run under a fault plan.
 fn refusal_under(plan: Option<FaultPlan>, mutate: impl FnOnce(&mut EngineSnapshot)) -> String {
-    let scen = small_grid_scenario(ProtocolVariant::Simple, 9);
+    refusal_on(
+        small_grid_scenario(ProtocolVariant::Simple, 9),
+        plan,
+        mutate,
+    )
+}
+
+/// [`refusal`] for a run of `scen`.
+fn refusal_on(
+    scen: Scenario,
+    plan: Option<FaultPlan>,
+    mutate: impl FnOnce(&mut EngineSnapshot),
+) -> String {
     let mut builder = Runner::builder(&scen);
     if let Some(plan) = plan {
         builder = builder.faults(plan);
@@ -163,32 +239,114 @@ fn refusal_under(plan: Option<FaultPlan>, mutate: impl FnOnce(&mut EngineSnapsho
     }
 }
 
-/// The first lane holding at least `vehicles` vehicles.
-fn lane_with(sim: &mut SimSnapshot, vehicles: usize) -> &mut Vec<VehicleId> {
-    let mut lanes = sim.lanes.iter_mut().flatten();
-    lanes
-        .find(|l| l.len() >= vehicles)
-        .expect("a lane this full")
+/// The first non-empty stop-line queue.
+fn first_queue(sim: &mut SimSnapshot) -> &mut Vec<(VehicleId, EdgeId)> {
+    let queue = sim.queues.iter_mut().find(|q| !q.is_empty());
+    queue.expect("a vehicle queued at a stop line")
 }
 
 #[test]
-fn resume_rejects_an_unknown_vehicle_in_a_lane() {
-    let err = refusal(|snap| lane_with(&mut snap.sim, 1)[0] = VehicleId(999_999));
-    assert!(err.contains("unknown vehicle 999999"), "{err}");
-}
-
-#[test]
-fn resume_rejects_a_lane_table_missing_an_edge() {
+fn resume_rejects_a_vehicle_column_one_entry_short() {
     let err = refusal(|snap| {
-        snap.sim.lanes.remove(3);
+        snap.sim.vehicles.speed_mps.pop();
     });
-    assert!(err.contains("lane table has"), "{err}");
+    assert!(err.contains("vehicles.speed_mps has"), "{err}");
 }
 
 #[test]
-fn resume_rejects_a_lane_out_of_leader_first_order() {
-    let err = refusal(|snap| lane_with(&mut snap.sim, 2).swap(0, 1));
-    assert!(err.contains("not ordered leader first"), "{err}");
+fn resume_rejects_an_on_edge_vehicle_off_the_map() {
+    let err = refusal(|snap| *first_on_edge(&mut snap.sim).1 = EdgeId(999_999));
+    assert!(err.contains("edge 999999 is not on the"), "{err}");
+    assert!(err.contains("vehicles.at["), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_lane_its_edge_lacks() {
+    // The grid has two lanes per direction.
+    let err = refusal(|snap| *first_on_edge(&mut snap.sim).2 = 2);
+    assert!(err.contains("has no lane 2"), "{err}");
+    assert!(err.contains("vehicles.at["), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_nan_position() {
+    let err = refusal(|snap| *first_on_edge(&mut snap.sim).3 = f64::NAN);
+    assert!(err.contains("position NaN is not in"), "{err}");
+    assert!(err.contains("vehicles.at["), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_position_past_the_edge() {
+    let err = refusal(|snap| *first_on_edge(&mut snap.sim).3 = 1e6);
+    assert!(err.contains("position 1000000.0 is not in [0, "), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_nan_speed_factor() {
+    let err = refusal(|snap| snap.sim.vehicles.speed_factor[0] = f64::NAN);
+    assert!(
+        err.contains("vehicles.speed_factor[0] = NaN is not finite and positive"),
+        "{err}"
+    );
+}
+
+/// A grid dense enough that vehicles wait at stop lines between steps.
+fn queueing_scenario() -> Scenario {
+    let mut scen = small_grid_scenario(ProtocolVariant::Simple, 9);
+    scen.sim.admit_per_step = 1;
+    scen.demand.volume_pct = 200.0;
+    scen
+}
+
+#[test]
+fn resume_rejects_a_queued_vehicle_missing_from_its_queue() {
+    let err = refusal_on(queueing_scenario(), None, |snap| {
+        first_queue(&mut snap.sim).pop();
+    });
+    assert!(err.contains("is Queued, but no queue lists it"), "{err}");
+    assert!(err.contains("vehicles.at["), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_queued_vehicle_listed_twice() {
+    let err = refusal_on(queueing_scenario(), None, |snap| {
+        let queue = first_queue(&mut snap.sim);
+        queue.push(queue[0]);
+    });
+    assert!(err.contains("snapshot queues list vehicle"), "{err}");
+    assert!(err.contains("twice"), "{err}");
+}
+
+/// A patrol car whose loop points past its edges: before v6 this passed
+/// `try_build` and panicked indexing the loop at the car's next admission.
+#[test]
+fn resume_rejects_a_loop_with_next_out_of_range() {
+    let scen = small_grid_scenario(ProtocolVariant::Extended, 9);
+    let err = refusal_on(scen, None, |snap| snap.sim.vehicles.loops[0].2 = 999);
+    assert!(
+        err.contains("vehicles.loops[0]: next 999 is past its"),
+        "{err}"
+    );
+}
+
+#[test]
+fn resume_rejects_an_empty_loop() {
+    let scen = small_grid_scenario(ProtocolVariant::Extended, 9);
+    let err = refusal_on(scen, None, |snap| {
+        let patrol = &mut snap.sim.vehicles.loops[0];
+        patrol.1.clear();
+        patrol.2 = 0;
+    });
+    assert!(err.contains("vehicles.loops[0] is empty"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_nan_clock() {
+    let err = refusal(|snap| snap.sim.time_s = f64::NAN);
+    assert!(
+        err.contains("snapshot time_s NaN is not a finite time >= 0"),
+        "{err}"
+    );
 }
 
 #[test]

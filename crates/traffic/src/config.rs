@@ -2,6 +2,35 @@
 
 use crate::signals::SignalTiming;
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
+
+/// Time steps a run may take, seconds. Below the range a run's step count
+/// grows without bound as the step shrinks; above it a vehicle crosses
+/// whole blocks in one step.
+pub const DT_S: RangeInclusive<f64> = 0.01..=10.0;
+/// Open-border arrival rates per inbound node at 100% volume,
+/// vehicles/second: a few lanes' saturation flow at most.
+pub const SPAWN_RATE_HZ: RangeInclusive<f64> = 0.0..=2.0;
+/// Traffic volumes, percent of the average (the paper sweeps 10..=100).
+pub const VOLUME_PCT: RangeInclusive<f64> = 0.0..=500.0;
+/// Densities at 100% volume, vehicles per lane-km: up to jam density.
+pub const VEHICLES_PER_LANE_KM: RangeInclusive<f64> = 0.0..=200.0;
+/// The fraction of vehicles that are white vans.
+pub const WHITE_VAN_FRACTION: RangeInclusive<f64> = 0.0..=1.0;
+
+/// `Ok` when `value` lies in `range` (so is not NaN), else an error
+/// naming `what`, the range and the value.
+fn check_range(what: &str, value: f64, range: &RangeInclusive<f64>) -> Result<(), String> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} must be in [{:?}, {:?}], got {value:?}",
+            range.start(),
+            range.end()
+        ))
+    }
+}
 
 /// Microsimulator parameters.
 ///
@@ -87,9 +116,7 @@ impl SimConfig {
 
     /// Validates parameter ranges; called by the simulator constructor.
     pub fn validate(&self) -> Result<(), String> {
-        if self.dt_s.is_nan() || self.dt_s <= 0.0 {
-            return Err("dt_s must be positive".into());
-        }
+        check_range("dt_s", self.dt_s, &DT_S)?;
         if self.admit_per_step == 0 || self.admit_per_step_roundabout == 0 {
             return Err("admission rates must be at least 1".into());
         }
@@ -100,8 +127,8 @@ impl SimConfig {
             return Err("lane_change_prob must be in [0,1]".into());
         }
         let (lo, hi) = self.speed_factor_range;
-        if !(lo > 0.0 && hi >= lo) {
-            return Err("speed_factor_range must satisfy 0 < lo <= hi".into());
+        if !(lo > 0.0 && hi >= lo && hi.is_finite()) {
+            return Err("speed_factor_range must satisfy 0 < lo <= hi < infinity".into());
         }
         if !(0.0..=1.0).contains(&self.exit_prob) {
             return Err("exit_prob must be in [0,1]".into());
@@ -109,10 +136,7 @@ impl SimConfig {
         if !(0.0..=1.0).contains(&self.u_turn_prob) {
             return Err("u_turn_prob must be in [0,1]".into());
         }
-        if self.spawn_rate_hz < 0.0 {
-            return Err("spawn_rate_hz must be non-negative".into());
-        }
-        Ok(())
+        check_range("spawn_rate_hz", self.spawn_rate_hz, &SPAWN_RATE_HZ)
     }
 }
 
@@ -161,6 +185,22 @@ impl Demand {
     pub fn volume_factor(&self) -> f64 {
         self.volume_pct / 100.0
     }
+
+    /// Validates the demand against its physical ranges ([`VOLUME_PCT`],
+    /// [`VEHICLES_PER_LANE_KM`], [`WHITE_VAN_FRACTION`]).
+    pub fn validate(&self) -> Result<(), String> {
+        check_range("volume_pct", self.volume_pct, &VOLUME_PCT)?;
+        check_range(
+            "vehicles_per_lane_km",
+            self.vehicles_per_lane_km,
+            &VEHICLES_PER_LANE_KM,
+        )?;
+        check_range(
+            "white_van_fraction",
+            self.white_van_fraction,
+            &WHITE_VAN_FRACTION,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +243,33 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+        for dt_s in [1e300, 1e-300, f64::NAN] {
+            let c = SimConfig {
+                dt_s,
+                ..Default::default()
+            };
+            assert!(c.validate().unwrap_err().starts_with("dt_s must be in"));
+        }
+    }
+
+    #[test]
+    fn demand_outside_its_physical_ranges_is_rejected() {
+        Demand::default().validate().unwrap();
+        let bad = [
+            Demand::at_volume(1e300),
+            Demand::at_volume(-1.0),
+            Demand {
+                vehicles_per_lane_km: f64::INFINITY,
+                ..Default::default()
+            },
+            Demand {
+                white_van_fraction: 1.5,
+                ..Default::default()
+            },
+        ];
+        for d in bad {
+            assert!(d.validate().is_err(), "{d:?} passed");
+        }
     }
 
     #[test]

@@ -19,11 +19,13 @@ pub mod order;
 pub mod rng;
 pub mod signals;
 pub mod simulator;
+pub mod snapshot;
 pub mod vehicle;
 
 pub use config::{Demand, SimConfig};
 pub use events::TrafficEvent;
 pub use rng::ReplayRng;
 pub use signals::{SignalPlan, SignalTiming};
-pub use simulator::{SimSnapshot, Simulator};
+pub use simulator::Simulator;
+pub use snapshot::{Loop, SimSnapshot, Spot, VehicleTable};
 pub use vehicle::{sample_class, RoutePolicy, VehState, Vehicle};

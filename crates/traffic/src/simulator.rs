@@ -12,36 +12,13 @@ use crate::events::TrafficEvent;
 use crate::order::{count_inversions, for_each_inversion};
 use crate::rng::ReplayRng;
 use crate::signals::SignalPlan;
+use crate::snapshot::{SimSnapshot, VehicleTable};
 use crate::vehicle::{sample_class, RoutePolicy, VehState, Vehicle};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use vcount_roadnet::{EdgeId, NodeId, NodeKind, RoadNetwork};
 use vcount_v2x::{VehicleClass, VehicleId};
-
-/// Serializable dynamic state of a [`Simulator`], produced by
-/// [`Simulator::snapshot`] and consumed by [`Simulator::restore`]. The
-/// static inputs (network, config, demand) are *not* included — the caller
-/// re-supplies them, and the RNG stream is captured as its draw count (see
-/// [`ReplayRng`]), so a restored simulator replays bit-identically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimSnapshot {
-    /// RNG state advances performed so far (seed comes from the config).
-    pub rng_draws: u64,
-    /// Simulated time, seconds.
-    pub time_s: f64,
-    /// Steps executed.
-    pub steps: u64,
-    /// Every vehicle ever created, including exited ones.
-    pub vehicles: Vec<Vehicle>,
-    /// edge -> lane -> vehicles ordered leader-first.
-    pub lanes: Vec<Vec<Vec<VehicleId>>>,
-    /// node -> FIFO of (vehicle, arrival edge) at the stop line.
-    pub queues: Vec<Vec<(VehicleId, EdgeId)>>,
-    /// Previous cross-lane order per edge (overtake detection).
-    pub prev_order: Vec<Vec<VehicleId>>,
-}
 
 /// The microsimulator. See module docs for the step structure.
 pub struct Simulator {
@@ -217,22 +194,14 @@ impl Simulator {
 
     /// Captures the dynamic state at a step boundary. Scratch buffers and
     /// the per-step event list are excluded: both are rebuilt from scratch
-    /// by the next [`Simulator::step`] regardless.
+    /// by the next [`Simulator::step`] regardless. Lanes are excluded too:
+    /// each is its on-edge vehicles in lane order.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             rng_draws: self.rng.draws(),
             time_s: self.time_s,
             steps: self.steps,
-            vehicles: self.vehicles.clone(),
-            lanes: self
-                .lanes
-                .iter()
-                .map(|edge| {
-                    edge.iter()
-                        .map(|lane| lane.iter().map(|s| s.id).collect())
-                        .collect()
-                })
-                .collect(),
+            vehicles: VehicleTable::of(&self.vehicles),
             queues: self
                 .queues
                 .iter()
@@ -247,10 +216,12 @@ impl Simulator {
     /// captured position, so the restored simulator produces the exact
     /// event stream the original would have from this point on.
     ///
-    /// The snapshot is outside input, so its lane, queue and overtake
-    /// tables are checked against the map and the vehicle table before
-    /// anything steps: an inconsistent snapshot is an error here, not a
-    /// panic or a silently wrong trajectory later.
+    /// The snapshot is outside input, so it is checked against the map
+    /// ([`SimSnapshot::validate`]) before anything steps: an inconsistent
+    /// snapshot is an error here, not a panic or a silently wrong
+    /// trajectory later. Each lane is rebuilt by sorting its on-edge
+    /// vehicles in lane order (position descending, then id), the total
+    /// order stepping keeps every lane in.
     pub fn restore(
         net: RoadNetwork,
         cfg: SimConfig,
@@ -259,22 +230,30 @@ impl Simulator {
     ) -> Result<Self, String> {
         cfg.validate()
             .map_err(|e| format!("invalid simulator config: {e}"))?;
-        let lanes = restore_lanes(&net, snap)?;
-        if snap.prev_order.len() != net.edge_count()
-            || snap
-                .prev_order
-                .iter()
-                .flatten()
-                .any(|v| v.index() >= snap.vehicles.len())
-        {
-            return Err("snapshot overtake orders do not fit the map and vehicle table".into());
+        snap.validate(&net)?;
+        let vehicles = snap.vehicles.vehicles(&snap.queues);
+        let mut lanes: Vec<Vec<Vec<Slot>>> = net
+            .edges()
+            .map(|e| vec![Vec::new(); e.lanes as usize])
+            .collect();
+        for v in &vehicles {
+            if let VehState::OnEdge { edge, lane, pos_m } = v.state {
+                lanes[edge.index()][usize::from(lane)].push(Slot {
+                    id: v.id,
+                    pos: pos_m,
+                    factor: v.speed_factor,
+                });
+            }
+        }
+        for lane in lanes.iter_mut().flatten() {
+            lane.sort_unstable_by(Slot::lane_order);
         }
         let signals = cfg.signals.map(|t| SignalPlan::build(&net, t));
         Ok(Simulator {
             rng: ReplayRng::resume(cfg.seed, snap.rng_draws),
             time_s: snap.time_s,
             steps: snap.steps,
-            vehicles: snap.vehicles.clone(),
+            vehicles,
             lanes,
             queues: snap
                 .queues
@@ -806,115 +785,6 @@ impl Simulator {
             }
         }
     }
-}
-
-/// Converts a snapshot's lane lists to slot arrays after checking its lane
-/// and queue tables against the map and the vehicle table: every vehicle
-/// inside the map is listed exactly once, an on-edge one in its lane at a
-/// position on its edge and in lane order, a queued one in its node's
-/// queue from its arrival edge.
-fn restore_lanes(net: &RoadNetwork, snap: &SimSnapshot) -> Result<Vec<Vec<Vec<Slot>>>, String> {
-    if snap.lanes.len() != net.edge_count() {
-        return Err(format!(
-            "snapshot lane table has {} edges, the map has {}",
-            snap.lanes.len(),
-            net.edge_count()
-        ));
-    }
-    if snap.queues.len() != net.node_count() {
-        return Err(format!(
-            "snapshot queue table has {} nodes, the map has {}",
-            snap.queues.len(),
-            net.node_count()
-        ));
-    }
-    let mut listed = vec![false; snap.vehicles.len()];
-    let mut list_once = |id: VehicleId| {
-        if std::mem::replace(&mut listed[id.index()], true) {
-            return Err(format!("vehicle {} is listed twice", id.0));
-        }
-        Ok(())
-    };
-    let mut lanes = Vec::with_capacity(snap.lanes.len());
-    for (edge, edge_lanes) in net.edges().zip(&snap.lanes) {
-        let e = edge.id.0;
-        if edge_lanes.len() != edge.lanes as usize {
-            return Err(format!(
-                "snapshot lists {} lanes on edge {e}, the map has {}",
-                edge_lanes.len(),
-                edge.lanes
-            ));
-        }
-        let mut slots_by_lane = Vec::with_capacity(edge_lanes.len());
-        for (li, ids) in edge_lanes.iter().enumerate() {
-            let mut slots: Vec<Slot> = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let v = id.0;
-                let veh = snap
-                    .vehicles
-                    .get(id.index())
-                    .ok_or_else(|| format!("lane {li} of edge {e} lists unknown vehicle {v}"))?;
-                let pos = match veh.state {
-                    VehState::OnEdge {
-                        edge: at,
-                        lane,
-                        pos_m,
-                    } if at == edge.id
-                        && usize::from(lane) == li
-                        && (0.0..=edge.length_m).contains(&pos_m) =>
-                    {
-                        pos_m
-                    }
-                    _ => {
-                        return Err(format!(
-                            "lane {li} of edge {e} lists vehicle {v}, which is not on that lane"
-                        ))
-                    }
-                };
-                list_once(id)?;
-                let slot = Slot {
-                    id,
-                    pos,
-                    factor: veh.speed_factor,
-                };
-                if slots
-                    .last()
-                    .is_some_and(|prev| prev.lane_order(&slot).is_ge())
-                {
-                    return Err(format!(
-                        "lane {li} of edge {e} is not ordered leader first at vehicle {v}"
-                    ));
-                }
-                slots.push(slot);
-            }
-            slots_by_lane.push(slots);
-        }
-        lanes.push(slots_by_lane);
-    }
-    for (n, queue) in snap.queues.iter().enumerate() {
-        for &(id, from) in queue {
-            let queued_here = snap.vehicles.get(id.index()).is_some_and(|veh| {
-                matches!(veh.state, VehState::Queued { node, from: f }
-                    if node.index() == n && f == from)
-            });
-            if !queued_here || from.index() >= net.edge_count() || net.edge(from).to.index() != n {
-                return Err(format!(
-                    "queue of node {n} lists vehicle {} from edge {}, which is not queued there",
-                    id.0, from.0
-                ));
-            }
-            list_once(id)?;
-        }
-    }
-    let unlisted = snap
-        .vehicles
-        .iter()
-        .zip(&listed)
-        .position(|(veh, &seen)| veh.is_inside() && !seen);
-    if let Some(i) = unlisted {
-        return Err(format!("vehicle {i} is inside but in no lane or queue"));
-    }
-    Ok(lanes)
 }
 
 enum RouteDecision {

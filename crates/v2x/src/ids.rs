@@ -100,6 +100,28 @@ impl VehicleClass {
     pub fn is_patrol(&self) -> bool {
         self.body == BodyType::PatrolCar
     }
+
+    /// The class as one small integer, `(color × 5 + brand) × 7 + body`
+    /// over the variants' declaration order: 245 codes in all. Snapshots
+    /// store classes this way.
+    pub fn code(&self) -> u8 {
+        (self.color as u8 * 5 + self.brand as u8) * 7 + self.body as u8
+    }
+
+    /// The class whose [`VehicleClass::code`] is `code`, or `None` past
+    /// the 245 codes.
+    pub fn from_code(code: u8) -> Option<VehicleClass> {
+        use {BodyType::*, Brand::*, Color::*};
+        const COLORS: [Color; 7] = [White, Black, Silver, Red, Blue, Green, Yellow];
+        const BRANDS: [Brand; 5] = [Apex, Borealis, Cascade, Dynamo, Everest];
+        const BODIES: [BodyType; 7] = [Sedan, Suv, Van, BoxTruck, Pickup, Bus, PatrolCar];
+        let (code, body) = (usize::from(code / 7), BODIES[usize::from(code % 7)]);
+        Some(VehicleClass {
+            color: *COLORS.get(code / 5)?,
+            brand: BRANDS[code % 5],
+            body,
+        })
+    }
 }
 
 /// A filter over exterior characteristics, for the "counting a specified
@@ -215,5 +237,16 @@ mod tests {
         };
         assert!(f.matches(&yes));
         assert!(!f.matches(&no));
+    }
+
+    #[test]
+    fn class_codes_round_trip_and_end_at_245() {
+        for code in 0..=u8::MAX {
+            match VehicleClass::from_code(code) {
+                Some(class) => assert_eq!(class.code(), code),
+                None => assert!(code >= 245, "code {code} has no class"),
+            }
+        }
+        assert_eq!(VehicleClass::from_code(244).map(|c| c.code()), Some(244));
     }
 }

@@ -70,22 +70,23 @@ assert tail and full.endswith(tail), \
     "resumed trace is not a byte-identical suffix of the uninterrupted trace"
 print(f"snapshot/resume smoke ok: {len(tail)} byte tail of {len(full)} byte trace")
 EOF
-# A snapshot is outside input: one lane id out of range must be refused
-# by validation (exit 1 with an `error:` line), never reach a panic.
-echo "+ vcount run --resume on snap.json with one lane id set to 999999 (refused)"
-jq -c '.sim.lanes |= (first(paths(numbers)) as $p | setpath($p; 999999))' \
-    "$snap_dir/snap.json" > "$snap_dir/bad_lane.json"
+# A snapshot is outside input: the first on-edge vehicle's edge set out
+# of range must be refused by validation (exit 1 with an `error:` line),
+# never reach a panic.
+echo "+ vcount run --resume on snap.json with one on-edge edge set to 999999 (refused)"
+jq -c '.sim.vehicles.at |= (first(paths(numbers)) as $p | setpath($p; 999999))' \
+    "$snap_dir/snap.json" > "$snap_dir/bad_edge.json"
 resume_status=0
 cargo run --release -q -p vcount-cli --bin vcount -- \
-    run --resume "$snap_dir/bad_lane.json" --goal constitution \
-    >/dev/null 2>"$snap_dir/bad_lane.err" || resume_status=$?
-if [ "$resume_status" -ne 1 ] || ! grep -q '^error: ' "$snap_dir/bad_lane.err" \
-    || grep -q 'panicked' "$snap_dir/bad_lane.err"; then
-    cat "$snap_dir/bad_lane.err" >&2
+    run --resume "$snap_dir/bad_edge.json" --goal constitution \
+    >/dev/null 2>"$snap_dir/bad_edge.err" || resume_status=$?
+if [ "$resume_status" -ne 1 ] || ! grep -q '^error: ' "$snap_dir/bad_edge.err" \
+    || grep -q 'panicked' "$snap_dir/bad_edge.err"; then
+    cat "$snap_dir/bad_edge.err" >&2
     echo "corrupt snapshot was not refused cleanly (exit $resume_status)" >&2
     exit 1
 fi
-echo "corrupt-snapshot smoke ok: $(grep -m1 '^error: ' "$snap_dir/bad_lane.err")"
+echo "corrupt-snapshot smoke ok: $(grep -m1 '^error: ' "$snap_dir/bad_edge.err")"
 
 # Fault-injection smoke: a run under a crash+blackout+chaos plan must end
 # exact or explicitly degraded (never a silent miscount), and the crash
@@ -432,6 +433,39 @@ for transport in ("", "tcp_"):
 print("concurrent-feeders smoke ok: both tenants byte-identical to solo runs "
       "over a Unix socket and over TCP, socket file cleaned up")
 EOF
+
+# Trace-dir smoke: the daemon writes a server-side trace only as a bare
+# file name inside its --trace-dir (DESIGN.md §10). `--server-trace
+# x.jsonl` leaves DIR/x.jsonl byte-identical to the feeder's own trace;
+# `--server-trace ../x.jsonl` is refused and creates no file.
+echo "+ vcount serve --socket --trace-dir D & feed --server-trace x.jsonl, ../x.jsonl"
+trace_dir="$serve_dir/traces"
+mkdir "$trace_dir"
+vcountd_sock="$serve_dir/vcountd_traces.sock"
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    serve --socket "$vcountd_sock" --max-conns 2 --trace-dir "$trace_dir" 2>/dev/null &
+serve_pid=$!
+for _ in $(seq 100); do
+    [ -S "$vcountd_sock" ] && break
+    sleep 0.1
+done
+[ -S "$vcountd_sock" ] || { echo "daemon never bound $vcountd_sock" >&2; exit 1; }
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$fault_dir/scen.json" --socket "$vcountd_sock" \
+    --trace "$serve_dir/trace_dir_feed.jsonl" --server-trace x.jsonl >/dev/null
+escape_status=0
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$fault_dir/scen.json" --socket "$vcountd_sock" --run escape \
+    --server-trace ../x.jsonl >/dev/null 2>"$serve_dir/escape.err" || escape_status=$?
+wait "$serve_pid"
+run cmp "$serve_dir/trace_dir_feed.jsonl" "$trace_dir/x.jsonl"
+if [ "$escape_status" -ne 1 ] || ! grep -q 'is not a bare file name' "$serve_dir/escape.err" \
+    || [ -e "$serve_dir/x.jsonl" ]; then
+    cat "$serve_dir/escape.err" >&2
+    echo "--server-trace ../x.jsonl was not refused cleanly (exit $escape_status)" >&2
+    exit 1
+fi
+echo "trace-dir smoke ok: x.jsonl written inside --trace-dir, ../x.jsonl refused"
 
 # Bench smoke: the hotpath bin must run end to end, emit well-formed JSON,
 # and stay within 5% of the committed throughput baseline — both
