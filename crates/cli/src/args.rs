@@ -1,6 +1,40 @@
 //! Minimal `--flag value` argument parser (no external dependencies).
 
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Why a command failed. An argument error is answered with the usage
+/// text after its `error:` line; any other failure with that line alone.
+#[derive(Debug, PartialEq)]
+pub enum CliError {
+    /// The command line is wrong: no or an unknown subcommand, a bad or
+    /// missing flag or argument.
+    Usage(String),
+    /// The work failed: a file that cannot be read or parsed, a refused
+    /// run, a service error.
+    Failed(String),
+}
+
+impl CliError {
+    /// An argument error.
+    pub fn usage(message: impl Into<String>) -> Self {
+        CliError::Usage(message.into())
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Failed(message)
+    }
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(message) | CliError::Failed(message) => f.write_str(message),
+        }
+    }
+}
 
 /// Parsed positionals + `--key value` flags.
 #[derive(Debug, Default)]
@@ -16,18 +50,18 @@ impl Args {
     /// (or followed by another flag) is a boolean switch. Values that
     /// themselves start with `--` must use the `--key=value` form —
     /// `--delta --5` reads `--5` as a (malformed) flag, not a value.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    pub fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
             if let Some(key) = a.strip_prefix("--") {
                 if key.is_empty() {
-                    return Err("bare `--` is not a flag".into());
+                    return Err(CliError::usage("bare `--` is not a flag"));
                 }
                 if let Some((key, value)) = key.split_once('=') {
                     if key.is_empty() {
-                        return Err(format!("missing flag name in `{a}`"));
+                        return Err(CliError::usage(format!("missing flag name in `{a}`")));
                     }
                     out.flags.insert(key.to_string(), value.to_string());
                     i += 1;
@@ -61,18 +95,18 @@ impl Args {
 
     /// A typed flag value: `Ok(None)` when absent, `Err` when present but
     /// unparseable.
-    pub fn flag_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+    pub fn flag_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
         match self.flags.get(key) {
             None => Ok(None),
             Some(v) => v
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("invalid value `{v}` for --{key}")),
+                .map_err(|_| CliError::usage(format!("invalid value `{v}` for --{key}"))),
         }
     }
 
     /// A parsed flag value with a default.
-    pub fn flag_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub fn flag_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
         Ok(self.flag_parsed(key)?.unwrap_or(default))
     }
 
@@ -83,10 +117,10 @@ impl Args {
 
     /// Errors on any flag or switch not in `known` — typos fail loudly
     /// instead of being silently ignored.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), CliError> {
         for key in self.flags.keys().chain(self.switches.iter()) {
             if !known.contains(&key.as_str()) {
-                return Err(format!("unknown flag `--{key}`"));
+                return Err(CliError::usage(format!("unknown flag `--{key}`")));
             }
         }
         Ok(())
@@ -166,6 +200,7 @@ mod tests {
         assert!(a
             .reject_unknown(&["goal"])
             .unwrap_err()
+            .to_string()
             .contains("porgress"));
         assert!(a.reject_unknown(&["goal", "porgress"]).is_ok());
     }

@@ -1,6 +1,6 @@
 //! The `vcount` subcommands.
 
-use crate::args::Args;
+use crate::args::{Args, CliError};
 use crate::{build_scenario, drive, SnapshotCfg};
 use std::io::Write;
 use vcount_obs::{EventFilter, EventSink, JsonlSink};
@@ -122,7 +122,7 @@ USAGE:
 Flags accept both `--key value` and `--key=value`.";
 
 /// `vcount scenario`.
-pub fn scenario(args: &Args) -> Result<(), String> {
+pub fn scenario(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["preset", "volume", "seeds", "rng", "out"])?;
     let preset = args.flag("preset").unwrap_or("closed");
     let volume = args.flag_or("volume", 60.0)?;
@@ -141,7 +141,7 @@ pub fn scenario(args: &Args) -> Result<(), String> {
 }
 
 /// `vcount run`.
-pub fn run(args: &Args) -> Result<(), String> {
+pub fn run(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "goal",
         "progress",
@@ -156,13 +156,13 @@ pub fn run(args: &Args) -> Result<(), String> {
     let goal = parse_goal(args, Goal::Collection)?;
     let trace_path = args.flag("trace");
     let filter = match (trace_path, args.flag("trace-filter")) {
-        (Some(_), Some(spec)) => EventFilter::parse(spec)?,
+        (Some(_), Some(spec)) => EventFilter::parse(spec).map_err(CliError::Usage)?,
         (Some(_), None) => EventFilter::all(),
-        (None, Some(_)) => return Err("--trace-filter requires --trace".into()),
+        (None, Some(_)) => return Err(CliError::usage("--trace-filter requires --trace")),
         (None, None) => EventFilter::all(),
     };
     let snapshot = match args.flag_parsed::<u64>("snapshot-every")? {
-        Some(0) => return Err("--snapshot-every must be at least 1".into()),
+        Some(0) => return Err(CliError::usage("--snapshot-every must be at least 1")),
         Some(every) => Some(SnapshotCfg {
             every,
             out: args
@@ -172,7 +172,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }),
         None => {
             if args.flag("snapshot-out").is_some() {
-                return Err("--snapshot-out requires --snapshot-every".into());
+                return Err(CliError::usage("--snapshot-out requires --snapshot-every"));
             }
             None
         }
@@ -189,22 +189,20 @@ pub fn run(args: &Args) -> Result<(), String> {
     let (builder, context) = match args.flag("resume") {
         Some(snap_path) => {
             if args.positional(0).is_some() {
-                return Err(
-                    "--resume takes no scenario argument (the snapshot embeds its scenario)".into(),
-                );
+                return Err(CliError::usage(
+                    "--resume takes no scenario argument (the snapshot embeds its scenario)",
+                ));
             }
             if record_path.is_some() {
-                return Err(
+                return Err(CliError::usage(
                     "--record-actions cannot be combined with --resume (an action trace must \
-                     cover a whole run)"
-                        .into(),
-                );
+                     cover a whole run)",
+                ));
             }
             if faults.is_some() {
-                return Err(
-                    "--faults cannot be combined with --resume (the snapshot embeds its fault plan)"
-                        .into(),
-                );
+                return Err(CliError::usage(
+                    "--faults cannot be combined with --resume (the snapshot embeds its fault plan)",
+                ));
             }
             let text =
                 std::fs::read_to_string(snap_path).map_err(|e| format!("{snap_path}: {e}"))?;
@@ -212,7 +210,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             (RunnerBuilder::from_snapshot(snap), snap_path)
         }
         None => {
-            let path = args.positional(0).ok_or("missing SCENARIO.json argument")?;
+            let path = args
+                .positional(0)
+                .ok_or_else(|| CliError::usage("missing SCENARIO.json argument"))?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let scenario: Scenario =
                 serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -256,15 +256,18 @@ pub fn run(args: &Args) -> Result<(), String> {
         return Err(format!(
             "{} per-vehicle oracle violations — counting was not exact",
             metrics.oracle_violations
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
 /// `vcount replay`.
-pub fn replay(args: &Args) -> Result<(), String> {
+pub fn replay(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[])?;
-    let path = args.positional(0).ok_or("missing TRACE.json argument")?;
+    let path = args
+        .positional(0)
+        .ok_or_else(|| CliError::usage("missing TRACE.json argument"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = ActionTrace::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let report = replay_trace(&trace).map_err(|e| format!("{path}: {e}"))?;
@@ -272,9 +275,11 @@ pub fn replay(args: &Args) -> Result<(), String> {
         "{}",
         serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
     );
-    report
-        .check()
-        .map_err(|e| format!("machine-only replay diverged from the recording: {e}"))
+    report.check().map_err(|e| {
+        CliError::Failed(format!(
+            "machine-only replay diverged from the recording: {e}"
+        ))
+    })
 }
 
 /// Removes the Unix socket file on every exit path — clean shutdown,
@@ -289,7 +294,7 @@ impl Drop for SocketCleanup<'_> {
 }
 
 /// `vcount serve`.
-pub fn serve(args: &Args) -> Result<(), String> {
+pub fn serve(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "socket",
         "listen",
@@ -304,25 +309,32 @@ pub fn serve(args: &Args) -> Result<(), String> {
         trace_dir: args.flag("trace-dir").map(std::path::PathBuf::from),
     };
     if let Some(dir) = cfg.trace_dir.as_ref().filter(|d| !d.is_dir()) {
-        return Err(format!("--trace-dir {}: not a directory", dir.display()));
+        return Err(CliError::usage(format!(
+            "--trace-dir {}: not a directory",
+            dir.display()
+        )));
     }
     if cfg.queue_capacity == 0 {
-        return Err("--queue-capacity must be at least 1".into());
+        return Err(CliError::usage("--queue-capacity must be at least 1"));
     }
     let max_conns = args.flag_parsed::<u64>("max-conns")?;
     if max_conns == Some(0) {
-        return Err("--max-conns must be at least 1".into());
+        return Err(CliError::usage("--max-conns must be at least 1"));
     }
     let mut mgr = RunManager::new(cfg);
     let listener = match (args.flag("socket"), args.flag("listen")) {
-        (Some(_), Some(_)) => return Err("--socket and --listen are mutually exclusive".into()),
+        (Some(_), Some(_)) => {
+            return Err(CliError::usage(
+                "--socket and --listen are mutually exclusive",
+            ))
+        }
         (None, None) => {
             if max_conns.is_some() {
-                return Err("--max-conns requires --socket or --listen".into());
+                return Err(CliError::usage("--max-conns requires --socket or --listen"));
             }
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            return serve_stream(&mut mgr, stdin.lock(), stdout.lock());
+            return Ok(serve_stream(&mut mgr, stdin.lock(), stdout.lock())?);
         }
         (Some(path), None) => Listener::bind_unix(path)?,
         (None, Some(addr)) => Listener::bind_tcp(addr)?,
@@ -332,7 +344,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
     // the socket file is removed (a no-op for TCP).
     let _cleanup = args.flag("socket").map(SocketCleanup);
     eprintln!("vcountd listening on {}", listener.local_addr());
-    serve_connections(&listener, &mut mgr, max_conns)
+    Ok(serve_connections(&listener, &mut mgr, max_conns)?)
 }
 
 /// The feeder's connection to a service: a dialed socket (Unix or TCP,
@@ -420,7 +432,7 @@ fn sift_responses(
 }
 
 /// `vcount feed`.
-pub fn feed(args: &Args) -> Result<(), String> {
+pub fn feed(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "run",
         "goal",
@@ -443,17 +455,24 @@ pub fn feed(args: &Args) -> Result<(), String> {
         (None, Some(sock), None) => Dest::Socket(sock),
         (None, None, Some(addr)) => Dest::Tcp(addr),
         (None, None, None) => {
-            return Err(
-                "feed needs a destination: --socket PATH, --connect HOST:PORT, or --emit FILE"
-                    .into(),
-            )
+            return Err(CliError::usage(
+                "feed needs a destination: --socket PATH, --connect HOST:PORT, or --emit FILE",
+            ))
         }
-        _ => return Err("--emit, --socket, and --connect are mutually exclusive".into()),
+        _ => {
+            return Err(CliError::usage(
+                "--emit, --socket, and --connect are mutually exclusive",
+            ))
+        }
     };
     if matches!(dest, Dest::Emit(_)) && args.flag("server-trace").is_some() {
-        return Err("--server-trace needs a daemon (--socket or --connect), not --emit".into());
+        return Err(CliError::usage(
+            "--server-trace needs a daemon (--socket or --connect), not --emit",
+        ));
     }
-    let path = args.positional(0).ok_or("missing SCENARIO.json argument")?;
+    let path = args
+        .positional(0)
+        .ok_or_else(|| CliError::usage("missing SCENARIO.json argument"))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let scenario: Scenario = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
     scenario.validate().map_err(|e| format!("{path}: {e}"))?;
@@ -485,7 +504,7 @@ pub fn feed(args: &Args) -> Result<(), String> {
     };
     match sift_responses(client.call(&start)?, &mut trace)? {
         ServiceResponse::Started { .. } => {}
-        other => return Err(format!("service answered Start with {other:?}")),
+        other => return Err(format!("service answered Start with {other:?}").into()),
     }
 
     let mut batch = ObservationBatch::default();
@@ -509,7 +528,7 @@ pub fn feed(args: &Args) -> Result<(), String> {
                         &mut trace,
                     )?;
                 }
-                other => return Err(format!("service answered Observe with {other:?}")),
+                other => return Err(format!("service answered Observe with {other:?}").into()),
             }
         }
     }
@@ -518,7 +537,7 @@ pub fn feed(args: &Args) -> Result<(), String> {
     let responses = client.call(&ServiceRequest::Finish { run, truth })?;
     let metrics = match sift_responses(responses, &mut trace)? {
         ServiceResponse::Finished { metrics, .. } => metrics,
-        other => return Err(format!("service answered Finish with {other:?}")),
+        other => return Err(format!("service answered Finish with {other:?}").into()),
     };
     client.close()?;
     if let Some(mut t) = trace {
@@ -540,18 +559,19 @@ pub fn feed(args: &Args) -> Result<(), String> {
         return Err(format!(
             "{} per-vehicle oracle violations — counting was not exact",
             metrics.oracle_violations
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
 /// Parses `--goal constitution|collection`, or `default` when absent.
-fn parse_goal(args: &Args, default: Goal) -> Result<Goal, String> {
+fn parse_goal(args: &Args, default: Goal) -> Result<Goal, CliError> {
     match args.flag("goal") {
         None => Ok(default),
         Some("constitution") => Ok(Goal::Constitution),
         Some("collection") => Ok(Goal::Collection),
-        Some(other) => Err(format!("unknown goal `{other}`")),
+        Some(other) => Err(CliError::usage(format!("unknown goal `{other}`"))),
     }
 }
 
@@ -570,7 +590,7 @@ fn load_fault_plan(args: &Args) -> Result<Option<FaultPlan>, String> {
 }
 
 /// `vcount sweep`.
-pub fn sweep(args: &Args) -> Result<(), String> {
+pub fn sweep(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "volumes",
         "seed-counts",
@@ -597,13 +617,13 @@ pub fn sweep(args: &Args) -> Result<(), String> {
         threads: args.flag_or("threads", 0usize)?,
     };
     if cfg.volumes.is_empty() || cfg.seed_counts.is_empty() {
-        return Err("sweep grid is empty".into());
+        return Err(CliError::usage("sweep grid is empty"));
     }
     let goal = parse_goal(args, Goal::Constitution)?;
     let map = match args.flag("map").unwrap_or("small") {
         "paper" => ManhattanConfig::default(),
         "small" => ManhattanConfig::small(),
-        other => return Err(format!("unknown map preset `{other}`")),
+        other => return Err(CliError::usage(format!("unknown map preset `{other}`"))),
     };
     let open = args.switch("open");
     let rng = args.flag_or("rng", 1u64)?;
@@ -658,29 +678,29 @@ pub fn sweep(args: &Args) -> Result<(), String> {
         None => println!("{json}"),
     }
     if failed > 0 {
-        return Err(format!("{failed} sweep cell(s) failed"));
+        return Err(format!("{failed} sweep cell(s) failed").into());
     }
     Ok(())
 }
 
 /// Parses a comma-separated numeric list.
-fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, String> {
+fn parse_list<T: std::str::FromStr>(spec: &str, what: &str) -> Result<Vec<T>, CliError> {
     spec.split(',')
         .map(|s| {
             s.trim()
                 .parse()
-                .map_err(|_| format!("bad {what} entry `{s}`"))
+                .map_err(|_| CliError::usage(format!("bad {what} entry `{s}`")))
         })
         .collect()
 }
 
 /// `vcount map`.
-pub fn map(args: &Args) -> Result<(), String> {
+pub fn map(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["preset", "speed-mph"])?;
     let base = match args.flag("preset").unwrap_or("paper") {
         "paper" => ManhattanConfig::default(),
         "small" => ManhattanConfig::small(),
-        other => return Err(format!("unknown map preset `{other}`")),
+        other => return Err(CliError::usage(format!("unknown map preset `{other}`"))),
     };
     let cfg = ManhattanConfig {
         speed_mph: args.flag_or("speed-mph", base.speed_mph)?,

@@ -33,7 +33,7 @@ use vcount_sim::{Goal, Runner, Scenario};
 mod args;
 mod commands;
 
-use args::Args;
+use args::{Args, CliError};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -41,16 +41,20 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
+            // Usage helps with a wrong command line only; after any other
+            // failure it would bury the one line that matters.
+            if let CliError::Usage(_) = e {
+                eprintln!();
+                eprintln!("{}", commands::USAGE);
+            }
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(argv: Vec<String>) -> Result<(), String> {
+fn run(argv: Vec<String>) -> Result<(), CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
-        return Err("missing subcommand".into());
+        return Err(CliError::usage("missing subcommand"));
     };
     let args = Args::parse(rest)?;
     match cmd.as_str() {
@@ -65,7 +69,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             println!("{}", commands::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => Err(CliError::usage(format!("unknown subcommand `{other}`"))),
     }
 }
 
@@ -75,13 +79,15 @@ pub(crate) fn build_scenario(
     volume: f64,
     seeds: usize,
     rng: u64,
-) -> Result<Scenario, String> {
+) -> Result<Scenario, CliError> {
     let map = ManhattanConfig::default();
     match preset {
         "closed" => Ok(Scenario::paper_closed(map, volume, seeds, rng)),
         "open" => Ok(Scenario::paper_open(map, volume, seeds, rng)),
         "fig1" => Ok(Scenario::fig1_walkthrough(rng)),
-        other => Err(format!("unknown preset `{other}` (want closed|open|fig1)")),
+        other => Err(CliError::usage(format!(
+            "unknown preset `{other}` (want closed|open|fig1)"
+        ))),
     }
 }
 

@@ -105,6 +105,26 @@ fn run_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// An error about a file's contents is reported by its `error:` line
+/// alone; the usage text follows only errors in the command line itself.
+#[test]
+fn file_content_errors_print_only_their_error_line() {
+    let dir = std::env::temp_dir().join(format!("vcount-cli-content-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.json");
+    std::fs::write(&path, r#"{"map": {"Grid": "#).unwrap();
+    let out = bin().arg("run").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "one error line, no usage: {err}");
+    assert!(
+        lines[0].starts_with(&format!("error: {}: ", path.display())),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A grid of `cols` × 3 intersections with `lanes` lanes per direction.
 fn grid(cols: usize, lanes: u8, speed_mps: f64) -> MapSpec {
     MapSpec::Grid {
@@ -155,6 +175,7 @@ fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str)
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(err.lines().count(), 1, "one error line, no usage: {err}");
 }
 
 /// A scenario file that would break engine or simulator assembly — an
@@ -318,6 +339,10 @@ fn unknown_flag_is_rejected() {
         assert!(
             err.contains(&format!("unknown flag `--{flag}`")),
             "got: {err}"
+        );
+        assert!(
+            err.contains("USAGE"),
+            "an argument error shows usage: {err}"
         );
     }
 }

@@ -20,8 +20,8 @@ use vcount_v2x::{AdjustMode, Message, SegmentWatch, VehicleId};
 /// is the engine-derived event index over the same batch (see
 /// [`BatchIndex::rebuild`]).
 pub fn observe(engine: &mut Engine, batch: &ObservationBatch, index: &BatchIndex) {
-    for (i, ev) in batch.events.iter().enumerate() {
-        match *ev {
+    for (i, ev) in batch.traffic_events().enumerate() {
+        match ev {
             TrafficEvent::Entered {
                 vehicle,
                 node,

@@ -65,6 +65,6 @@ pub use scenario::{MapSpec, PatrolSpec, Scenario, SeedSpec, TransportMode};
 pub use server::{serve_connections, serve_stream, Conn, Listener, WireClient};
 pub use service::{RunManager, ServiceConfig, ServiceRequest, ServiceResponse};
 pub use source::{
-    BatchIndex, ClassTable, ExternalSource, ObservationBatch, ObservationSource, SimulatorSource,
-    TruthSnapshot,
+    BatchIndex, ClassTable, EventRow, ExternalSource, ObservationBatch, ObservationSource,
+    SimulatorSource, TruthSnapshot,
 };

@@ -570,14 +570,14 @@ impl Runner {
     /// directly.
     pub fn ingest(&mut self, batch: &ObservationBatch) {
         let engine = &mut self.engine;
-        engine.classes.learn(&batch.new_classes);
+        engine.classes.learn(batch.classes());
         engine
             .exchange
             .ensure_vehicle_capacity(engine.classes.len());
         // Events are timestamped at the end of the step they occurred in.
         engine.now = batch.now;
         self.steps = batch.steps;
-        self.index.rebuild(&batch.events);
+        self.index.rebuild(batch);
         let t_protocol = Instant::now();
         // Fault transitions fire at the step boundary — after the traffic
         // advance, before any observation — where checkpoint event buffers
@@ -635,6 +635,11 @@ impl Runner {
         for sink in &mut self.engine.audit.sinks {
             sink.flush();
         }
+    }
+
+    /// Adds an event sink to a built run; it sees the events from here on.
+    pub(crate) fn add_sink(&mut self, sink: Box<dyn EventSink + Send>) {
+        self.engine.audit.sinks.push(sink);
     }
 
     /// The run's telemetry so far: the audit stage's event counts and

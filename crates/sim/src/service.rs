@@ -43,9 +43,11 @@ use crate::scenario::Scenario;
 use crate::source::{ObservationBatch, TruthSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use vcount_obs::{EventFilter, EventRecord, EventSink, JsonlSink};
+use vcount_obs::{EventRecord, EventSink, JsonlSink};
 use vcount_traffic::SimSnapshot;
 
 /// Default bound of each tenant's ingest queue, in batches.
@@ -274,6 +276,9 @@ struct Tenant {
     goal: Goal,
     done: bool,
     events: SharedLines,
+    /// The file name this tenant's server-side trace is written to, held
+    /// against every other live tenant.
+    trace: Option<String>,
 }
 
 impl Tenant {
@@ -377,8 +382,7 @@ impl RunManager {
                 trace,
             } => {
                 // The wire snapshot bypassed `EngineSnapshot::from_json`,
-                // so its tag is checked here, before any trace file is
-                // opened.
+                // so its tag is checked here.
                 let builder = snapshot
                     .check_schema()
                     .map(|()| RunnerBuilder::from_snapshot(*snapshot));
@@ -399,6 +403,37 @@ impl RunManager {
         for tenant in self.tenants.values_mut() {
             tenant.runner.flush_sinks();
         }
+    }
+
+    /// Where a tenant's server-side trace `name` is written: a bare file
+    /// name inside the trace directory. A feeder chooses the name, so a
+    /// path (a separator, `..`), a name a live tenant writes, and any trace
+    /// on a daemon with no trace directory are refused.
+    fn trace_path(&self, name: Option<&str>) -> Result<Option<PathBuf>, String> {
+        let Some(name) = name else {
+            return Ok(None);
+        };
+        let Some(dir) = &self.cfg.trace_dir else {
+            return Err(format!(
+                "trace {name:?}: this daemon writes no server-side traces (no --trace-dir)"
+            ));
+        };
+        let mut parts = Path::new(name).components();
+        let bare = matches!(
+            (parts.next(), parts.next()),
+            (Some(Component::Normal(_)), None)
+        ) && !name.chars().any(std::path::is_separator);
+        if !bare {
+            return Err(format!("trace {name:?} is not a bare file name"));
+        }
+        if let Some(holder) = self
+            .tenants
+            .iter()
+            .find_map(|(run, t)| (t.trace.as_deref() == Some(name)).then_some(run))
+        {
+            return Err(format!("trace {name:?} is being written by run {holder:?}"));
+        }
+        Ok(Some(dir.join(name)))
     }
 
     /// Creates tenant `run` — the one path behind both Start and Resume
@@ -430,24 +465,24 @@ impl RunManager {
                 return;
             }
         };
-        let events: SharedLines = Arc::default();
-        let trace_sink = match trace_sink(self.cfg.trace_dir.as_deref(), trace.as_deref()) {
-            Ok(sink) => sink,
-            Err(e) => {
-                out.push(ServiceResponse::Error { message: e, run });
+        // The trace name is checked before the tenant is built and its file
+        // created only after, so a refused request touches no file.
+        let trace_path = match self.trace_path(trace.as_deref()) {
+            Ok(path) => path,
+            Err(message) => {
+                out.push(ServiceResponse::Error { message, run });
                 return;
             }
         };
         // Construction is a trust boundary: a wire scenario or snapshot
         // that `try_build` refuses answers this request with an Error, and
         // the daemon serves every other tenant on.
-        let mut builder = builder
+        let events: SharedLines = Arc::default();
+        let built = builder
             .external(true)
-            .sink(Box::new(BufferSink(events.clone())));
-        if let Some(sink) = trace_sink {
-            builder = builder.sink(sink);
-        }
-        let runner = match builder.try_build() {
+            .sink(Box::new(BufferSink(events.clone())))
+            .try_build();
+        let mut runner = match built {
             Ok(runner) => runner,
             Err(e) => {
                 out.push(ServiceResponse::Error {
@@ -457,12 +492,25 @@ impl RunManager {
                 return;
             }
         };
+        if let (Some(path), Some(name)) = (trace_path, &trace) {
+            match open_trace(&path, &events) {
+                Ok(sink) => runner.add_sink(sink),
+                Err(e) => {
+                    out.push(ServiceResponse::Error {
+                        message: format!("trace {name:?}: {e}"),
+                        run,
+                    });
+                    return;
+                }
+            }
+        }
         let mut tenant = Tenant {
             runner,
             queue: VecDeque::new(),
             goal: goal.unwrap_or(Goal::Collection),
             done: false,
             events,
+            trace,
         };
         // A run resumed from a finished tenant's snapshot is finished too.
         tenant.done = tenant.finished();
@@ -609,33 +657,16 @@ impl RunManager {
     }
 }
 
-/// Opens the optional server-side JSONL trace sink of a tenant: `name`
-/// must be a bare file name, and is opened inside `dir`. A feeder chooses
-/// the name, so a path (a separator, `..`) and any trace on a daemon with
-/// no trace directory are refused before a file is touched.
-fn trace_sink(
-    dir: Option<&Path>,
-    name: Option<&str>,
-) -> Result<Option<Box<dyn EventSink + Send>>, String> {
-    let Some(name) = name else {
-        return Ok(None);
-    };
-    let Some(dir) = dir else {
-        return Err(format!(
-            "trace {name:?}: this daemon writes no server-side traces (no --trace-dir)"
-        ));
-    };
-    let mut parts = Path::new(name).components();
-    let bare = matches!(
-        (parts.next(), parts.next()),
-        (Some(Component::Normal(_)), None)
-    ) && !name.chars().any(std::path::is_separator);
-    if !bare {
-        return Err(format!("trace {name:?} is not a bare file name"));
+/// Creates the trace file at `path` holding the event lines `captured` so
+/// far (those a tenant's construction emitted), and returns the sink that
+/// appends the rest: the same lines a [`JsonlSink`] would have written
+/// from the start.
+fn open_trace(path: &Path, captured: &SharedLines) -> std::io::Result<Box<dyn EventSink + Send>> {
+    let mut file = BufWriter::new(File::create(path)?);
+    for line in captured.lock().expect("event buffer poisoned").iter() {
+        writeln!(file, "{line}")?;
     }
-    JsonlSink::to_file(&dir.join(name), EventFilter::all())
-        .map(|s| Some(Box::new(s) as Box<dyn EventSink + Send>))
-        .map_err(|e| format!("trace {name:?}: {e}"))
+    Ok(Box::new(JsonlSink::new(Box::new(file))))
 }
 
 /// Moves the tenant's captured event lines into the response stream, in

@@ -23,8 +23,10 @@ use vcount_v2x::{ClassFilter, VehicleClass, VehicleId};
 use crate::scenario::Scenario;
 
 /// One step's observations, in the producer's deterministic order. This is
-/// the unit that crosses the source boundary — serializable so a feeder
-/// process can ship it as one JSON line.
+/// the unit that crosses the source boundary: a feeder process ships it as
+/// one JSON line. Beside the step's clock its fields are integer columns
+/// (DESIGN.md §10), so that line is short and cheap to parse, and the
+/// engine reads the same struct through its typed accessors.
 ///
 /// All buffers are reused across steps via [`ObservationBatch::clear`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -33,21 +35,112 @@ pub struct ObservationBatch {
     pub now: f64,
     /// Monotone step counter at the end of the step.
     pub steps: u64,
-    /// The step's surveillance events, in deterministic order.
-    pub events: Vec<TrafficEvent>,
-    /// Classes of vehicles first observed this step, in id order. Vehicle
-    /// ids are dense append-only indices, so each batch announces exactly
-    /// the ids from the previous population size up to the new one.
-    pub new_classes: Vec<(VehicleId, VehicleClass)>,
-    /// Per-edge end-of-step in-transit capture: `(edge, start, len)` slices
-    /// into [`ObservationBatch::in_transit_vehicles`], one entry per edge
-    /// that appears as a departure target (`onto`) this step. The observe
-    /// stage reconstructs segment-watch "ahead" sets from these (see the
-    /// runner's module docs).
-    pub in_transit_index: Vec<(EdgeId, u32, u32)>,
-    /// Flat storage behind [`ObservationBatch::in_transit_index`], leader
-    /// first within each slice.
+    /// The step's surveillance events, in deterministic order, one row
+    /// each (read through [`ObservationBatch::traffic_events`]).
+    pub events: Vec<EventRow>,
+    /// The [`VehicleClass::code`] of each vehicle first observed this
+    /// step. Vehicle ids are dense append-only indices, so entry `i` is
+    /// vehicle `announced + i`, where `announced` is the population before
+    /// this batch.
+    pub new_classes: Vec<u8>,
+    /// The edges whose end-of-step in-transit order is captured: each edge
+    /// that appears as a departure target (`onto`) this step, once. The
+    /// observe stage reconstructs segment-watch "ahead" sets from these
+    /// (see the runner's module docs and [`ObservationBatch::in_transit`]).
+    pub in_transit_edges: Vec<EdgeId>,
+    /// How many vehicles each captured edge holds, one entry per
+    /// [`ObservationBatch::in_transit_edges`] entry.
+    pub in_transit_lens: Vec<u32>,
+    /// The captured vehicles, edge after edge (each edge's run starts where
+    /// the previous one ends), leader first within each edge.
     pub in_transit_vehicles: Vec<VehicleId>,
+}
+
+/// One surveillance event as a fixed-arity integer row `(kind, a, b, c)`.
+/// The kind code says which event it is and what the other columns hold:
+///
+/// | kind | event | `a` | `b` | `c` |
+/// |------|-------|-----|-----|-----|
+/// | [`EventRow::ENTERED`] | `Entered` from a segment | vehicle | node | arrival edge |
+/// | [`EventRow::BORDER_ENTERED`] | `Entered` from outside the region | vehicle | node | 0 |
+/// | [`EventRow::DEPARTED`] | `Departed` | vehicle | node | outbound edge |
+/// | [`EventRow::EXITED`] | `Exited` | vehicle | node | 0 |
+/// | [`EventRow::OVERTAKE`] | `Overtake` | overtaker | overtaken | edge |
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EventRow(pub u8, pub u64, pub u64, pub u32);
+
+impl EventRow {
+    /// `Entered { from: Some(edge) }`.
+    pub const ENTERED: u8 = 0;
+    /// `Entered { from: None }`: an inbound interaction at a border node.
+    pub const BORDER_ENTERED: u8 = 1;
+    /// `Departed`.
+    pub const DEPARTED: u8 = 2;
+    /// `Exited`.
+    pub const EXITED: u8 = 3;
+    /// `Overtake`, the one event with two vehicles.
+    pub const OVERTAKE: u8 = 4;
+
+    /// The row of `ev`.
+    pub fn of(ev: TrafficEvent) -> EventRow {
+        match ev {
+            TrafficEvent::Entered {
+                vehicle,
+                node,
+                from: Some(from),
+            } => EventRow(Self::ENTERED, vehicle.0, node.0.into(), from.0),
+            TrafficEvent::Entered {
+                vehicle,
+                node,
+                from: None,
+            } => EventRow(Self::BORDER_ENTERED, vehicle.0, node.0.into(), 0),
+            TrafficEvent::Departed {
+                vehicle,
+                node,
+                onto,
+            } => EventRow(Self::DEPARTED, vehicle.0, node.0.into(), onto.0),
+            TrafficEvent::Exited { vehicle, node } => {
+                EventRow(Self::EXITED, vehicle.0, node.0.into(), 0)
+            }
+            TrafficEvent::Overtake {
+                edge,
+                overtaker,
+                overtaken,
+            } => EventRow(Self::OVERTAKE, overtaker.0, overtaken.0, edge.0),
+        }
+    }
+
+    /// The event this row holds, or `None` for an unknown kind code. A node
+    /// column past `u32` is truncated; [`ObservationBatch::validate`]
+    /// refuses it before any row is read.
+    pub fn event(self) -> Option<TrafficEvent> {
+        let EventRow(kind, a, b, c) = self;
+        let (vehicle, node, edge) = (VehicleId(a), NodeId(b as u32), EdgeId(c));
+        Some(match kind {
+            Self::ENTERED => TrafficEvent::Entered {
+                vehicle,
+                node,
+                from: Some(edge),
+            },
+            Self::BORDER_ENTERED => TrafficEvent::Entered {
+                vehicle,
+                node,
+                from: None,
+            },
+            Self::DEPARTED => TrafficEvent::Departed {
+                vehicle,
+                node,
+                onto: edge,
+            },
+            Self::EXITED => TrafficEvent::Exited { vehicle, node },
+            Self::OVERTAKE => TrafficEvent::Overtake {
+                edge,
+                overtaker: vehicle,
+                overtaken: VehicleId(b),
+            },
+            _ => return None,
+        })
+    }
 }
 
 impl ObservationBatch {
@@ -57,8 +150,26 @@ impl ObservationBatch {
         self.steps = 0;
         self.events.clear();
         self.new_classes.clear();
-        self.in_transit_index.clear();
+        self.in_transit_edges.clear();
+        self.in_transit_lens.clear();
         self.in_transit_vehicles.clear();
+    }
+
+    /// The step's events, in order. Panics on a row with an unknown kind
+    /// code, which [`ObservationBatch::validate`] refuses.
+    pub fn traffic_events(&self) -> impl Iterator<Item = TrafficEvent> + '_ {
+        self.events
+            .iter()
+            .map(|row| row.event().expect("an event row of a known kind"))
+    }
+
+    /// The classes [`ObservationBatch::new_classes`] announces, in id
+    /// order. Panics on a code past the 245 classes, which
+    /// [`ObservationBatch::validate`] refuses.
+    pub fn classes(&self) -> impl Iterator<Item = VehicleClass> + '_ {
+        self.new_classes
+            .iter()
+            .map(|&c| VehicleClass::from_code(c).expect("a known class code"))
     }
 
     /// The captured end-of-step in-transit order on `edge`, leader first.
@@ -68,143 +179,132 @@ impl ObservationBatch {
     /// batch arriving over the wire is checked first by
     /// [`ObservationBatch::validate`] at the service boundary.
     pub fn in_transit(&self, edge: EdgeId) -> &[VehicleId] {
-        let (_, start, len) = self
-            .in_transit_index
+        let i = self
+            .in_transit_edges
             .iter()
-            .find(|(e, _, _)| *e == edge)
+            .position(|&e| e == edge)
             .unwrap_or_else(|| panic!("batch carries no in-transit capture for edge {edge:?}"));
-        // usize arithmetic: a hostile (start, len) pair must not overflow
-        // u32 on its way to the slice bounds check.
-        &self.in_transit_vehicles[*start as usize..*start as usize + *len as usize]
+        let start: usize = self.in_transit_lens[..i].iter().map(|&n| n as usize).sum();
+        &self.in_transit_vehicles[start..start + self.in_transit_lens[i] as usize]
     }
 
     /// Validates a batch that crossed a trust boundary (the `vcountd`
     /// wire) against the engine's indexing contracts, so that a malformed
-    /// feeder is answered with an error instead of panicking the process:
+    /// feeder is answered with an error instead of panicking the process.
+    /// Each column is checked once:
     ///
     /// * `now` is finite (event timestamps and the completion predicate
     ///   do arithmetic with it);
-    /// * [`Self::new_classes`] announces dense vehicle ids in order,
-    ///   starting at `announced` (the engine's current population);
-    /// * every vehicle id referenced anywhere is below the announced-after
-    ///   population, every node id below `nodes`, every edge id below
-    ///   `edges`;
-    /// * every [`Self::in_transit_index`] slice lies inside
-    ///   [`Self::in_transit_vehicles`] (checked without u32 overflow);
-    /// * every `Departed { onto }` edge of the step is covered by an
-    ///   in-transit capture (the observe stage's reconstruction demands
-    ///   it).
+    /// * every [`Self::new_classes`] code names one of the 245 classes;
+    /// * every event row has a known kind; its vehicle ids are below the
+    ///   announced-after population (`announced` is the engine's current
+    ///   population), its node id below `nodes`, its edge id below
+    ///   `edges`, and a column its kind leaves unused holds 0;
+    /// * every `Departed { onto }` edge of the step is among the captured
+    ///   edges (the observe stage's reconstruction demands it);
+    /// * the in-transit edge and length columns are equally long, every
+    ///   captured edge is on the map, the lengths sum (in `u64`) to the
+    ///   vehicle column's length, and every captured vehicle is announced.
     ///
-    /// The engine-internal panics on these same conditions remain as
-    /// debug contracts for in-process sources, which are trusted.
+    /// Dense vehicle ids and in-range slice starts need no check: the
+    /// layout cannot express anything else. The engine-internal panics on
+    /// these same conditions remain as debug contracts for in-process
+    /// sources, which are trusted. A valid batch is checked without
+    /// allocating; error text is built only on failure.
     pub fn validate(&self, announced: usize, nodes: usize, edges: usize) -> Result<(), String> {
         if !self.now.is_finite() {
             return Err(format!("non-finite batch timestamp {:?}", self.now));
         }
-        for (i, &(v, _)) in self.new_classes.iter().enumerate() {
-            let expect = announced + i;
-            if v.index() != expect {
-                return Err(format!(
-                    "class announcements must be dense and in id order: \
-                     position {i} announces vehicle {} but {expect} is next",
-                    v.index()
-                ));
-            }
+        if let Some(i) = self
+            .new_classes
+            .iter()
+            .position(|&c| VehicleClass::from_code(c).is_none())
+        {
+            return Err(format!(
+                "new class {i} has code {} but there are only 245 classes",
+                self.new_classes[i]
+            ));
         }
         let population = announced + self.new_classes.len();
-        let check_vehicle = |v: VehicleId, what: &str| -> Result<(), String> {
-            if v.index() >= population {
+        // Each check names the failing entry as `what i`, formatted only
+        // into an error.
+        let check_vehicle = |v: u64, what: &str, i: usize| -> Result<(), String> {
+            if v >= population as u64 {
                 return Err(format!(
-                    "{what} references vehicle {} but only {population} are announced",
-                    v.index()
+                    "{what} {i} references vehicle {v} but only {population} are announced"
                 ));
             }
             Ok(())
         };
-        let check_node = |n: NodeId, what: &str| -> Result<(), String> {
-            if n.index() >= nodes {
+        let check_node = |n: u64, i: usize| -> Result<(), String> {
+            if n >= nodes as u64 {
                 return Err(format!(
-                    "{what} references node {} but the map has {nodes} nodes",
-                    n.index()
+                    "event {i} references node {n} but the map has {nodes} nodes"
                 ));
             }
             Ok(())
         };
-        let check_edge = |e: EdgeId, what: &str| -> Result<(), String> {
-            if e.index() >= edges {
+        let check_edge = |e: u32, what: &str, i: usize| -> Result<(), String> {
+            if e as usize >= edges {
                 return Err(format!(
-                    "{what} references edge {} but the map has {edges} edges",
-                    e.index()
+                    "{what} {i} references edge {e} but the map has {edges} edges"
                 ));
             }
             Ok(())
         };
-        for (i, ev) in self.events.iter().enumerate() {
-            let what = format!("event {i}");
-            match *ev {
-                TrafficEvent::Entered {
-                    vehicle,
-                    node,
-                    from,
-                } => {
-                    check_vehicle(vehicle, &what)?;
-                    check_node(node, &what)?;
-                    if let Some(e) = from {
-                        check_edge(e, &what)?;
-                    }
+        for (i, &EventRow(kind, a, b, c)) in self.events.iter().enumerate() {
+            check_vehicle(a, "event", i)?;
+            match kind {
+                EventRow::ENTERED | EventRow::DEPARTED => {
+                    check_node(b, i)?;
+                    check_edge(c, "event", i)?;
                 }
-                TrafficEvent::Departed {
-                    vehicle,
-                    node,
-                    onto,
-                } => {
-                    check_vehicle(vehicle, &what)?;
-                    check_node(node, &what)?;
-                    check_edge(onto, &what)?;
-                    if !self.in_transit_index.iter().any(|(e, _, _)| *e == onto) {
+                EventRow::BORDER_ENTERED | EventRow::EXITED => {
+                    check_node(b, i)?;
+                    if c != 0 {
                         return Err(format!(
-                            "{what} departs onto edge {} with no in-transit capture",
-                            onto.index()
+                            "event {i} (kind {kind}) has {c} in its unused column"
                         ));
                     }
                 }
-                TrafficEvent::Exited { vehicle, node } => {
-                    check_vehicle(vehicle, &what)?;
-                    check_node(node, &what)?;
+                EventRow::OVERTAKE => {
+                    check_vehicle(b, "event", i)?;
+                    check_edge(c, "event", i)?;
                 }
-                TrafficEvent::Overtake {
-                    edge,
-                    overtaker,
-                    overtaken,
-                } => {
-                    check_edge(edge, &what)?;
-                    check_vehicle(overtaker, &what)?;
-                    check_vehicle(overtaken, &what)?;
-                }
+                _ => return Err(format!("event {i} has unknown kind code {kind}")),
             }
-        }
-        for &(edge, start, len) in &self.in_transit_index {
-            check_edge(edge, "in-transit capture")?;
-            // u64 arithmetic: `start + len` must not overflow u32 before
-            // the bounds comparison.
-            if u64::from(start) + u64::from(len) > self.in_transit_vehicles.len() as u64 {
+            if kind == EventRow::DEPARTED && !self.in_transit_edges.contains(&EdgeId(c)) {
                 return Err(format!(
-                    "in-transit capture for edge {} spans {start}..{start}+{len} \
-                     but only {} vehicles are stored",
-                    edge.index(),
-                    self.in_transit_vehicles.len()
+                    "event {i} departs onto edge {c} with no in-transit capture"
                 ));
             }
         }
-        for &v in &self.in_transit_vehicles {
-            check_vehicle(v, "in-transit capture")?;
+        if self.in_transit_lens.len() != self.in_transit_edges.len() {
+            return Err(format!(
+                "{} in-transit edges but {} in-transit lengths",
+                self.in_transit_edges.len(),
+                self.in_transit_lens.len()
+            ));
+        }
+        for (i, e) in self.in_transit_edges.iter().enumerate() {
+            check_edge(e.0, "in-transit edge", i)?;
+        }
+        let captured: u64 = self.in_transit_lens.iter().map(|&n| u64::from(n)).sum();
+        if captured != self.in_transit_vehicles.len() as u64 {
+            return Err(format!(
+                "in-transit lengths sum to {captured} but {} vehicles are stored",
+                self.in_transit_vehicles.len()
+            ));
+        }
+        for (i, v) in self.in_transit_vehicles.iter().enumerate() {
+            check_vehicle(v.0, "in-transit vehicle", i)?;
         }
         Ok(())
     }
 }
 
 /// Derived per-batch indices the observe stage needs for watch "ahead"
-/// reconstruction. Rebuilt by the engine from the batch's event list (never
+/// reconstruction. Rebuilt by the engine from the batch's event rows (never
 /// trusted from the wire), with flat reused buffers: a step carries few
 /// events, so a linear filter beats a map of fresh vectors every step.
 #[derive(Debug, Default)]
@@ -216,12 +316,12 @@ pub struct BatchIndex {
 }
 
 impl BatchIndex {
-    /// Re-derives the indices from `events`, reusing the buffers.
-    pub fn rebuild(&mut self, events: &[TrafficEvent]) {
+    /// Re-derives the indices from `batch`'s events, reusing the buffers.
+    pub fn rebuild(&mut self, batch: &ObservationBatch) {
         self.departures_onto.clear();
         self.entries_via.clear();
-        for (i, ev) in events.iter().enumerate() {
-            match *ev {
+        for (i, ev) in batch.traffic_events().enumerate() {
+            match ev {
                 TrafficEvent::Departed { vehicle, onto, .. } => {
                     self.departures_onto.push((onto, i, vehicle));
                 }
@@ -270,18 +370,10 @@ impl ClassTable {
         self.classes.is_empty()
     }
 
-    /// Absorbs one batch's announcements. Ids must arrive dense and in
-    /// order — each new vehicle's id is exactly the previous population
-    /// size, which is what a well-formed producer emits.
-    pub fn learn(&mut self, new_classes: &[(VehicleId, VehicleClass)]) {
-        for &(v, class) in new_classes {
-            assert_eq!(
-                v.index(),
-                self.classes.len(),
-                "vehicle classes must be announced densely in id order"
-            );
-            self.classes.push(class);
-        }
+    /// Absorbs one batch's announcements ([`ObservationBatch::classes`]):
+    /// the next vehicles in id order.
+    pub fn learn(&mut self, classes: impl IntoIterator<Item = VehicleClass>) {
+        self.classes.extend(classes);
     }
 
     /// The class of `v`. Panics if `v` was never announced — the engine
@@ -352,8 +444,6 @@ pub struct SimulatorSource {
     /// Vehicles announced so far; ids are dense, so the tail
     /// `sim.vehicles()[announced..]` is exactly the new arrivals.
     announced: usize,
-    /// Scratch: unique departure-target edges of the current step.
-    edge_scratch: Vec<EdgeId>,
     /// Scratch: one edge's in-transit order before batch append.
     order_scratch: Vec<VehicleId>,
 }
@@ -403,7 +493,6 @@ impl SimulatorSource {
             sim,
             filter,
             announced,
-            edge_scratch: Vec::new(),
             order_scratch: Vec::new(),
         }
     }
@@ -412,39 +501,31 @@ impl SimulatorSource {
 impl ObservationSource for SimulatorSource {
     fn next_batch(&mut self, batch: &mut ObservationBatch) -> bool {
         batch.clear();
-        let events = self.sim.step();
-        batch.events.extend_from_slice(events);
-        batch.now = self.sim.time_s();
-        batch.steps = self.sim.steps();
-        let vehicles = self.sim.vehicles();
-        for v in &vehicles[self.announced..] {
-            batch.new_classes.push((v.id, v.class));
-        }
-        self.announced = vehicles.len();
         // Capture the end-of-step in-transit order of every edge departed
         // onto this step — the conservative superset of what the observe
         // stage's watch reconstruction may need (whether a watch opens
         // depends on engine-side channel draws the producer cannot see).
-        self.edge_scratch.clear();
-        for ev in &batch.events {
-            if let TrafficEvent::Departed { onto, .. } = *ev {
-                if !self.edge_scratch.contains(&onto) {
-                    self.edge_scratch.push(onto);
+        for &ev in self.sim.step() {
+            if let TrafficEvent::Departed { onto, .. } = ev {
+                if !batch.in_transit_edges.contains(&onto) {
+                    batch.in_transit_edges.push(onto);
                 }
             }
+            batch.events.push(EventRow::of(ev));
         }
-        let mut edges = std::mem::take(&mut self.edge_scratch);
+        batch.now = self.sim.time_s();
+        batch.steps = self.sim.steps();
+        let vehicles = self.sim.vehicles();
+        batch
+            .new_classes
+            .extend(vehicles[self.announced..].iter().map(|v| v.class.code()));
+        self.announced = vehicles.len();
         let mut order = std::mem::take(&mut self.order_scratch);
-        for &edge in &edges {
+        for &edge in &batch.in_transit_edges {
             self.sim.in_transit_into(edge, &mut order);
-            let start = batch.in_transit_vehicles.len() as u32;
+            batch.in_transit_lens.push(order.len() as u32);
             batch.in_transit_vehicles.extend_from_slice(&order);
-            batch
-                .in_transit_index
-                .push((edge, start, order.len() as u32));
         }
-        edges.clear();
-        self.edge_scratch = edges;
         self.order_scratch = order;
         true
     }
@@ -516,22 +597,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_table_learns_densely() {
+    fn class_table_learns_in_id_order() {
         let mut t = ClassTable::new();
-        t.learn(&[
-            (VehicleId(0), VehicleClass::WHITE_VAN),
-            (VehicleId(1), VehicleClass::WHITE_VAN),
-        ]);
+        t.learn([VehicleClass::WHITE_VAN, VehicleClass::PATROL]);
         assert_eq!(t.len(), 2);
-        t.learn(&[(VehicleId(2), VehicleClass::WHITE_VAN)]);
+        t.learn([VehicleClass::WHITE_VAN]);
+        assert_eq!(t.class(VehicleId(1)), VehicleClass::PATROL);
         assert_eq!(t.class(VehicleId(2)), VehicleClass::WHITE_VAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "densely")]
-    fn class_table_rejects_gaps() {
-        let mut t = ClassTable::new();
-        t.learn(&[(VehicleId(5), VehicleClass::WHITE_VAN)]);
     }
 
     #[test]
@@ -548,23 +620,28 @@ mod tests {
 
     #[test]
     fn batch_round_trips_through_json() {
+        let departed = TrafficEvent::Departed {
+            vehicle: VehicleId(3),
+            node: vcount_roadnet::NodeId(1),
+            onto: EdgeId(4),
+        };
         let mut batch = ObservationBatch {
             now: 12.5,
             steps: 25,
-            events: vec![TrafficEvent::Departed {
-                vehicle: VehicleId(3),
-                node: vcount_roadnet::NodeId(1),
-                onto: EdgeId(4),
-            }],
-            new_classes: vec![(VehicleId(3), VehicleClass::WHITE_VAN)],
-            in_transit_index: vec![(EdgeId(4), 0, 2)],
-            in_transit_vehicles: vec![VehicleId(7), VehicleId(3)],
+            events: vec![EventRow::of(departed)],
+            new_classes: vec![VehicleClass::WHITE_VAN.code()],
+            in_transit_edges: vec![EdgeId(9), EdgeId(4)],
+            in_transit_lens: vec![1, 2],
+            in_transit_vehicles: vec![VehicleId(1), VehicleId(7), VehicleId(3)],
         };
         let json = serde_json::to_string(&batch).expect("batch serializes");
+        assert!(json.contains(r#""events":[[2,3,1,4]]"#), "{json}");
         let back: ObservationBatch = serde_json::from_str(&json).expect("batch parses");
-        assert_eq!(back.events, batch.events);
+        assert_eq!(back.traffic_events().collect::<Vec<_>>(), vec![departed]);
         assert_eq!(back.in_transit(EdgeId(4)), &[VehicleId(7), VehicleId(3)]);
+        assert_eq!(back.in_transit(EdgeId(9)), &[VehicleId(1)]);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
         batch.clear();
-        assert!(batch.events.is_empty() && batch.in_transit_index.is_empty());
+        assert!(batch.events.is_empty() && batch.in_transit_edges.is_empty());
     }
 }

@@ -15,11 +15,12 @@ use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::{
     serve_connections, serve_stream, Blackout, ChaosFault, Conn, CrashFault, EngineSnapshot,
-    FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager, Scenario,
-    SeedSpec, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource, WireClient,
+    EventRow, FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager,
+    Runner, Scenario, SeedSpec, ServiceConfig, ServiceRequest, ServiceResponse, SimulatorSource,
+    WireClient,
 };
-use vcount_traffic::{Loop, Spot, TrafficEvent};
-use vcount_v2x::{ChannelKind, VehicleClass, VehicleId};
+use vcount_traffic::{Loop, Spot};
+use vcount_v2x::{ChannelKind, VehicleId};
 
 /// Applies one request; event lines go to `events`, everything else (the
 /// terminal response — possibly an Error, which is what these tests are
@@ -115,57 +116,47 @@ fn malformed_batches_error_without_perturbing_the_run() {
     type Poison = (&'static str, fn(&mut ObservationBatch));
     let poisons: &[Poison] = &[
         ("non-finite now", |b| b.now = f64::NAN),
-        ("non-dense class announcement", |b| {
-            let next = b
-                .new_classes
-                .last()
-                .map(|(v, _)| v.index() + 2)
-                .unwrap_or(usize::MAX);
-            b.new_classes
-                .push((VehicleId(next as u64), VehicleClass::WHITE_VAN));
+        ("class code past the 245 classes", |b| {
+            b.new_classes.push(245)
+        }),
+        ("unknown event kind code", |b| {
+            b.events.push(EventRow(5, 0, 0, 0))
         }),
         ("unknown vehicle in event", |b| {
-            b.events.push(TrafficEvent::Exited {
-                vehicle: VehicleId(u64::MAX),
-                node: NodeId(0),
-            });
+            b.events.push(EventRow(EventRow::EXITED, u64::MAX, 0, 0));
         }),
         ("out-of-range node in event", |b| {
-            b.events.push(TrafficEvent::Exited {
-                vehicle: VehicleId(0),
-                node: NodeId(u32::MAX),
-            });
+            b.events
+                .push(EventRow(EventRow::EXITED, 0, u64::from(u32::MAX), 0));
         }),
         ("out-of-range edge in event", |b| {
-            b.events.push(TrafficEvent::Overtake {
-                edge: EdgeId(u32::MAX),
-                overtaker: VehicleId(0),
-                overtaken: VehicleId(0),
-            });
+            b.events.push(EventRow(EventRow::OVERTAKE, 0, 0, u32::MAX));
+        }),
+        ("border entry with a nonzero unused column", |b| {
+            b.events.push(EventRow(EventRow::BORDER_ENTERED, 0, 0, 1));
         }),
         ("departure without in-transit capture", |b| {
             let onto = (0..u32::MAX)
-                .map(EdgeId)
-                .find(|e| !b.in_transit_index.iter().any(|(ie, _, _)| ie == e))
+                .find(|&e| !b.in_transit_edges.contains(&EdgeId(e)))
                 .expect("some low edge id is uncaptured");
-            b.events.push(TrafficEvent::Departed {
-                vehicle: VehicleId(0),
-                node: NodeId(0),
-                onto,
-            });
+            b.events.push(EventRow(EventRow::DEPARTED, 0, 0, onto));
         }),
-        ("in-transit slice out of bounds", |b| {
-            let len = b.in_transit_vehicles.len() as u32;
-            b.in_transit_index.push((EdgeId(0), 0, len + 7));
+        ("in-transit lengths past the vehicle column", |b| {
+            b.in_transit_edges.push(EdgeId(0));
+            b.in_transit_lens.push(7);
         }),
-        ("in-transit slice u32 overflow", |b| {
-            // start + len wraps to a tiny value in u32 — the historical
-            // panic-or-worse path; the validator must sum in u64.
-            b.in_transit_index.push((EdgeId(0), u32::MAX, u32::MAX));
+        ("in-transit lengths that wrap in u32", |b| {
+            // u32::MAX + 1 wraps to 0 in u32, so a validator summing in
+            // u32 would see the stored count; it must sum in u64.
+            b.in_transit_edges.extend([EdgeId(0), EdgeId(1)]);
+            b.in_transit_lens.extend([u32::MAX, 1]);
+        }),
+        ("in-transit edge without a length", |b| {
+            b.in_transit_edges.push(EdgeId(0));
         }),
         ("unknown vehicle in in-transit storage", |b| {
-            b.in_transit_index
-                .push((EdgeId(0), b.in_transit_vehicles.len() as u32, 1));
+            b.in_transit_edges.push(EdgeId(0));
+            b.in_transit_lens.push(1);
             b.in_transit_vehicles.push(VehicleId(u64::MAX));
         }),
     ];
@@ -806,6 +797,113 @@ fn server_side_traces_stay_inside_the_trace_dir() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A trace file is created only for a tenant that was built, and only
+/// under a name no live tenant writes. A Start or Resume that is refused
+/// after its trace name was checked, and a second tenant naming a live
+/// tenant's trace, leave the existing file byte-identical; the name is
+/// free again once its tenant finishes.
+#[test]
+fn refused_opens_leave_existing_traces_untouched() {
+    let scen = grid_scenario(ProtocolVariant::Simple, 161);
+    let root = std::env::temp_dir().join(format!("vcountd-trace-keep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("trace dir");
+    let start = |run: &str, scen: &Scenario| ServiceRequest::Start {
+        run: run.into(),
+        scenario: Box::new(scen.clone()),
+        goal: Some(Goal::Collection),
+        shards: 0,
+        eager_decode: false,
+        faults: None,
+        trace: Some("x.jsonl".into()),
+    };
+    let resume = |run: &str, snapshot: &EngineSnapshot| ServiceRequest::Resume {
+        run: run.into(),
+        snapshot: Box::new(snapshot.clone()),
+        goal: Some(Goal::Collection),
+        trace: Some("x.jsonl".into()),
+    };
+    let refused = |mgr: &mut RunManager, req: ServiceRequest, want: &str| {
+        let mut events = Vec::new();
+        match call(mgr, req, &mut events) {
+            ServiceResponse::Error { message, .. } => {
+                assert!(message.contains(want), "want {want:?}, got {message:?}")
+            }
+            other => panic!("want {want:?}, got {other:?}"),
+        }
+        assert!(events.is_empty(), "a refused open emitted events");
+    };
+    let trace = root.join("x.jsonl");
+    let mut mgr = RunManager::new(ServiceConfig {
+        trace_dir: Some(root.clone()),
+        ..ServiceConfig::default()
+    });
+
+    // Refused by `try_build`, after the name passed its checks.
+    std::fs::write(&trace, "kept\n").unwrap();
+    let mut bad_scen = scen.clone();
+    bad_scen.sim.dt_s = 0.0;
+    refused(&mut mgr, start("bad", &bad_scen), "start failed: ");
+    let mut runner = Runner::builder(&scen).build();
+    for _ in 0..20 {
+        runner.step();
+    }
+    let mut bad_snap = runner.snapshot();
+    bad_snap.sim.vehicles.speed_mps.pop();
+    refused(&mut mgr, resume("bad", &bad_snap), "resume failed: ");
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
+    assert_eq!(mgr.runs().count(), 0);
+
+    // A live tenant holds its trace against a second Start or Resume.
+    let mut events = Vec::new();
+    assert!(matches!(
+        call(&mut mgr, start("a", &scen), &mut events),
+        ServiceResponse::Started { .. }
+    ));
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    let mut batch = ObservationBatch::default();
+    let mut done = false;
+    let mut fed = 0;
+    while !done && source.next_batch(&mut batch) {
+        match call(&mut mgr, observe("a", &batch), &mut events) {
+            ServiceResponse::Accepted { done: d, .. } => done = d,
+            other => panic!("Observe answered with {other:?}"),
+        }
+        fed += 1;
+        if fed == 10 {
+            mgr.flush_all();
+            let before = std::fs::read(&trace).unwrap();
+            refused(&mut mgr, start("b", &scen), "is being written by run \"a\"");
+            refused(
+                &mut mgr,
+                resume("c", &runner.snapshot()),
+                "is being written",
+            );
+            assert_eq!(std::fs::read(&trace).unwrap(), before);
+        }
+    }
+    assert!(fed > 10, "the run ended before the second open was tried");
+    let finish = ServiceRequest::Finish {
+        run: "a".into(),
+        truth: source.truth(),
+    };
+    assert!(matches!(
+        call(&mut mgr, finish, &mut events),
+        ServiceResponse::Finished { .. }
+    ));
+    assert_eq!(
+        std::fs::read_to_string(&trace).unwrap(),
+        events.join("\n") + "\n"
+    );
+
+    let mut events = Vec::new();
+    assert!(matches!(
+        call(&mut mgr, start("b", &scen), &mut events),
+        ServiceResponse::Started { .. }
+    ));
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// A Start whose fault plan omits `image_every_s` runs at the default
 /// cadence, as the same plan does under `vcount run --faults`.
 #[test]
@@ -1208,7 +1306,8 @@ fn hostile_feeder_cannot_kill_the_daemon_or_other_tenants() {
             }
         }
         let mut bad = ObservationBatch::default();
-        bad.in_transit_index.push((EdgeId(0), u32::MAX, u32::MAX));
+        bad.in_transit_edges.push(EdgeId(0));
+        bad.in_transit_lens.push(u32::MAX);
         let req = serde_json::to_string(&observe("adv", &bad)).unwrap();
         writeln!(writer, "{req}").unwrap();
         assert!(matches!(

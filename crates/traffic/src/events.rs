@@ -2,17 +2,12 @@
 //! checkpoint surveillance plus the V2V collaboration would observe, and
 //! nothing more. The counting layer is driven solely by these events.
 
-use serde::{Deserialize, Serialize};
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_v2x::VehicleId;
 
 /// One observable traffic occurrence, stamped with the simulation step it
 /// happened in (events within a step are emitted in deterministic order).
-///
-/// Serializable so an observation batch can cross a process boundary: the
-/// service mode ships these events as JSON lines from a feeder client to
-/// the engine (see `vcount-sim`'s `source` module).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficEvent {
     /// A vehicle entered the surveillance of intersection `node` —
     /// admitted from segment `from`, or from outside the region

@@ -284,9 +284,9 @@ EOF
 # Malformed-line smoke: the wire is a trust boundary (DESIGN.md §10) — a
 # garbage line, Starts failing scenario validation (an out-of-range seed
 # node, a channel probability of 1.5, a grid with 0 columns), and an
-# Observe failing batch validation (out-of-range node id) must each get an
-# explicit Error response, and the good tenant fed by the very same stream
-# must still produce the byte-identical trace.
+# Observe failing batch validation (every event row's node column out of
+# range) must each get an explicit Error response, and the good tenant fed
+# by the very same stream must still produce the byte-identical trace.
 echo "+ vcount serve < poisoned cmds.jsonl (trust-boundary errors, byte-diff good run)"
 run python3 - "$serve_dir" <<'EOF'
 import json, sys
@@ -305,12 +305,14 @@ bad_grid["Start"]["run"] = "adv_grid"
 bad_grid["Start"]["scenario"]["map"] = {"Grid": {
     "cols": 0, "rows": 3, "spacing_m": 100.0, "lanes": 1, "speed_mps": 10.0}}
 
-def poison_nodes(v):
-    if isinstance(v, dict):
-        return {k: (4294967295 if k == "node" else poison_nodes(x)) for k, x in v.items()}
-    if isinstance(v, list):
-        return [poison_nodes(x) for x in v]
-    return v
+OVERTAKE = 4  # the one event row kind whose third column is no node
+
+def poison_nodes(cmd):
+    # An event row is [kind, vehicle, node, edge]; set every node column.
+    for row in cmd["Observe"]["batch"]["events"]:
+        if row[0] != OVERTAKE:
+            row[2] = 4294967295
+    return cmd
 
 out = ["this is not json", json.dumps(hostile), json.dumps(bad_channel),
        json.dumps(bad_grid)]
