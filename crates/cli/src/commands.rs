@@ -82,16 +82,17 @@ USAGE:
       (connections already accepted finish first, and every tenant's
       sinks are flushed on the way out). A feeder disconnecting mid-run
       leaves every tenant's sinks flushed and the runs alive for a
-      reconnect. A malformed request — unparseable JSON, or a batch that
-      violates the engine's indexing contracts — is answered with an
-      Error response for that run only: it never kills the daemon or
-      another tenant. --queue-capacity bounds each tenant's ingest
+      reconnect. A malformed request — unparseable JSON, a line over
+      16 MiB, or a batch that violates the engine's indexing
+      contracts — is answered with an Error response for that run
+      only: it never kills the daemon or another tenant. --queue-capacity bounds each tenant's ingest
       queue (default 64); a batch arriving at a full queue gets an
       explicit Throttled response, never a silent drop.
       --pump-budget caps batches ingested per request (default: drain
       fully; 0 makes ingest manual via Pump requests). --trace-dir DIR is
       the only directory the daemon writes server-side traces in: a
-      request's `trace` is a bare file name inside it, and without
+      request's `trace` is a bare file name inside it whose file does
+      not exist yet (no trace is ever truncated), and without
       --trace-dir every request naming a trace is refused.
       Transport is a deployment knob, never a semantics knob: a scenario
       driven through the service produces the byte-identical event

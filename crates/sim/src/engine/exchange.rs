@@ -291,20 +291,33 @@ impl Exchange {
         }
     }
 
+    /// Counts a transmission this exchange both produces and consumes in
+    /// the same call: one encode, one decode and the message's
+    /// [`Message::encoded_len`] bytes, exactly as if it had crossed the
+    /// air, while no payload is written or parsed. Debug builds still
+    /// round-trip the message through the slab and check that the decode
+    /// matches and that the length is the one counted.
+    fn self_transmit(&mut self, msg: &Message) {
+        let len = msg.encoded_len();
+        self.counters.encoded += 1;
+        self.counters.decoded += 1;
+        self.counters.bytes += len as u64;
+        if cfg!(debug_assertions) {
+            let r = self.store.insert_with(|buf| msg.encode_into(buf));
+            assert_eq!(self.store.get(r).len(), len, "encoded_len mismatch");
+            let back = self.store.lazy(r).decode();
+            assert_eq!(back.as_ref(), Ok(msg), "self-transmit round-trip mismatch");
+            self.store.free(r);
+        }
+    }
+
     /// The handoff acknowledgement a civilian vehicle radios back on
     /// successful label receipt (the codec's ack leg). The ack is
-    /// produced and consumed by the same exchange, so the parse is
-    /// short-circuited: the wire counters record one encode and one
-    /// decode exactly as a real transmission would, but no bytes are
-    /// re-parsed (debug builds verify the round-trip).
+    /// produced and consumed by the same exchange, so it is counted as
+    /// one encode and one decode of its 9 wire bytes, and never encoded
+    /// (see `self_transmit`).
     pub fn ack_handoff(&mut self, vehicle: VehicleId) {
-        let r = self.encode(&Message::Ack { vehicle });
-        self.counters.decoded += 1;
-        debug_assert!(
-            matches!(self.store.lazy(r).decode(), Ok(Message::Ack { vehicle: v }) if v == vehicle),
-            "ack round-trip mismatch"
-        );
-        self.store.free(r);
+        self.self_transmit(&Message::Ack { vehicle });
     }
 
     /// Opens a segment watch for a label handed off onto `edge`.
@@ -507,24 +520,17 @@ impl Exchange {
 
     /// The status snapshot a patrol car radios to the checkpoint it is
     /// visiting. The transmission is self-produced and consumed in the
-    /// same call, so — like [`Exchange::ack_handoff`] — the wire
-    /// counters record the encode and the decode while the parse itself
-    /// is short-circuited: the status the encoder serialized *is* the
-    /// status the decoder would have produced (verified in debug builds).
+    /// same call, so — like [`Exchange::ack_handoff`] — it is counted as
+    /// one encode and one decode of its full wire length without being
+    /// encoded: the status handed back *is* the status a decoder would
+    /// have produced (see `self_transmit`).
     pub fn relay_status(&mut self, vehicle: VehicleId) -> PatrolStatus {
         let msg = Message::Patrol(self.patrol_status.entry(vehicle).or_default().clone());
-        let r = self.encode(&msg);
-        self.counters.decoded += 1;
-        debug_assert_eq!(
-            self.store.lazy(r).decode().ok().as_ref(),
-            Some(&msg),
-            "patrol status round-trip mismatch"
-        );
-        self.store.free(r);
-        match msg {
-            Message::Patrol(p) => p,
-            other => unreachable!("patrol slot held {other:?}"),
-        }
+        self.self_transmit(&msg);
+        let Message::Patrol(status) = msg else {
+            unreachable!("built as a patrol status above")
+        };
+        status
     }
 
     /// Takes every relay message due by `now` in one `swap_remove` sweep,

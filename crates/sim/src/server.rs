@@ -35,11 +35,11 @@
 //! [`serve_stream`] (stdin mode) builds its frames with the same function,
 //! so there is one request → frame path.
 //!
-//! A malformed or hostile feeder — a line that is not even UTF-8 included
-//! — is answered with [`ServiceResponse::Error`] (see [`crate::service`]
-//! for the wire validation) and keeps its connection; a broken socket ends
-//! only its own connection thread — never the daemon, never another
-//! tenant.
+//! A malformed or hostile feeder — a line that is not even UTF-8, or one
+//! longer than [`MAX_REQUEST_LINE`], included — is answered with
+//! [`ServiceResponse::Error`] (see [`crate::service`] for the wire
+//! validation) and keeps its connection; a broken socket ends only its own
+//! connection thread — never the daemon, never another tenant.
 
 use crate::service::{RunManager, ServiceRequest, ServiceResponse};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -47,6 +47,13 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::Scope;
+
+/// The longest request line, in bytes, newline excluded: 16 MiB, ~25×
+/// the largest line vbench sends (a midtown `Resume`, ~0.63 MB). A longer
+/// line is read no further than `MAX_REQUEST_LINE + 1` bytes, answered
+/// with one `Error`, and the rest of it is discarded through its newline
+/// without being buffered; the connection keeps serving.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Consecutive `accept` failures tolerated before the loop gives up. A
 /// transient error (EMFILE under load, an aborted handshake) must not
@@ -234,6 +241,12 @@ fn frame_request(
             message: format!("malformed request: {e}"),
         }),
     }
+    encode_frame(out)
+}
+
+/// Serializes (and drains) `out` as newline-terminated JSON lines, in
+/// order, into one buffer.
+fn encode_frame(out: &mut Vec<ServiceResponse>) -> Result<Vec<u8>, String> {
     let mut frame = Vec::new();
     for resp in out.drain(..) {
         let json = serde_json::to_string(&resp).map_err(|e| e.to_string())?;
@@ -244,25 +257,54 @@ fn frame_request(
     Ok(frame)
 }
 
-/// Reads request lines from `reader` until EOF, and writes each line's
-/// frame from `answer` on `writer` with one `write_all` and one flush: the
-/// client decides what to send next from these responses (backpressure,
-/// done), so they cannot sit in a buffer.
+/// What [`read_line`] found.
+#[derive(Debug, PartialEq)]
+enum Line {
+    /// The stream ended.
+    End,
+    /// A line of at most `cap` bytes, its newline included if it has one.
+    Request,
+    /// A line longer than `cap` bytes: its first `cap + 1` bytes were
+    /// read, and the rest was discarded through its newline.
+    TooLong,
+}
+
+/// Reads one request line from `reader` into `line`, buffering at most
+/// `cap + 1` bytes of it.
+fn read_line(reader: &mut impl BufRead, cap: usize, line: &mut Vec<u8>) -> std::io::Result<Line> {
+    if reader.take(cap as u64 + 1).read_until(b'\n', line)? == 0 {
+        return Ok(Line::End);
+    }
+    if line.len() > cap && line.last() != Some(&b'\n') {
+        reader.skip_until(b'\n')?;
+        return Ok(Line::TooLong);
+    }
+    Ok(Line::Request)
+}
+
+/// Reads request lines of at most `cap` bytes from `reader` until EOF, and
+/// writes each line's frame from `answer` on `writer` with one `write_all`
+/// and one flush: the client decides what to send next from these
+/// responses (backpressure, done), so they cannot sit in a buffer. A
+/// longer line is answered here with one `Error` and never reaches
+/// `answer`.
 fn pump_lines(
     mut reader: impl BufRead,
     mut writer: impl Write,
+    cap: usize,
     mut answer: impl FnMut(Vec<u8>) -> Result<Vec<u8>, String>,
 ) -> Result<(), String> {
     loop {
         let mut line = Vec::new();
-        if reader
-            .read_until(b'\n', &mut line)
-            .map_err(|e| format!("read: {e}"))?
-            == 0
-        {
-            return Ok(());
-        }
-        let frame = answer(line)?;
+        let read = read_line(&mut reader, cap, &mut line).map_err(|e| format!("read: {e}"))?;
+        let frame = match read {
+            Line::End => return Ok(()),
+            Line::Request => answer(line)?,
+            Line::TooLong => encode_frame(&mut vec![ServiceResponse::Error {
+                run: String::new(),
+                message: format!("request line exceeds {cap} bytes"),
+            }])?,
+        };
         if !frame.is_empty() {
             writer
                 .write_all(&frame)
@@ -281,7 +323,9 @@ pub fn serve_stream(
     writer: impl Write,
 ) -> Result<(), String> {
     let mut out = Vec::new();
-    let result = pump_lines(reader, writer, |line| frame_request(mgr, &line, &mut out));
+    let result = pump_lines(reader, writer, MAX_REQUEST_LINE, |line| {
+        frame_request(mgr, &line, &mut out)
+    });
     mgr.flush_all();
     result
 }
@@ -386,7 +430,7 @@ fn serve_conn(conn: Conn, jobs: &Sender<Job>) -> Result<(), String> {
         .try_clone()
         .map_err(|e| format!("socket: {e}"))
         .and_then(|reader| {
-            pump_lines(BufReader::new(reader), conn, |line| {
+            pump_lines(BufReader::new(reader), conn, MAX_REQUEST_LINE, |line| {
                 jobs.send(Job::Request(line, reply.clone()))
                     .map_err(|_| gone())?;
                 frames.recv().map_err(|_| gone())?
@@ -396,4 +440,78 @@ fn serve_conn(conn: Conn, jobs: &Sender<Job>) -> Result<(), String> {
         let _ = frames.recv();
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    const CAP: usize = 16;
+    const TOO_LONG: &str = r#"{"Error":{"run":"","message":"request line exceeds 16 bytes"}}"#;
+
+    /// Pumps `input` with a 16-byte cap, answering each line with `ok`
+    /// and its length; returns the written frames and the lines answered.
+    fn pump(input: impl BufRead) -> (String, Vec<Vec<u8>>) {
+        let mut written = Vec::new();
+        let mut answered = Vec::new();
+        pump_lines(input, &mut written, CAP, |line| {
+            let frame = format!("ok {}\n", line.len()).into_bytes();
+            answered.push(line);
+            Ok(frame)
+        })
+        .expect("pump_lines");
+        (String::from_utf8(written).unwrap(), answered)
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_next_one_served() {
+        let long = "x".repeat(CAP + 1);
+        let exact = "y".repeat(CAP);
+        let input = format!("{long}\n{exact}\n{long}{long}\nz\n");
+        let (written, answered) = pump(input.as_bytes());
+        assert_eq!(written, format!("{TOO_LONG}\nok 17\n{TOO_LONG}\nok 2\n"));
+        assert_eq!(
+            answered,
+            [format!("{exact}\n").into_bytes(), b"z\n".to_vec()]
+        );
+    }
+
+    #[test]
+    fn an_over_long_unterminated_tail_is_refused_at_eof() {
+        let input = format!("a\n{}", "x".repeat(CAP + 5));
+        let (written, answered) = pump(input.as_bytes());
+        assert_eq!(written, format!("ok 2\n{TOO_LONG}\n"));
+        assert_eq!(answered, [b"a\n".to_vec()]);
+        // A short unterminated tail is still a request.
+        let (written, _) = pump(&b"abc"[..]);
+        assert_eq!(written, "ok 3\n");
+    }
+
+    #[test]
+    fn a_megabyte_line_buffers_at_most_cap_plus_one_bytes() {
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\nok\n");
+        let mut reader = Cursor::new(&input[..]);
+        let mut line = Vec::new();
+        assert_eq!(
+            read_line(&mut reader, CAP, &mut line).unwrap(),
+            Line::TooLong
+        );
+        assert_eq!(line.len(), CAP + 1);
+        assert_eq!(
+            reader.position(),
+            (1 << 20) + 1,
+            "discarded through its newline"
+        );
+        line.clear();
+        assert_eq!(
+            read_line(&mut reader, CAP, &mut line).unwrap(),
+            Line::Request
+        );
+        assert_eq!(line, b"ok\n");
+        let (written, answered) = pump(&input[..]);
+        assert_eq!(written, format!("{TOO_LONG}\nok 3\n"));
+        assert_eq!(answered, [b"ok\n".to_vec()]);
+    }
 }

@@ -43,8 +43,8 @@ use crate::scenario::Scenario;
 use crate::source::{ObservationBatch, TruthSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::fs::OpenOptions;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use vcount_obs::{EventRecord, EventSink, JsonlSink};
@@ -109,7 +109,8 @@ pub enum ServiceRequest {
         faults: Option<FaultPlan>,
         /// Optional server-side JSONL trace of this tenant's protocol
         /// events: a bare file name inside the daemon's
-        /// [`ServiceConfig::trace_dir`]. Written and flushed by the
+        /// [`ServiceConfig::trace_dir`] whose file does not exist yet (an
+        /// existing trace is never truncated). Written and flushed by the
         /// daemon, so a feeder that dies mid-run still leaves a complete
         /// trace behind.
         #[serde(default)]
@@ -276,9 +277,6 @@ struct Tenant {
     goal: Goal,
     done: bool,
     events: SharedLines,
-    /// The file name this tenant's server-side trace is written to, held
-    /// against every other live tenant.
-    trace: Option<String>,
 }
 
 impl Tenant {
@@ -407,8 +405,9 @@ impl RunManager {
 
     /// Where a tenant's server-side trace `name` is written: a bare file
     /// name inside the trace directory. A feeder chooses the name, so a
-    /// path (a separator, `..`), a name a live tenant writes, and any trace
-    /// on a daemon with no trace directory are refused.
+    /// path (a separator, `..`) and any trace on a daemon with no trace
+    /// directory are refused. A name whose file exists is refused when the
+    /// tenant creates it (see [`open_trace`]).
     fn trace_path(&self, name: Option<&str>) -> Result<Option<PathBuf>, String> {
         let Some(name) = name else {
             return Ok(None);
@@ -425,13 +424,6 @@ impl RunManager {
         ) && !name.chars().any(std::path::is_separator);
         if !bare {
             return Err(format!("trace {name:?} is not a bare file name"));
-        }
-        if let Some(holder) = self
-            .tenants
-            .iter()
-            .find_map(|(run, t)| (t.trace.as_deref() == Some(name)).then_some(run))
-        {
-            return Err(format!("trace {name:?} is being written by run {holder:?}"));
         }
         Ok(Some(dir.join(name)))
     }
@@ -496,10 +488,12 @@ impl RunManager {
             match open_trace(&path, &events) {
                 Ok(sink) => runner.add_sink(sink),
                 Err(e) => {
-                    out.push(ServiceResponse::Error {
-                        message: format!("trace {name:?}: {e}"),
-                        run,
-                    });
+                    let message = if e.kind() == ErrorKind::AlreadyExists {
+                        format!("trace {name:?} already exists")
+                    } else {
+                        format!("trace {name:?}: {e}")
+                    };
+                    out.push(ServiceResponse::Error { message, run });
                     return;
                 }
             }
@@ -510,7 +504,6 @@ impl RunManager {
             goal: goal.unwrap_or(Goal::Collection),
             done: false,
             events,
-            trace,
         };
         // A run resumed from a finished tenant's snapshot is finished too.
         tenant.done = tenant.finished();
@@ -660,9 +653,12 @@ impl RunManager {
 /// Creates the trace file at `path` holding the event lines `captured` so
 /// far (those a tenant's construction emitted), and returns the sink that
 /// appends the rest: the same lines a [`JsonlSink`] would have written
-/// from the start.
+/// from the start. A file that already exists — a live tenant's trace, a
+/// finished or stopped tenant's, or any other — fails with
+/// [`ErrorKind::AlreadyExists`] and keeps every byte.
 fn open_trace(path: &Path, captured: &SharedLines) -> std::io::Result<Box<dyn EventSink + Send>> {
-    let mut file = BufWriter::new(File::create(path)?);
+    let file = OpenOptions::new().write(true).create_new(true).open(path)?;
+    let mut file = BufWriter::new(file);
     for line in captured.lock().expect("event buffer poisoned").iter() {
         writeln!(file, "{line}")?;
     }

@@ -797,11 +797,10 @@ fn server_side_traces_stay_inside_the_trace_dir() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A trace file is created only for a tenant that was built, and only
-/// under a name no live tenant writes. A Start or Resume that is refused
-/// after its trace name was checked, and a second tenant naming a live
-/// tenant's trace, leave the existing file byte-identical; the name is
-/// free again once its tenant finishes.
+/// A trace file is created only for a tenant that was built, and never
+/// over an existing file. A Start or Resume refused at build, one naming
+/// a file left by an earlier daemon, by a live tenant, by a finished
+/// tenant or by a stopped tenant, each leave that file byte-identical.
 #[test]
 fn refused_opens_leave_existing_traces_untouched() {
     let scen = grid_scenario(ProtocolVariant::Simple, 161);
@@ -833,6 +832,7 @@ fn refused_opens_leave_existing_traces_untouched() {
         }
         assert!(events.is_empty(), "a refused open emitted events");
     };
+    let exists = "trace \"x.jsonl\" already exists";
     let trace = root.join("x.jsonl");
     let mut mgr = RunManager::new(ServiceConfig {
         trace_dir: Some(root.clone()),
@@ -851,10 +851,14 @@ fn refused_opens_leave_existing_traces_untouched() {
     let mut bad_snap = runner.snapshot();
     bad_snap.sim.vehicles.speed_mps.pop();
     refused(&mut mgr, resume("bad", &bad_snap), "resume failed: ");
+    // A valid Start over a file no tenant of this daemon wrote.
+    refused(&mut mgr, start("a", &scen), exists);
+    refused(&mut mgr, resume("a", &runner.snapshot()), exists);
     assert_eq!(std::fs::read_to_string(&trace).unwrap(), "kept\n");
     assert_eq!(mgr.runs().count(), 0);
 
-    // A live tenant holds its trace against a second Start or Resume.
+    // A live tenant's trace is refused to a second Start or Resume.
+    std::fs::remove_file(&trace).unwrap();
     let mut events = Vec::new();
     assert!(matches!(
         call(&mut mgr, start("a", &scen), &mut events),
@@ -873,12 +877,8 @@ fn refused_opens_leave_existing_traces_untouched() {
         if fed == 10 {
             mgr.flush_all();
             let before = std::fs::read(&trace).unwrap();
-            refused(&mut mgr, start("b", &scen), "is being written by run \"a\"");
-            refused(
-                &mut mgr,
-                resume("c", &runner.snapshot()),
-                "is being written",
-            );
+            refused(&mut mgr, start("b", &scen), exists);
+            refused(&mut mgr, resume("c", &runner.snapshot()), exists);
             assert_eq!(std::fs::read(&trace).unwrap(), before);
         }
     }
@@ -891,16 +891,38 @@ fn refused_opens_leave_existing_traces_untouched() {
         call(&mut mgr, finish, &mut events),
         ServiceResponse::Finished { .. }
     ));
-    assert_eq!(
-        std::fs::read_to_string(&trace).unwrap(),
-        events.join("\n") + "\n"
-    );
+    let finished = events.join("\n") + "\n";
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), finished);
 
+    // A finished tenant's trace is kept too.
+    refused(&mut mgr, start("b", &scen), exists);
+    assert_eq!(std::fs::read_to_string(&trace).unwrap(), finished);
+
+    // So is a stopped tenant's: Start a, Stop a, Start b.
+    std::fs::remove_file(&trace).unwrap();
     let mut events = Vec::new();
     assert!(matches!(
-        call(&mut mgr, start("b", &scen), &mut events),
+        call(&mut mgr, start("a", &scen), &mut events),
         ServiceResponse::Started { .. }
     ));
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    for _ in 0..10 {
+        assert!(source.next_batch(&mut batch));
+        assert!(matches!(
+            call(&mut mgr, observe("a", &batch), &mut events),
+            ServiceResponse::Accepted { .. }
+        ));
+    }
+    let stop = ServiceRequest::Stop { run: "a".into() };
+    assert!(matches!(
+        call(&mut mgr, stop, &mut events),
+        ServiceResponse::Stopped { .. }
+    ));
+    let stopped = std::fs::read(&trace).unwrap();
+    assert_eq!(stopped, (events.join("\n") + "\n").into_bytes());
+    refused(&mut mgr, start("b", &scen), exists);
+    assert_eq!(std::fs::read(&trace).unwrap(), stopped);
+    assert_eq!(mgr.runs().count(), 0);
     std::fs::remove_dir_all(&root).ok();
 }
 

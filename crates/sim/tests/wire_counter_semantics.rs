@@ -1,16 +1,18 @@
-//! Pins the wire-counter semantics of the short-circuited self-delivery
-//! paths (`ack_handoff`, `relay_status`) and the lazy/eager decode
-//! split.
+//! Pins the wire-counter semantics of the self-delivery paths
+//! (`ack_handoff`, `relay_status`) and the lazy/eager decode split.
 //!
-//! The zero-copy plane stopped re-parsing messages that the exchange
-//! both produces and consumes in the same call — but those paths still
-//! model a real transmission, so their counters must read exactly as if
-//! the bytes had crossed the air: one `encoded`, one `decoded`, the full
-//! payload length in `bytes`, and never a `skipped_decode`. This test is
-//! the regression fence: if a refactor drops (or double-counts) a leg of
-//! the short circuit, the telemetry silently changes meaning and every
-//! downstream overhead analysis drifts. Counter *values* are asserted,
-//! not just deltas being nonzero.
+//! The exchange both produces and consumes those two transmissions in
+//! the same call, so a release build never encodes them: it counts them
+//! from `Message::encoded_len`. They still model a real transmission, so
+//! their counters must read exactly as if the bytes had crossed the air:
+//! one `encoded`, one `decoded`, the full payload length in `bytes`, and
+//! never a `skipped_decode`. This test is the regression fence: if a
+//! refactor drops (or double-counts) a leg of the short circuit, the
+//! telemetry silently changes meaning and every downstream overhead
+//! analysis drifts. Counter *values* are asserted, not just deltas being
+//! nonzero. Run in a debug build, it also drives both paths through the
+//! exchange's round-trip check (encode, decode, compare, and match the
+//! counted length).
 
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::Exchange;

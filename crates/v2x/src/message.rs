@@ -147,6 +147,17 @@ impl Message {
         buf.freeze()
     }
 
+    /// The exact length of [`Message::encode`]'s output, computed without
+    /// encoding or allocating: what a transmission costs on the wire.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Message::Label(_) | Message::Announce(_) => 13,
+            Message::Report(_) => 21,
+            Message::Patrol(p) => 5 + 5 * p.observations.len(),
+            Message::Ack { .. } => 9,
+        }
+    }
+
     /// Appends the wire form of the message to `buf`. Generic over
     /// [`BufMut`] so arena-style writers (e.g. a payload slab's `Vec<u8>`
     /// slots) can encode in place without an intermediate copy.

@@ -72,6 +72,13 @@ proptest! {
         prop_assert_eq!(wire.remaining(), 0);
     }
 
+    /// `encoded_len` is the exact length `encode` writes, for every
+    /// variant.
+    #[test]
+    fn encoded_len_matches_encode(m in arb_message()) {
+        prop_assert_eq!(m.encoded_len(), m.encode().len());
+    }
+
     /// Concatenated messages decode in order (streaming).
     #[test]
     fn streaming(ms in proptest::collection::vec(arb_message(), 1..8)) {
@@ -240,5 +247,18 @@ proptest! {
         prop_assert_eq!(store.lazy(dup).decode().unwrap(), m.clone());
         store.free(dup);
         store.free(recycled);
+    }
+}
+
+/// A patrol status's length counts every observation: none, and more
+/// than the 1,024 the decoder preallocates for.
+#[test]
+fn patrol_encoded_len_matches_encode_at_the_extremes() {
+    for n in [0u32, 1, 1_025, 3_000] {
+        let m = Message::Patrol(PatrolStatus {
+            observations: (0..n).map(|i| (NodeId(i), i % 3 == 0)).collect(),
+        });
+        assert_eq!(m.encoded_len(), m.encode().len(), "{n} observations");
+        assert_eq!(m.encoded_len(), 5 + 5 * n as usize);
     }
 }

@@ -437,15 +437,17 @@ print("concurrent-feeders smoke ok: both tenants byte-identical to solo runs "
 EOF
 
 # Trace-dir smoke: the daemon writes a server-side trace only as a bare
-# file name inside its --trace-dir (DESIGN.md §10). `--server-trace
-# x.jsonl` leaves DIR/x.jsonl byte-identical to the feeder's own trace;
-# `--server-trace ../x.jsonl` is refused and creates no file.
-echo "+ vcount serve --socket --trace-dir D & feed --server-trace x.jsonl, ../x.jsonl"
+# file name inside its --trace-dir, and never over an existing file
+# (DESIGN.md §10). `--server-trace x.jsonl` leaves DIR/x.jsonl
+# byte-identical to the feeder's own trace; a second feed naming
+# x.jsonl is refused and leaves it so; `--server-trace ../x.jsonl` is
+# refused and creates no file.
+echo "+ vcount serve --socket --trace-dir D & feed --server-trace x.jsonl, x.jsonl again, ../x.jsonl"
 trace_dir="$serve_dir/traces"
 mkdir "$trace_dir"
 vcountd_sock="$serve_dir/vcountd_traces.sock"
 cargo run --release -q -p vcount-cli --bin vcount -- \
-    serve --socket "$vcountd_sock" --max-conns 2 --trace-dir "$trace_dir" 2>/dev/null &
+    serve --socket "$vcountd_sock" --max-conns 3 --trace-dir "$trace_dir" 2>/dev/null &
 serve_pid=$!
 for _ in $(seq 100); do
     [ -S "$vcountd_sock" ] && break
@@ -455,19 +457,28 @@ done
 cargo run --release -q -p vcount-cli --bin vcount -- \
     feed "$fault_dir/scen.json" --socket "$vcountd_sock" \
     --trace "$serve_dir/trace_dir_feed.jsonl" --server-trace x.jsonl >/dev/null
+again_status=0
+cargo run --release -q -p vcount-cli --bin vcount -- \
+    feed "$fault_dir/scen.json" --socket "$vcountd_sock" --run again \
+    --server-trace x.jsonl >/dev/null 2>"$serve_dir/again.err" || again_status=$?
 escape_status=0
 cargo run --release -q -p vcount-cli --bin vcount -- \
     feed "$fault_dir/scen.json" --socket "$vcountd_sock" --run escape \
     --server-trace ../x.jsonl >/dev/null 2>"$serve_dir/escape.err" || escape_status=$?
 wait "$serve_pid"
 run cmp "$serve_dir/trace_dir_feed.jsonl" "$trace_dir/x.jsonl"
+if [ "$again_status" -ne 1 ] || ! grep -q 'already exists' "$serve_dir/again.err"; then
+    cat "$serve_dir/again.err" >&2
+    echo "a second --server-trace x.jsonl was not refused cleanly (exit $again_status)" >&2
+    exit 1
+fi
 if [ "$escape_status" -ne 1 ] || ! grep -q 'is not a bare file name' "$serve_dir/escape.err" \
     || [ -e "$serve_dir/x.jsonl" ]; then
     cat "$serve_dir/escape.err" >&2
     echo "--server-trace ../x.jsonl was not refused cleanly (exit $escape_status)" >&2
     exit 1
 fi
-echo "trace-dir smoke ok: x.jsonl written inside --trace-dir, ../x.jsonl refused"
+echo "trace-dir smoke ok: x.jsonl written inside --trace-dir and kept, ../x.jsonl refused"
 
 # Bench smoke: the hotpath bin must run end to end, emit well-formed JSON,
 # and stay within 5% of the committed throughput baseline — both
