@@ -15,7 +15,6 @@
 //!   cannot ensure 100% accuracy."
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use vcount_v2x::{ClassFilter, VehicleClass};
 
 /// Independent per-checkpoint interval counting (double-counts).
@@ -48,7 +47,8 @@ impl NaiveIntervalCounter {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClassDedupCounter {
     filter: ClassFilter,
-    seen: BTreeSet<VehicleClass>,
+    /// The [`VehicleClass::code`] of each class seen, ascending.
+    seen: Vec<u8>,
 }
 
 impl ClassDedupCounter {
@@ -56,20 +56,40 @@ impl ClassDedupCounter {
     pub fn new(filter: ClassFilter) -> Self {
         ClassDedupCounter {
             filter,
-            seen: BTreeSet::new(),
+            seen: Vec::new(),
         }
     }
 
     /// Observes one vehicle entering any checkpoint.
     pub fn observe(&mut self, class: &VehicleClass) {
         if self.filter.matches(class) {
-            self.seen.insert(*class);
+            let code = class.code();
+            if let Err(at) = self.seen.binary_search(&code) {
+                self.seen.insert(at, code);
+            }
         }
     }
 
     /// The (deflated) count of distinct appearances.
     pub fn total(&self) -> u64 {
         self.seen.len() as u64
+    }
+
+    /// The check of a counter from outside the process (a snapshot's):
+    /// each seen entry is a class code, and the codes strictly ascend, so
+    /// decoding then encoding is the identity.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(i) = self
+            .seen
+            .iter()
+            .position(|&c| VehicleClass::from_code(c).is_none())
+        {
+            return Err(format!("seen[{i}] = {} is not a class code", self.seen[i]));
+        }
+        match self.seen.windows(2).position(|w| w[0] >= w[1]) {
+            Some(i) => Err(format!("seen[{}] is out of order or listed twice", i + 1)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -105,6 +125,24 @@ mod tests {
         d.observe(&CAR); // a *different* red Apex sedan — lost
         d.observe(&OTHER);
         assert_eq!(d.total(), 2);
+    }
+
+    #[test]
+    fn dedup_validation_refuses_what_a_live_counter_cannot_hold() {
+        let mut d = ClassDedupCounter::new(ClassFilter::ALL);
+        d.observe(&OTHER);
+        d.observe(&CAR);
+        d.observe(&CAR);
+        assert_eq!(d.seen, [CAR.code(), OTHER.code()]);
+        assert_eq!(d.validate(), Ok(()));
+        for (seen, want) in [
+            (vec![245], "seen[0] = 245 is not a class code"),
+            (vec![9, 3], "seen[1] is out of order or listed twice"),
+            (vec![3, 3], "seen[1] is out of order or listed twice"),
+        ] {
+            d.seen = seen;
+            assert_eq!(d.validate(), Err(want.to_string()));
+        }
     }
 
     #[test]

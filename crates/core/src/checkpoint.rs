@@ -44,14 +44,14 @@ impl Checkpoint {
         }
     }
 
-    /// Captures the dynamic protocol state for snapshot/resume. Must be
-    /// called with the event buffer drained (i.e. at a step boundary).
-    pub fn export_state(&self) -> CheckpointState {
+    /// The dynamic protocol state, for snapshots and recovery images. Must
+    /// be called with the event buffer drained (i.e. at a step boundary).
+    pub fn export_state(&self) -> &CheckpointState {
         debug_assert!(
             self.events.is_empty(),
             "export_state with undrained protocol events"
         );
-        self.state.clone()
+        &self.state
     }
 
     /// Re-applies state captured by [`Checkpoint::export_state`] onto a

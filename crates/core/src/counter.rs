@@ -5,21 +5,24 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vcount_roadnet::EdgeId;
 
-/// All counter state of one checkpoint.
+/// All counter state of one checkpoint. Plain data, like the
+/// [`crate::CheckpointState`] that holds it: a snapshot's checkpoint table
+/// stores each field in a column.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Counters {
-    /// `c(u, v)` — raw phase-5 counts per inbound direction.
-    per_inbound: BTreeMap<EdgeId, u64>,
+    /// `c(u, v)` — raw phase-5 counts per inbound direction; a direction
+    /// nothing was counted on has no entry (never a zero).
+    pub per_inbound: BTreeMap<EdgeId, u64>,
     /// Net overtake corrections (Alg. 3 lines 5–8), may be negative.
-    overtake_adjust: i64,
+    pub overtake_adjust: i64,
     /// −1 per failed label handoff (Alg. 3 line 3).
-    loss_compensation: u64,
+    pub loss_compensation: u64,
     /// +1 per vehicle entering from outside at this border checkpoint
     /// (Alg. 5, inbound interaction). Never stops.
-    interaction_in: u64,
+    pub interaction_in: u64,
     /// +1 per vehicle leaving to the outside here (applied as −1 to the
     /// population view). Never stops.
-    interaction_out: u64,
+    pub interaction_out: u64,
 }
 
 impl Counters {

@@ -39,6 +39,7 @@ pub mod command;
 pub mod config;
 pub mod counter;
 pub mod machine;
+pub mod table;
 
 pub use baseline::{ClassDedupCounter, NaiveIntervalCounter};
 pub use checkpoint::{Checkpoint, CheckpointState, InboundState, LabelState};
@@ -46,4 +47,5 @@ pub use command::Command;
 pub use config::{CheckpointConfig, ProtocolVariant};
 pub use counter::Counters;
 pub use machine::{Action, ActionKind, CheckpointMachine, DispatchDigest, Dispatches, Replayer};
+pub use table::CheckpointTable;
 pub use vcount_obs::{EventKind, ProtocolEvent};

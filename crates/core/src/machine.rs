@@ -55,12 +55,42 @@ pub enum LabelState {
     Done,
 }
 
+impl InboundState {
+    /// The state's code in a snapshot's checkpoint table: `Idle` 0,
+    /// `Counting` 1, `Stopped` 2.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The state whose [`InboundState::code`] is `code`, or `None` past 2.
+    pub fn from_code(code: u8) -> Option<Self> {
+        use InboundState::*;
+        [Idle, Counting, Stopped].get(usize::from(code)).copied()
+    }
+}
+
+impl LabelState {
+    /// The state's code in a snapshot's checkpoint table: `Idle` 0,
+    /// `Pending` 1, `Done` 2.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The state whose [`LabelState::code`] is `code`, or `None` past 2.
+    pub fn from_code(code: u8) -> Option<Self> {
+        use LabelState::*;
+        [Idle, Pending, Done].get(usize::from(code)).copied()
+    }
+}
+
 /// Serializable dynamic state of one checkpoint at a step boundary,
 /// produced by `Checkpoint::export_state` and re-applied with
 /// `Checkpoint::restore_state`. The topology view (inbound/outbound
 /// directions, one-way neighbours, interaction flags) is *not* included —
 /// it is a pure function of the network and is rebuilt by
-/// [`CheckpointMachine::new`] on restore.
+/// [`CheckpointMachine::new`] on restore. Fault images and action traces
+/// serialize the state as it is; an engine snapshot stores every
+/// checkpoint's in one [`crate::CheckpointTable`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointState {
     /// Whether the checkpoint has been activated (phase 1/3).
@@ -93,6 +123,93 @@ pub struct CheckpointState {
     pub stable_at: Option<f64>,
     /// Collection time (seeds only).
     pub collected_at: Option<f64>,
+}
+
+impl CheckpointState {
+    /// The one check of a state from outside the process (a snapshot's
+    /// checkpoint table or a fault image) as node `node` of `net`: its
+    /// inbound and outbound directions are exactly the node's, each
+    /// per-direction count is nonzero and on an inbound direction, every
+    /// node it names (`pred`, `wave_seed`, `known_preds`,
+    /// `child_reports`) is on the map, its activation fields agree (an
+    /// active state has a wave seed, and a predecessor unless it is a
+    /// seed; an inactive one has neither and is no seed), and its times
+    /// are finite. The error names the field.
+    pub fn check(&self, net: &RoadNetwork, node: NodeId) -> Result<(), String> {
+        let ins = net.in_edges(node);
+        if self.inbound_state.len() != ins.len()
+            || !ins.iter().all(|e| self.inbound_state.contains_key(e))
+        {
+            return Err(format!(
+                "inbound_state does not list the node's {} inbound directions",
+                ins.len()
+            ));
+        }
+        let outs = net.out_edges(node);
+        if self.label_state.len() != outs.len()
+            || !outs.iter().all(|e| self.label_state.contains_key(e))
+        {
+            return Err(format!(
+                "label_state does not list the node's {} outbound directions",
+                outs.len()
+            ));
+        }
+        let per_inbound = &self.counters.per_inbound;
+        if let Some((e, n)) = per_inbound
+            .iter()
+            .find(|(e, n)| **n == 0 || !self.inbound_state.contains_key(e))
+        {
+            return Err(format!(
+                "per_inbound holds {n} for edge {}, not a nonzero count on an inbound direction",
+                e.0
+            ));
+        }
+        let nodes = net.node_count();
+        // Map keys ascend, so the last key is the largest node named.
+        let known_node = self.known_preds.keys().next_back().copied();
+        let known_pred = self.known_preds.values().filter_map(|&p| p).max();
+        let child = self.child_reports.keys().next_back().copied();
+        for (field, named) in [
+            ("pred", self.pred),
+            ("wave_seed", self.wave_seed),
+            ("known_preds", known_node),
+            ("known_preds", known_pred),
+            ("child_reports", child),
+        ] {
+            if let Some(n) = named.filter(|n| n.index() >= nodes) {
+                return Err(format!(
+                    "{field} names node {} outside the {nodes}-node map",
+                    n.0
+                ));
+            }
+        }
+        // Activation sets these together: only an active checkpoint has a
+        // wave seed, a seed has no predecessor, and every other active
+        // checkpoint has one (it reports its subtree to it).
+        let wants_pred = self.active && !self.is_seed;
+        if self.wave_seed.is_some() != self.active
+            || self.pred.is_some() != wants_pred
+            || (self.is_seed && !self.active)
+        {
+            return Err(format!(
+                "activation fields disagree: active {}, is_seed {}, pred {:?}, wave_seed {:?}",
+                self.active,
+                self.is_seed,
+                self.pred.map(|n| n.0),
+                self.wave_seed.map(|n| n.0)
+            ));
+        }
+        for (field, at) in [
+            ("activated_at", self.activated_at),
+            ("stable_at", self.stable_at),
+            ("collected_at", self.collected_at),
+        ] {
+            if let Some(t) = at.filter(|t| !t.is_finite()) {
+                return Err(format!("{field} {t:?} is not finite"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One protocol input with every effectful ingredient resolved by the

@@ -139,13 +139,16 @@ pub struct Exchange {
 
 /// Serializable image of an [`Exchange`] (every queue and counter; slab
 /// refs are resolved to owned payload bytes, and the scratch buffers are
-/// rebuilt empty on restore).
+/// rebuilt empty on restore). What vehicles carry is stored as sparse
+/// rows keyed by vehicle: a vehicle that carries nothing has no row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExchangeSnapshot {
-    /// Per-vehicle carried label payloads.
-    pub carried_label: Vec<Option<Vec<u8>>>,
-    /// Per-vehicle carried report envelopes.
-    pub carried_reports: Vec<Vec<Envelope>>,
+    /// `[vehicle, payload]`, one row per vehicle carrying a label, in
+    /// ascending vehicle order.
+    pub carried_label: Vec<(VehicleId, Vec<u8>)>,
+    /// `[vehicle, envelope]`, one row per carried report, in ascending
+    /// vehicle order; each vehicle's rows keep their queue order.
+    pub carried_reports: Vec<(VehicleId, Envelope)>,
     /// Per-node reports awaiting a carrier, with their required edge.
     pub pending_reports: Vec<Vec<(EdgeId, Envelope)>>,
     /// Per-node circuitous messages awaiting a patrol car.
@@ -589,16 +592,16 @@ impl Exchange {
             to: r.to,
             payload: self.store.get(r.payload).to_vec(),
         };
+        let carriers = (0..).map(VehicleId);
         ExchangeSnapshot {
-            carried_label: self
-                .carried_label
-                .iter()
-                .map(|slot| slot.map(|r| self.store.get(r).to_vec()))
+            carried_label: carriers
+                .clone()
+                .zip(&self.carried_label)
+                .filter_map(|(v, slot)| slot.map(|r| (v, self.store.get(r).to_vec())))
                 .collect(),
-            carried_reports: self
-                .carried_reports
-                .iter()
-                .map(|list| list.iter().map(env).collect())
+            carried_reports: carriers
+                .zip(&self.carried_reports)
+                .flat_map(|(v, list)| list.iter().map(move |r| (v, env(r))))
                 .collect(),
             pending_reports: self
                 .pending_reports
@@ -629,29 +632,33 @@ impl Exchange {
         }
     }
 
-    /// Rebuilds an exchange from a snapshot taken on `net`, interning every
-    /// payload into a fresh slab (scratch buffers start empty). A snapshot
-    /// is outside input, so it is checked before anything is interned: a
-    /// payload that does not decode to the kind its queue carries, a node
-    /// or edge outside `net`, or a table of the wrong shape is an error,
-    /// not a panic on some later step.
-    pub fn restore(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<Self, String> {
-        validate(snap, net)?;
+    /// Rebuilds an exchange from a snapshot taken on `net` over a
+    /// population of `population` vehicles, interning every payload into
+    /// a fresh slab (scratch buffers start empty). A snapshot is outside
+    /// input, so it is checked before anything is interned: a payload that
+    /// does not decode to the kind its queue carries, a node or edge
+    /// outside `net`, a vehicle past the population, carrier rows out of
+    /// order, or a table of the wrong shape is an error, not a panic on
+    /// some later step.
+    pub fn restore(
+        snap: &ExchangeSnapshot,
+        net: &RoadNetwork,
+        population: usize,
+    ) -> Result<Self, String> {
+        validate(snap, net, population)?;
         let mut store = PayloadStore::new();
-        let carried_label: Vec<Option<PayloadRef>> = snap
-            .carried_label
-            .iter()
-            .map(|slot| slot.as_ref().map(|p| store.insert(p)))
-            .collect();
+        let mut carried_label: Vec<Option<PayloadRef>> = vec![None; population];
+        for (v, payload) in &snap.carried_label {
+            carried_label[v.index()] = Some(store.insert(payload));
+        }
         let mut routed = |env: &Envelope| Routed {
             to: env.to,
             payload: store.insert(&env.payload),
         };
-        let carried_reports = snap
-            .carried_reports
-            .iter()
-            .map(|list| list.iter().map(&mut routed).collect())
-            .collect();
+        let mut carried_reports: Vec<Vec<Routed>> = vec![Vec::new(); population];
+        for (v, env) in &snap.carried_reports {
+            carried_reports[v.index()].push(routed(env));
+        }
         let pending_reports = snap
             .pending_reports
             .iter()
@@ -706,7 +713,7 @@ enum Carries {
 }
 
 /// The restore-time checks behind [`Exchange::restore`].
-fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<(), String> {
+fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork, population: usize) -> Result<(), String> {
     let nodes = net.node_count();
     let edges = net.edge_count();
     let node = |n: NodeId, what: &str| in_map(n.index(), nodes, "node", what);
@@ -741,18 +748,22 @@ fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<(), String> {
             return Err(format!("{what} table has {len} entries for {nodes} nodes"));
         }
     }
-    if snap.carried_label.len() != snap.carried_reports.len() {
-        return Err(format!(
-            "carried label table has {} entries, carried report table {}",
-            snap.carried_label.len(),
-            snap.carried_reports.len()
-        ));
-    }
-    for bytes in snap.carried_label.iter().flatten() {
+    let labels = snap.carried_label.iter().map(|(v, _)| *v);
+    carriers(labels, population, "carried label", true)?;
+    let reports = snap.carried_reports.iter().map(|(v, _)| *v);
+    carriers(reports, population, "carried report", false)?;
+    for (_, bytes) in &snap.carried_label {
         payload(bytes, "carried label", Carries::Label)?;
     }
-    for env in snap.carried_reports.iter().flatten() {
+    for (_, env) in &snap.carried_reports {
         envelope(env, "carried report", Carries::Report)?;
+    }
+    let patrol_cars = snap.patrol_status.keys().chain(snap.patrol_carried.keys());
+    if let Some(v) = patrol_cars.copied().find(|v| v.index() >= population) {
+        return Err(format!(
+            "patrol table names vehicle {} past the {population} vehicles",
+            v.0
+        ));
     }
     for (e, env) in snap.pending_reports.iter().flatten() {
         edge(*e, "pending report")?;
@@ -766,6 +777,39 @@ fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork) -> Result<(), String> {
     for (e, w) in &snap.watches {
         edge(*e, "segment watch")?;
         node(w.origin, "segment watch")?;
+        if let Some(v) = w.sw.vehicles().find(|v| v.index() >= population) {
+            return Err(format!(
+                "segment watch on edge {} names vehicle {} past the {population} vehicles",
+                e.0, v.0
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks the carrier column of sparse per-vehicle rows: each vehicle is
+/// one of the `population`, in ascending order, and listed once when
+/// `once` (a vehicle carries at most one label).
+fn carriers(
+    vehicles: impl Iterator<Item = VehicleId>,
+    population: usize,
+    what: &str,
+    once: bool,
+) -> Result<(), String> {
+    let mut last = None;
+    for (i, v) in vehicles.enumerate() {
+        if v.index() >= population {
+            return Err(format!(
+                "{what} row {i} names vehicle {} past the {population} vehicles",
+                v.0
+            ));
+        }
+        if last > Some(v) || (once && last == Some(v)) {
+            return Err(format!(
+                "{what} row {i} is out of vehicle order or listed twice"
+            ));
+        }
+        last = Some(v);
     }
     Ok(())
 }
@@ -1025,12 +1069,12 @@ mod tests {
         ex.queue_relay(5.0, NodeId(2), &report_msg(NodeId(2)));
         ex.pickup_patrol(VehicleId(0), NodeId(2));
         let snap = ex.snapshot();
-        let mut back = Exchange::restore(&snap, &net()).unwrap();
+        let mut back = Exchange::restore(&snap, &net(), 2).unwrap();
         assert_eq!(back.counters(), ex.counters());
         assert!(back.reports_in_flight());
         assert_eq!(back.take_label(VehicleId(1)), Some(label()));
         // Re-snapshotting the restored exchange reproduces the image.
-        let again = Exchange::restore(&snap, &net()).unwrap().snapshot();
+        let again = Exchange::restore(&snap, &net(), 2).unwrap().snapshot();
         assert_eq!(
             serde_json::to_string(&snap).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -1048,18 +1092,14 @@ mod tests {
         let sw = SegmentWatch::new(AdjustMode::NetInversion, VehicleId(0), []);
         ex.insert_watch(EdgeId(1), NodeId(0), sw);
         let good = ex.snapshot();
-        assert!(Exchange::restore(&good, &net()).is_ok());
+        assert!(Exchange::restore(&good, &net(), 2).is_ok());
 
         type Poison = (&'static str, fn(&mut ExchangeSnapshot));
         let poisons: &[Poison] = &[
-            ("does not decode", |s| {
-                s.carried_label[1] = Some(vec![0xFF; 9])
-            }),
-            ("trailing bytes", |s| {
-                s.carried_label[1].as_mut().unwrap().push(0);
-            }),
+            ("does not decode", |s| s.carried_label[0].1 = vec![0xFF; 9]),
+            ("trailing bytes", |s| s.carried_label[0].1.push(0)),
             ("carried label queue holds Report", |s| {
-                s.carried_label[1] = Some(s.relay[0].env.payload.clone());
+                s.carried_label[0].1 = s.relay[0].env.payload.clone();
             }),
             ("names node 7", |s| s.relay[0].env.to = NodeId(7)),
             ("names node 9", |s| {
@@ -1080,14 +1120,34 @@ mod tests {
             ("pending patrol table has 2 entries for 3 nodes", |s| {
                 s.pending_patrol.pop();
             }),
-            ("carried label table has 3 entries", |s| {
-                s.carried_label.push(None);
+            (
+                "carried label row 0 names vehicle 2 past the 2 vehicles",
+                |s| s.carried_label[0].0 = VehicleId(2),
+            ),
+            (
+                "carried label row 1 is out of vehicle order or listed twice",
+                |s| s.carried_label.push(s.carried_label[0].clone()),
+            ),
+            ("carried report row 1 is out of vehicle order", |s| {
+                let env = s.relay[0].env.clone();
+                s.carried_reports = vec![(VehicleId(1), env.clone()), (VehicleId(0), env)];
+            }),
+            (
+                "segment watch on edge 1 names vehicle 5 past the 2 vehicles",
+                |s| {
+                    let w = s.watches.get_mut(&EdgeId(1)).unwrap();
+                    w.sw = SegmentWatch::new(AdjustMode::NetInversion, VehicleId(5), []);
+                },
+            ),
+            ("patrol table names vehicle 9 past the 2 vehicles", |s| {
+                s.patrol_status
+                    .insert(VehicleId(9), PatrolStatus::default());
             }),
         ];
         for (expected, poison) in poisons {
             let mut bad = good.clone();
             poison(&mut bad);
-            let err = Exchange::restore(&bad, &net()).unwrap_err();
+            let err = Exchange::restore(&bad, &net(), 2).unwrap_err();
             assert!(err.contains(expected), "{expected}: got {err:?}");
         }
     }

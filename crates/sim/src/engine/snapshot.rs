@@ -2,18 +2,16 @@
 //! later, and replay a byte-identical event stream (DESIGN.md §6quater).
 
 use super::ExchangeSnapshot;
-use crate::oracle::Attribution;
+use crate::oracle::LedgerTable;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use vcount_core::{CheckpointState, ClassDedupCounter, NaiveIntervalCounter};
+use vcount_core::{CheckpointTable, ClassDedupCounter, NaiveIntervalCounter};
 use vcount_roadnet::NodeId;
 use vcount_traffic::SimSnapshot;
-use vcount_v2x::VehicleId;
 
 /// Schema tag stamped on every serialized snapshot, and the only one
 /// accepted on read ([`EngineSnapshot::check_schema`]).
-pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v6";
+pub const SNAPSHOT_SCHEMA: &str = "vcount-engine-snapshot/v7";
 
 /// Protocol-side RNG seed derivation: decoupled from the traffic stream
 /// but derived from the same scenario seed for whole-run reproducibility.
@@ -44,12 +42,12 @@ pub struct EngineSnapshot {
     pub channel_state: u64,
     /// The traffic simulator's dynamic state.
     pub sim: SimSnapshot,
-    /// Every checkpoint's dynamic state, in node order.
-    pub checkpoints: Vec<CheckpointState>,
+    /// Every checkpoint's dynamic state, in columns.
+    pub checkpoints: CheckpointTable,
     /// The exchange's in-flight queues and wire counters.
     pub exchange: ExchangeSnapshot,
-    /// The ground-truth oracle's attribution ledger.
-    pub ledger: BTreeMap<VehicleId, Vec<Attribution>>,
+    /// The ground-truth oracle's attribution ledger, in columns.
+    pub ledger: LedgerTable,
     /// The naive interval-counting baseline.
     pub naive: NaiveIntervalCounter,
     /// The image-recognition dedup baseline.
@@ -64,7 +62,7 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Serializes to pretty JSON.
+    /// Serializes to compact JSON (one line, no whitespace).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("engine snapshots always serialize")
     }

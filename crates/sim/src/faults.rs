@@ -548,7 +548,7 @@ pub fn fault_step(engine: &mut Engine) {
         if now >= live.next_image_s {
             for (i, cp) in cps.iter().enumerate() {
                 if !live.down[i] {
-                    live.images[i] = Some(cp.export_state());
+                    live.images[i] = Some(cp.export_state().clone());
                 }
             }
             // Ticks are stepped one at a time, as a step crosses about one;
@@ -592,7 +592,7 @@ pub fn fault_step(engine: &mut Engine) {
                 live.counters.crashes += 1;
                 // The crash loses whatever accrued since the last image.
                 let state_lost = match &live.images[idx] {
-                    Some(img) => *img != cps[idx].export_state(),
+                    Some(img) => img != cps[idx].export_state(),
                     None => true,
                 };
                 if state_lost {

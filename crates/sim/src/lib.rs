@@ -56,7 +56,7 @@ pub use engine::{EngineSnapshot, Exchange};
 pub use experiment::{sweep, sweep_with_faults, Cell, CellResult, SweepConfig};
 pub use faults::{Blackout, ChaosFault, CrashFault, FaultCounters, FaultLayer, FaultPlan};
 pub use metrics::{ProgressSnapshot, RunMetrics, RunTelemetry, Summary};
-pub use oracle::{Attribution, Oracle, Violation};
+pub use oracle::{Attribution, LedgerTable, Oracle, Violation};
 pub use replay::{
     replay_trace, ActionRecord, ActionRecorder, ActionTrace, ReplayReport, TRACE_SCHEMA,
 };

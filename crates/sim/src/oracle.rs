@@ -39,6 +39,28 @@ pub enum Attribution {
 }
 
 impl Attribution {
+    /// The attribution's code in a snapshot's [`LedgerTable`]: `Counted`
+    /// 0, `InteractionIn` 1, `InteractionOut` 2, `AdjustPlus` 3,
+    /// `AdjustMinus` 4, `LossCompensation` 5.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The attribution whose [`Attribution::code`] is `code`, or `None`
+    /// past 5.
+    pub fn from_code(code: u8) -> Option<Self> {
+        use Attribution::*;
+        let all = [
+            Counted,
+            InteractionIn,
+            InteractionOut,
+            AdjustPlus,
+            AdjustMinus,
+            LossCompensation,
+        ];
+        all.get(usize::from(code)).copied()
+    }
+
     /// The counter delta this attribution carries.
     pub fn delta(self) -> i64 {
         match self {
@@ -69,21 +91,65 @@ pub struct Oracle {
     ledger: BTreeMap<VehicleId, Vec<Attribution>>,
 }
 
+/// The attribution ledger as a snapshot stores it, in two columns: how
+/// many attributions each vehicle of the population holds, and every
+/// attribution's code, vehicle by vehicle in id order.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LedgerTable {
+    /// Per vehicle: its number of attributions.
+    pub len: Vec<u32>,
+    /// Each attribution's [`Attribution::code`].
+    pub code: Vec<u8>,
+}
+
 impl Oracle {
     /// Creates an empty oracle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Rebuilds an oracle from a previously exported ledger (snapshot
-    /// resume).
-    pub fn from_ledger(ledger: BTreeMap<VehicleId, Vec<Attribution>>) -> Self {
-        Oracle { ledger }
+    /// The ledger as a snapshot stores it, over a population of
+    /// `population` vehicles (every vehicle it names is one of them).
+    pub fn table(&self, population: usize) -> LedgerTable {
+        let mut t = LedgerTable {
+            len: vec![0; population],
+            code: Vec::new(),
+        };
+        for (v, history) in &self.ledger {
+            t.len[v.index()] = history.len() as u32;
+            t.code.extend(history.iter().map(|a| a.code()));
+        }
+        t
     }
 
-    /// The full attribution ledger (snapshot export).
-    pub fn ledger(&self) -> &BTreeMap<VehicleId, Vec<Attribution>> {
-        &self.ledger
+    /// Rebuilds an oracle from a snapshot's ledger over a population of
+    /// `population` vehicles. Refused: a `len` column that is not one
+    /// entry per vehicle, lengths that do not sum to the `code` column's,
+    /// and an unknown code.
+    pub fn from_table(table: &LedgerTable, population: usize) -> Result<Self, String> {
+        if table.len.len() != population {
+            return Err(format!(
+                "ledger len has {} entries for the {population} vehicles",
+                table.len.len()
+            ));
+        }
+        let total: u64 = table.len.iter().map(|&n| u64::from(n)).sum();
+        if total != table.code.len() as u64 {
+            return Err(format!(
+                "ledger len sums to {total} attributions, ledger code has {}",
+                table.code.len()
+            ));
+        }
+        let mut codes = table.code.iter().enumerate();
+        let mut ledger = BTreeMap::new();
+        for (v, &n) in table.len.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let history = codes.by_ref().take(n as usize).map(|(i, &code)| {
+                Attribution::from_code(code)
+                    .ok_or_else(|| format!("ledger code[{i}] = {code} is not an attribution code"))
+            });
+            ledger.insert(VehicleId(v as u64), history.collect::<Result<_, _>>()?);
+        }
+        Ok(Oracle { ledger })
     }
 
     /// Records one attribution for `vehicle`.

@@ -45,7 +45,9 @@ use crate::source::{
 };
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use vcount_core::{ActionKind, Checkpoint, ClassDedupCounter, NaiveIntervalCounter};
+use vcount_core::{
+    ActionKind, Checkpoint, CheckpointTable, ClassDedupCounter, NaiveIntervalCounter,
+};
 use vcount_obs::{EventRecord, EventSink};
 use vcount_roadnet::{NodeId, RoadNetwork};
 use vcount_traffic::{ReplayRng, SimSnapshot, Simulator};
@@ -349,21 +351,47 @@ impl Runner {
 
     /// Moves a frozen run's dynamic state into this freshly wired
     /// deployment of the same scenario.
+    ///
+    /// This is the one check of a snapshot's engine half (DESIGN.md
+    /// §6quater): every field is checked against the map and the
+    /// population (the sim half's vehicle count) before it is used. The
+    /// checkpoint table's states and every fault image pass
+    /// [`vcount_core::CheckpointState::check`]; the ledger, the exchange
+    /// and the dedup baseline pass their decoders' checks.
     fn restore(&mut self, snap: EngineSnapshot) -> Result<(), String> {
         let engine = &mut self.engine;
+        let net = &engine.net;
         let n = engine.cps.len();
-        if snap.checkpoints.len() != n {
-            return Err("snapshot checkpoint count must match the scenario map".into());
-        }
+        let population = snap.sim.vehicles.len();
         if let Some(seed) = snap.seeds.iter().find(|s| s.index() >= n) {
             return Err(format!(
                 "snapshot seed {} is not a node of the {n}-node map",
                 seed.0
             ));
         }
-        engine.exchange = Exchange::restore(&snap.exchange, &engine.net)
+        let states = snap
+            .checkpoints
+            .states(net)
+            .map_err(|e| format!("snapshot checkpoints: {e}"))?;
+        let images = snap
+            .faults
+            .iter()
+            .flat_map(|f| net.node_ids().zip(&f.images));
+        for (node, image) in images {
+            if let Some(state) = image {
+                state
+                    .check(net, node)
+                    .map_err(|e| format!("snapshot faults: images[{}]: {e}", node.0))?;
+            }
+        }
+        let oracle =
+            Oracle::from_table(&snap.ledger, population).map_err(|e| format!("snapshot {e}"))?;
+        snap.dedup
+            .validate()
+            .map_err(|e| format!("snapshot dedup: {e}"))?;
+        engine.exchange = Exchange::restore(&snap.exchange, net, population)
             .map_err(|e| format!("snapshot exchange: {e}"))?;
-        for (cp, state) in engine.cps.iter_mut().zip(snap.checkpoints) {
+        for (cp, state) in engine.cps.iter_mut().zip(states) {
             cp.restore_state(state);
         }
         engine.proto_rng = ReplayRng::resume(engine.proto_rng.seed(), snap.proto_rng_draws);
@@ -374,7 +402,7 @@ impl Runner {
         // The in-process simulator was already rebuilt from this state
         // (and ignores it); an external source keeps it for re-freezing.
         self.source.provide_sim_state(snap.sim);
-        engine.oracle = Oracle::from_ledger(snap.ledger);
+        engine.oracle = oracle;
         self.seeds = snap.seeds;
         engine.naive = snap.naive;
         engine.dedup = snap.dedup;
@@ -396,8 +424,9 @@ impl Runner {
     }
 
     /// Like [`Runner::snapshot`], but reports a source without traffic
-    /// state (an [`ExternalSource`] the feeder never refreshed) as an
-    /// error instead of panicking — the service path.
+    /// state (an [`ExternalSource`] the feeder never refreshed), or with
+    /// one older than the run (fewer vehicles than the batches announced),
+    /// as an error instead of panicking — the service path.
     pub fn try_snapshot(&self) -> Result<EngineSnapshot, String> {
         let sim = self.source.sim_state().ok_or_else(|| {
             "observation source holds no traffic state; \
@@ -405,6 +434,14 @@ impl Runner {
                 .to_string()
         })?;
         let engine = &self.engine;
+        let population = sim.vehicles.len();
+        if population < engine.classes.len() {
+            return Err(format!(
+                "the traffic state holds {population} vehicles, fewer than the {} \
+                 the run has announced; supply a current one",
+                engine.classes.len()
+            ));
+        }
         Ok(EngineSnapshot {
             schema: engine::SNAPSHOT_SCHEMA.to_string(),
             scenario: self.scenario.clone(),
@@ -412,9 +449,12 @@ impl Runner {
             proto_rng_draws: engine.proto_rng.draws(),
             channel_state: engine.channel.save_state(),
             sim,
-            checkpoints: engine.cps.iter().map(Checkpoint::export_state).collect(),
+            checkpoints: CheckpointTable::of(
+                engine.cps.iter().map(Checkpoint::export_state),
+                engine.net.edge_count(),
+            ),
             exchange: engine.exchange.snapshot(),
-            ledger: engine.oracle.ledger().clone(),
+            ledger: engine.oracle.table(population),
             naive: engine.naive.clone(),
             dedup: engine.dedup.clone(),
             fault_plan: engine.faults.plan().cloned(),

@@ -27,7 +27,7 @@
 //!   [`ServiceResponse::Throttled`] — it is *not* enqueued and *not*
 //!   dropped silently; the producer must resend it after draining.
 //! * **Snapshots keep their schema.** A tenant freezes into the same
-//!   [`EngineSnapshot`] (schema v6) a batch run produces, and a frozen
+//!   [`EngineSnapshot`] (schema v7) a batch run produces, and a frozen
 //!   run restarts via [`ServiceRequest::Resume`] to a byte-identical
 //!   continuation.
 //! * **Completion parity.** A tenant stops ingesting where `vcount run`
@@ -120,7 +120,7 @@ pub enum ServiceRequest {
     Resume {
         /// New run id (must not exist).
         run: String,
-        /// The frozen engine state (schema v6, scenario embedded; boxed —
+        /// The frozen engine state (schema v7, scenario embedded; boxed —
         /// a snapshot dwarfs every other request).
         snapshot: Box<EngineSnapshot>,
         /// Goal the resumed run drives toward (default: collection).
@@ -226,7 +226,7 @@ pub enum ServiceResponse {
     Snapshot {
         /// Target run id.
         run: String,
-        /// The snapshot (schema v6, scenario embedded; boxed — it dwarfs
+        /// The snapshot (schema v7, scenario embedded; boxed — it dwarfs
         /// every other response).
         snapshot: Box<EngineSnapshot>,
     },

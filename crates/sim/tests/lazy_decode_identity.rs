@@ -18,7 +18,7 @@ mod common;
 use std::sync::{Arc, Mutex};
 
 use common::{fnv_digest, grid_scenario, normalized, open_scenario, VecSink};
-use vcount_core::{CheckpointState, ProtocolVariant};
+use vcount_core::{CheckpointTable, ProtocolVariant};
 use vcount_sim::{Blackout, ChaosFault, CrashFault, FaultPlan, RunMetrics, Runner, Scenario};
 
 /// Exercises every lazy-discard path at once: two crash windows (queued
@@ -60,7 +60,7 @@ fn chaos_plan() -> FaultPlan {
 struct Capture {
     stream: Vec<String>,
     metrics: RunMetrics,
-    checkpoints: Vec<CheckpointState>,
+    checkpoints: CheckpointTable,
 }
 
 fn capture(scen: &Scenario, eager: bool, plan: Option<FaultPlan>, steps: usize) -> Capture {

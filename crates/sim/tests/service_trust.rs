@@ -8,11 +8,13 @@
 
 mod common;
 
-use common::{capture_batch, first_on_edge, fnv_digest, grid_scenario};
+use common::{capture_batch, first_on_edge, fnv_digest, grid_scenario, open_scenario};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use vcount_core::table::ACTIVE;
 use vcount_core::ProtocolVariant;
 use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
 use vcount_roadnet::{EdgeId, NodeId};
+use vcount_sim::engine::{Envelope, Watch};
 use vcount_sim::{
     serve_connections, serve_stream, Blackout, ChaosFault, Conn, CrashFault, EngineSnapshot,
     EventRow, FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager,
@@ -20,7 +22,7 @@ use vcount_sim::{
     WireClient,
 };
 use vcount_traffic::{Loop, Spot};
-use vcount_v2x::{ChannelKind, VehicleId};
+use vcount_v2x::{AdjustMode, ChannelKind, PatrolStatus, SegmentWatch, VehicleId};
 
 /// Applies one request; event lines go to `events`, everything else (the
 /// terminal response — possibly an Error, which is what these tests are
@@ -583,8 +585,8 @@ fn resume_with_garbage_label_bytes_is_an_error() {
         &[(
             "label bytes 0xFF",
             |s| {
-                let labels = s.exchange.carried_label.iter_mut().flatten();
-                let bytes: Vec<&mut u8> = labels.flatten().collect();
+                let labels = s.exchange.carried_label.iter_mut();
+                let bytes: Vec<&mut u8> = labels.flat_map(|(_, payload)| payload).collect();
                 assert!(!bytes.is_empty(), "no carried label to corrupt");
                 bytes.into_iter().for_each(|b| *b = 0xFF);
             },
@@ -721,6 +723,49 @@ fn snapshot_with_a_poisoned_sim_state_is_an_error() {
             }
         }
     });
+}
+
+/// A Snapshot whose traffic state is older than the run (fewer vehicles
+/// than the batches announced) is refused: the snapshot's ledger and
+/// exchange rows are checked against that population, so the daemon
+/// would hand out a snapshot its own Resume refuses. A current state
+/// still freezes the run.
+#[test]
+fn snapshot_with_a_stale_sim_state_is_an_error() {
+    // Open, so vehicles keep spawning and an early state holds fewer.
+    let scen = open_scenario(162);
+    let mut mgr = RunManager::new(ServiceConfig::default());
+    let mut events = Vec::new();
+    assert!(matches!(
+        call(&mut mgr, start_request("r", &scen), &mut events),
+        ServiceResponse::Started { .. }
+    ));
+    let mut source = SimulatorSource::from_scenario(&scen, 1);
+    let mut batch = ObservationBatch::default();
+    let mut stale = None;
+    for _ in 0..200 {
+        assert!(source.next_batch(&mut batch));
+        call(&mut mgr, observe("r", &batch), &mut events);
+        stale = stale.or_else(|| source.sim_state());
+    }
+    let held = stale.as_ref().map_or(0, |s| s.vehicles.len());
+    let current = source.sim_state();
+    assert!(held < current.as_ref().map_or(0, |s| s.vehicles.len()));
+    let req = |sim| ServiceRequest::Snapshot {
+        run: "r".into(),
+        sim,
+    };
+    match call(&mut mgr, req(stale), &mut events) {
+        ServiceResponse::Error { message, .. } => {
+            let want = format!("snapshot failed: the traffic state holds {held} vehicles");
+            assert!(message.starts_with(&want), "got {message:?}");
+        }
+        other => panic!("a stale Snapshot answered with {other:?}"),
+    }
+    assert!(matches!(
+        call(&mut mgr, req(current), &mut events),
+        ServiceResponse::Snapshot { .. }
+    ));
 }
 
 /// Server-side traces stay inside the daemon's trace directory. A Start
@@ -1086,11 +1131,12 @@ fn start_mutations() -> Vec<StartMutation> {
 /// `start failed:`/`resume failed:` Error, or Started where the mutation
 /// is still valid. A panic inside
 /// the manager fails the test naming its mutation, and the faulted tenant
-/// fed alongside stays byte-identical to its solo run.
+/// fed alongside stays byte-identical to its solo run. The Resume table
+/// covers every field check of the engine half: its checkpoint table,
+/// ledger, carried messages, watches and fault images.
 ///
-/// Out of scope: checkpoint states, watch vehicle ids and the oracle
-/// ledger (a bad value there can still panic a later Observe), and sizes
-/// a builder can index (a huge grid or fleet has no bound below that).
+/// Out of scope: sizes a builder can index (a huge grid or fleet has no
+/// bound below that).
 #[test]
 fn mutated_starts_and_resumes_never_panic() {
     let scen = grid_scenario(ProtocolVariant::Simple, 154);
@@ -1188,11 +1234,208 @@ fn mutated_starts_and_resumes_never_panic() {
                 "snapshot seed 16 is not a node of the 16-node map",
             ),
             (
-                "checkpoint table one short",
+                "checkpoint table one node short",
                 |s| {
-                    s.checkpoints.pop();
+                    s.checkpoints.pred.pop();
                 },
-                "snapshot checkpoint count must match the scenario map",
+                "snapshot checkpoints: pred has 15 entries for the 16-node map",
+            ),
+            (
+                "every active non-seed pred off the map",
+                |s| {
+                    let t = &mut s.checkpoints;
+                    for (flags, pred) in t.flags.iter().zip(&mut t.pred) {
+                        if *flags == ACTIVE {
+                            *pred = Some(NodeId(999_999));
+                        }
+                    }
+                },
+                "snapshot checkpoints: node 2: pred names node 999999 outside the 16-node map",
+            ),
+            (
+                "wave seed off the map",
+                |s| s.checkpoints.wave_seed[0] = Some(NodeId(16)),
+                "snapshot checkpoints: node 0: wave_seed names node 16 outside the 16-node map",
+            ),
+            (
+                "known neighbour off the map",
+                |s| s.checkpoints.known_preds.push((NodeId(15), NodeId(16), None)),
+                "snapshot checkpoints: node 15: known_preds names node 16 outside the 16-node map",
+            ),
+            (
+                "known predecessor off the map",
+                |s| s.checkpoints.known_preds[0].2 = Some(NodeId(999_999)),
+                "snapshot checkpoints: node 2: known_preds names node 999999 outside",
+            ),
+            (
+                "child report from off the map",
+                |s| s.checkpoints.child_reports.push((NodeId(15), NodeId(16), 1, 0)),
+                "snapshot checkpoints: node 15: child_reports names node 16 outside",
+            ),
+            (
+                "row of a node off the map",
+                |s| s.checkpoints.known_preds.push((NodeId(16), NodeId(0), None)),
+                "snapshot checkpoints: known_preds[",
+            ),
+            (
+                "inbound directions one short",
+                |s| {
+                    s.checkpoints.inbound_state.pop();
+                },
+                "snapshot checkpoints: inbound_state has 47 entries for the 48-edge map",
+            ),
+            (
+                "no outbound directions",
+                |s| s.checkpoints.label_state.clear(),
+                "snapshot checkpoints: label_state has 0 entries for the 48-edge map",
+            ),
+            (
+                "per-direction counts one long",
+                |s| s.checkpoints.per_inbound.push(0),
+                "snapshot checkpoints: per_inbound has 49 entries for the 48-edge map",
+            ),
+            (
+                "unknown inbound state code",
+                |s| s.checkpoints.inbound_state[0] = 3,
+                "snapshot checkpoints: inbound_state[0] = 3 is not a state code",
+            ),
+            (
+                "unknown label state code",
+                |s| s.checkpoints.label_state[5] = 200,
+                "snapshot checkpoints: label_state[5] = 200 is not a state code",
+            ),
+            (
+                "unknown flag bit",
+                |s| s.checkpoints.flags[3] |= 4,
+                "snapshot checkpoints: flags[3] = ",
+            ),
+            (
+                "active without a wave seed",
+                |s| {
+                    let t = &mut s.checkpoints;
+                    let k = t.flags.iter().position(|&f| f == ACTIVE).unwrap();
+                    t.wave_seed[k] = None;
+                },
+                "snapshot checkpoints: node 2: activation fields disagree: active true, \
+                 is_seed false, pred Some(",
+            ),
+            (
+                "active non-seed without a pred",
+                |s| {
+                    let t = &mut s.checkpoints;
+                    let k = t.flags.iter().position(|&f| f == ACTIVE).unwrap();
+                    t.pred[k] = None;
+                },
+                "snapshot checkpoints: node 2: activation fields disagree: active true, \
+                 is_seed false, pred None, wave_seed Some(",
+            ),
+            (
+                "known_preds out of order",
+                |s| s.checkpoints.known_preds.reverse(),
+                "snapshot checkpoints: known_preds[1] is out of (node, neighbour) order",
+            ),
+            (
+                "known predecessor listed twice",
+                |s| {
+                    let rows = &mut s.checkpoints.known_preds;
+                    rows.insert(1, rows[0]);
+                },
+                "snapshot checkpoints: known_preds[1] is out of (node, neighbour) order or listed twice",
+            ),
+            (
+                "child report listed twice",
+                |s| {
+                    let row = (NodeId(3), NodeId(2), 1, 0);
+                    s.checkpoints.child_reports.extend([row, row]);
+                },
+                "snapshot checkpoints: child_reports[1] is out of (node, neighbour) order or listed twice",
+            ),
+            (
+                "NaN activation time",
+                |s| s.checkpoints.activated_at[0] = Some(f64::NAN),
+                "snapshot checkpoints: node 0: activated_at NaN is not finite",
+            ),
+            (
+                "infinite stabilization time",
+                |s| s.checkpoints.stable_at[0] = Some(f64::INFINITY),
+                "snapshot checkpoints: node 0: stable_at inf is not finite",
+            ),
+            (
+                "unknown attribution code",
+                |s| s.ledger.code[0] = 6,
+                "snapshot ledger code[0] = 6 is not an attribution code",
+            ),
+            (
+                "ledger vehicle past the population",
+                |s| s.ledger.len.push(1),
+                "snapshot ledger len has ",
+            ),
+            (
+                "ledger lengths past the codes",
+                |s| s.ledger.len[0] += 1,
+                "snapshot ledger len sums to ",
+            ),
+            (
+                "carried label on a vehicle past the population",
+                |s| s.exchange.carried_label.push((VehicleId(999_999), vec![])),
+                "snapshot exchange: carried label row ",
+            ),
+            (
+                "carried report on a vehicle past the population",
+                |s| {
+                    let env = Envelope {
+                        to: NodeId(0),
+                        payload: vec![],
+                    };
+                    s.exchange.carried_reports.push((VehicleId(999_999), env));
+                },
+                "snapshot exchange: carried report row ",
+            ),
+            (
+                "carried labels out of vehicle order",
+                |s| {
+                    let rows = &mut s.exchange.carried_label;
+                    rows.push((VehicleId(0), vec![]));
+                    assert!(rows.len() > 1, "no carried label to precede");
+                },
+                "snapshot exchange: carried label row ",
+            ),
+            (
+                "watch on a vehicle past the population",
+                |s| {
+                    let sw = SegmentWatch::new(AdjustMode::NetInversion, VehicleId(999_999), []);
+                    let watch = Watch {
+                        origin: NodeId(0),
+                        sw,
+                    };
+                    s.exchange.watches.insert(EdgeId(0), watch);
+                },
+                "snapshot exchange: segment watch on edge 0 names vehicle 999999 past the ",
+            ),
+            (
+                "patrol status of a vehicle past the population",
+                |s| {
+                    let status = PatrolStatus::default();
+                    s.exchange.patrol_status.insert(VehicleId(999_999), status);
+                },
+                "snapshot exchange: patrol table names vehicle 999999 past the ",
+            ),
+            (
+                "fault image pred off the map",
+                |s| {
+                    let images = &mut s.faults.as_mut().unwrap().images;
+                    let image = images[0].as_mut().expect("a recovery image of node 0");
+                    image.pred = Some(NodeId(999_999));
+                },
+                "snapshot faults: images[0]: pred names node 999999 outside the 16-node map",
+            ),
+            (
+                "fault image without inbound directions",
+                |s| {
+                    let images = &mut s.faults.as_mut().unwrap().images;
+                    images[5].as_mut().unwrap().inbound_state.clear();
+                },
+                "snapshot faults: images[5]: inbound_state does not list the node's 4 inbound",
             ),
         ],
     );

@@ -16,6 +16,7 @@ use vcount_roadnet::builders::ManhattanConfig;
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::{
     CrashFault, EngineSnapshot, FaultPlan, Goal, MapSpec, Runner, RunnerBuilder, Scenario,
+    TransportMode,
 };
 use vcount_traffic::{SimSnapshot, Spot};
 use vcount_v2x::VehicleId;
@@ -165,6 +166,102 @@ fn midtown_snapshot_stays_within_its_size_budget() {
     );
 }
 
+/// The v7 engine half (checkpoint table, exchange, ledger and dedup
+/// baseline) as JSON bytes.
+fn engine_half_bytes(snap: &EngineSnapshot) -> usize {
+    [
+        serde_json::to_string(&snap.checkpoints),
+        serde_json::to_string(&snap.exchange),
+        serde_json::to_string(&snap.ledger),
+        serde_json::to_string(&snap.dedup),
+    ]
+    .into_iter()
+    .map(|json| json.expect("the engine half serializes").len())
+    .sum()
+}
+
+/// The v7 columns keep the engine half small: 2,000 steps into the
+/// paper's closed midtown run (seed 1) it takes at most 0.35x the v6
+/// layout, whose engine half took 336,078 bytes on this run.
+#[test]
+fn midtown_engine_half_stays_within_its_size_budget() {
+    const V6_BYTES: usize = 336_078;
+    let scen = Scenario::paper_closed(ManhattanConfig::default(), 60.0, 2, 1);
+    let mut runner = Runner::builder(&scen).build();
+    for _ in 0..2000 {
+        runner.step();
+    }
+    let bytes = engine_half_bytes(&runner.snapshot());
+    assert!(
+        bytes * 100 <= V6_BYTES * 35,
+        "the engine half takes {bytes} bytes, over 0.35x the v6 layout's {V6_BYTES}"
+    );
+}
+
+/// Decoding a v7 snapshot and encoding it again is the identity, and a
+/// run resumed from it holds exactly the checkpoint states it froze: on
+/// closed and open midtown, a relay-only ring with patrol cars, and
+/// faulted Fig. 1 frozen while its crashed checkpoint is down.
+#[test]
+fn v7_snapshots_decode_and_encode_to_the_same_state() {
+    let mut ring = small_grid_scenario(ProtocolVariant::Extended, 44);
+    ring.map = MapSpec::DirectedRing {
+        nodes: 12,
+        spacing_m: 100.0,
+        speed_mps: 10.0,
+    };
+    ring.transport = TransportMode::RelayOnly {
+        relay_speed_mps: 50.0,
+    };
+    ring.patrol.cars = 4;
+    let plan = FaultPlan {
+        seed: 7,
+        crashes: vec![CrashFault {
+            node: 1,
+            at_s: 120.0,
+            recover_s: 300.0,
+        }],
+        blackouts: vec![],
+        chaos: None,
+        image_every_s: 60.0,
+    };
+    let cases = [
+        (
+            Scenario::paper_closed(ManhattanConfig::default(), 60.0, 2, 3),
+            None,
+            "closed midtown",
+        ),
+        (open_scenario(3), None, "open midtown"),
+        (ring, None, "relay-only patrol ring"),
+        (Scenario::fig1_walkthrough(5), Some(plan), "faulted fig1"),
+    ];
+    for (scen, plan, what) in cases {
+        let mut builder = Runner::builder(&scen);
+        if let Some(plan) = plan {
+            builder = builder.faults(plan);
+        }
+        let mut runner = builder.build();
+        while runner.time_s() < 200.0 {
+            runner.step();
+        }
+        let json = runner.snapshot().to_json();
+        let snap = EngineSnapshot::from_json(&json).expect("a v7 snapshot parses");
+        assert!(
+            snap.to_json() == json,
+            "{what}: JSON -> snapshot -> JSON changed"
+        );
+        let resumed = RunnerBuilder::from_snapshot(snap).build();
+        for node in runner.net().node_ids() {
+            assert_eq!(
+                resumed.checkpoint(node).state(),
+                runner.checkpoint(node).state(),
+                "{what}: node {} restored to a different state",
+                node.0
+            );
+        }
+    }
+}
+
 #[test]
 fn snapshot_rejects_wrong_schema() {
     let scen = small_grid_scenario(ProtocolVariant::Simple, 5);
@@ -173,7 +270,7 @@ fn snapshot_rejects_wrong_schema() {
     let mut snap = runner.snapshot();
     assert!(EngineSnapshot::from_json(&snap.to_json()).is_ok());
     // Every retired tag is refused, not just an invented one.
-    for v in 0..=5 {
+    for v in 0..=6 {
         snap.schema = format!("vcount-engine-snapshot/v{v}");
         let err = EngineSnapshot::from_json(&snap.to_json()).unwrap_err();
         assert!(err.contains("unsupported snapshot schema"), "v{v}: {err}");
@@ -369,8 +466,8 @@ fn resume_rejects_an_unknown_vehicle_in_an_overtake_order() {
 #[test]
 fn resume_rejects_garbage_label_bytes() {
     let err = refusal(|snap| {
-        let labels = snap.exchange.carried_label.iter_mut().flatten();
-        let bytes: Vec<&mut u8> = labels.flatten().collect();
+        let labels = snap.exchange.carried_label.iter_mut();
+        let bytes: Vec<&mut u8> = labels.flat_map(|(_, payload)| payload).collect();
         assert!(!bytes.is_empty(), "no carried label to corrupt");
         bytes.into_iter().for_each(|b| *b = 0xFF);
     });

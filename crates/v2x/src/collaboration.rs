@@ -106,6 +106,17 @@ impl SegmentWatch {
         self.label_vehicle
     }
 
+    /// Every vehicle the watch names: the label's carrier, the vehicles
+    /// ahead at departure and those that arrived first, and any per-event
+    /// adjustment's.
+    pub fn vehicles(&self) -> impl Iterator<Item = VehicleId> + '_ {
+        let per_event = self.per_event.plus.iter().chain(&self.per_event.minus);
+        std::iter::once(self.label_vehicle)
+            .chain(self.ahead.keys().copied())
+            .chain(self.arrived_before.keys().copied())
+            .chain(per_event.copied())
+    }
+
     /// Records that `vehicle` reached the far end of the segment before the
     /// label did.
     pub fn record_arrival(&mut self, vehicle: VehicleId, counted: bool) {

@@ -2,7 +2,9 @@
 //!
 //! Each `proptest!` test runs `cases` deterministic random samples of its
 //! strategies (seeded per case index, so failures reproduce). On failure the
-//! case number and message are reported; no shrinking is attempted.
+//! case number and message are reported; no shrinking is attempted. As in
+//! the real crate, each property carries its own `#[test]` attribute: the
+//! macro adds none, so a property is registered once.
 
 /// Deterministic splitmix64 source used to sample strategies.
 #[derive(Debug, Clone)]
@@ -424,7 +426,6 @@ macro_rules! __proptest_impl {
       $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
             for case in 0..cfg.cases as u64 {

@@ -70,23 +70,44 @@ assert tail and full.endswith(tail), \
     "resumed trace is not a byte-identical suffix of the uninterrupted trace"
 print(f"snapshot/resume smoke ok: {len(tail)} byte tail of {len(full)} byte trace")
 EOF
-# A snapshot is outside input: the first on-edge vehicle's edge set out
-# of range must be refused by validation (exit 1 with an `error:` line),
-# never reach a panic.
+# A snapshot is outside input: a poisoned copy must be refused by
+# validation (exit 1 with one `error:` line), never reach a panic. One
+# poison is in the sim half (the first on-edge vehicle's edge), one in the
+# engine half (a checkpoint table pred).
+refuse_resume() { # $1: poisoned snapshot
+    local status=0
+    cargo run --release -q -p vcount-cli --bin vcount -- \
+        run --resume "$1" --goal constitution >/dev/null 2>"$1.err" || status=$?
+    if [ "$status" -ne 1 ] || [ "$(grep -c '^error: ' "$1.err")" -ne 1 ] \
+        || grep -q 'panicked' "$1.err"; then
+        cat "$1.err" >&2
+        echo "corrupt snapshot $1 was not refused cleanly (exit $status)" >&2
+        exit 1
+    fi
+    echo "corrupt-snapshot smoke ok: $(grep -m1 '^error: ' "$1.err")"
+}
 echo "+ vcount run --resume on snap.json with one on-edge edge set to 999999 (refused)"
 jq -c '.sim.vehicles.at |= (first(paths(numbers)) as $p | setpath($p; 999999))' \
     "$snap_dir/snap.json" > "$snap_dir/bad_edge.json"
-resume_status=0
+refuse_resume "$snap_dir/bad_edge.json"
+echo "+ vcount run --resume on snap.json with a checkpoint pred set to 999999 (refused)"
+jq -c '.checkpoints.pred[0] = 999999' "$snap_dir/snap.json" > "$snap_dir/bad_pred.json"
+refuse_resume "$snap_dir/bad_pred.json"
+# The daemon refuses the same snapshot in a Resume and serves on: an
+# Error, then the Pump's answer, then a clean exit at end of input.
+echo "+ vcount serve < Resume of bad_pred.json, Pump (refused, daemon serves on)"
+printf '{"Resume":{"run":"r","snapshot":%s}}\n{"Pump":{}}\n' \
+    "$(cat "$snap_dir/bad_pred.json")" > "$snap_dir/bad_pred_cmds.jsonl"
 cargo run --release -q -p vcount-cli --bin vcount -- \
-    run --resume "$snap_dir/bad_edge.json" --goal constitution \
-    >/dev/null 2>"$snap_dir/bad_edge.err" || resume_status=$?
-if [ "$resume_status" -ne 1 ] || ! grep -q '^error: ' "$snap_dir/bad_edge.err" \
-    || grep -q 'panicked' "$snap_dir/bad_edge.err"; then
-    cat "$snap_dir/bad_edge.err" >&2
-    echo "corrupt snapshot was not refused cleanly (exit $resume_status)" >&2
-    exit 1
-fi
-echo "corrupt-snapshot smoke ok: $(grep -m1 '^error: ' "$snap_dir/bad_edge.err")"
+    serve < "$snap_dir/bad_pred_cmds.jsonl" > "$snap_dir/bad_pred_resp.jsonl"
+run python3 - "$snap_dir/bad_pred_resp.jsonl" <<'EOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1], encoding="utf-8")]
+assert [next(iter(r)) for r in lines] == ["Error", "Pumped"], lines
+message = lines[0]["Error"]["message"]
+assert message.startswith("resume failed: snapshot checkpoints:"), message
+print(f"corrupt-Resume smoke ok: {message}")
+EOF
 
 # Fault-injection smoke: a run under a crash+blackout+chaos plan must end
 # exact or explicitly degraded (never a silent miscount), and the crash
