@@ -214,8 +214,9 @@ fn run_exchange_case(
     }
 }
 
-/// The engine scenario shared by the `exchange…` and `actions_replay…`
-/// cases.
+/// The engine scenario shared by the `exchange…`, `actions_replay…` and
+/// `service…` cases. Its budget is the paper presets' 8 h: every case
+/// steps a fixed count, far inside it.
 fn engine_scenario(cols: usize, rows: usize, demand_pct: f64, seed: u64) -> Scenario {
     Scenario {
         map: MapSpec::Grid {
@@ -238,18 +239,7 @@ fn engine_scenario(cols: usize, rows: usize, demand_pct: f64, seed: u64) -> Scen
         seeds: SeedSpec::Explicit(vec![0]),
         transport: Default::default(),
         patrol: Default::default(),
-        max_time_s: f64::INFINITY,
-    }
-}
-
-/// The engine scenario, but with a finite time horizon: the service case
-/// ships its scenarios over the wire as JSON, and `serde_json` renders
-/// non-finite floats as `null` — an infinite `max_time_s` would be
-/// rejected at the trust boundary as a malformed request.
-fn service_scenario(cols: usize, rows: usize, demand_pct: f64, seed: u64) -> Scenario {
-    Scenario {
-        max_time_s: 1.0e9,
-        ..engine_scenario(cols, rows, demand_pct, seed)
+        max_time_s: 8.0 * 3600.0,
     }
 }
 
@@ -286,7 +276,7 @@ fn fanout_scenario(nodes: usize, demand_pct: f64, seed: u64) -> Scenario {
             relay_speed_mps: 50.0,
         },
         patrol: PatrolSpec { cars: 120 },
-        max_time_s: f64::INFINITY,
+        max_time_s: 8.0 * 3600.0,
     }
 }
 
@@ -349,7 +339,7 @@ fn run_service_case(
 
         /// Replaces tenant `i` with a fresh run on the next seed.
         fn recycle(&mut self, i: usize) -> u64 {
-            let scen = service_scenario(self.cols, self.rows, self.demand_pct, self.next_seed);
+            let scen = engine_scenario(self.cols, self.rows, self.demand_pct, self.next_seed);
             self.next_seed += 1;
             let (finish_events, _) = self.send(&ServiceRequest::Finish {
                 run: format!("r{i}"),
@@ -412,7 +402,7 @@ fn run_service_case(
         next_seed: seed,
     };
     for i in 0..runs {
-        let scen = service_scenario(cols, rows, demand_pct, bench.next_seed);
+        let scen = engine_scenario(cols, rows, demand_pct, bench.next_seed);
         bench.next_seed += 1;
         bench.send(&ServiceRequest::Start {
             run: format!("r{i}"),

@@ -137,7 +137,7 @@ fn grid(cols: usize, lanes: u8, speed_mps: f64) -> MapSpec {
 }
 
 /// Runs `vcount <cmd> <path> <extra…>` and asserts it refuses the file
-/// the way validation does: exit 1 within 5 s, `error: <path>: <want>`,
+/// the way validation does: exit 1 within 1 s, `error: <path>: <want>`,
 /// no panic.
 fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str) {
     use std::io::Read;
@@ -150,7 +150,7 @@ fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str)
         .stderr(std::process::Stdio::piped())
         .spawn()
         .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(1);
     let status = loop {
         if let Some(status) = child.try_wait().unwrap() {
             break status;
@@ -158,7 +158,7 @@ fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str)
         if Instant::now() > deadline {
             child.kill().ok();
             child.wait().ok();
-            panic!("{}: still running after 5 s", path.display());
+            panic!("{}: still running after 1 s", path.display());
         }
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -180,9 +180,9 @@ fn assert_refused(cmd: &str, path: &std::path::Path, extra: &[&str], want: &str)
 
 /// A scenario file that would break engine or simulator assembly — an
 /// invalid map or map size, an explicit seed outside the map, an invalid
-/// traffic config or demand, a patrol fleet past its cap, a channel
-/// probability outside [0, 1] — is refused by validation: exit 1 with an
-/// `error:` line, never a panic or a hang.
+/// traffic config, demand or time budget, a patrol fleet past its cap, a
+/// channel probability outside [0, 1] — is refused by validation: exit 1
+/// with an `error:` line, never a panic or a hang.
 #[test]
 fn run_refuses_an_invalid_scenario() {
     let dir = std::env::temp_dir().join(format!("vcount-cli-bad-{}", std::process::id()));
@@ -197,7 +197,7 @@ fn run_refuses_an_invalid_scenario() {
     let scenario: Scenario =
         serde_json::from_str(&std::fs::read_to_string(&good).unwrap()).unwrap();
     type Poison = (&'static str, fn(&mut Scenario), &'static str);
-    let cases: [Poison; 14] = [
+    let cases: [Poison; 16] = [
         (
             "bad_map",
             |s| s.map = grid(3, 1, 0.0),
@@ -221,7 +221,7 @@ fn run_refuses_an_invalid_scenario() {
             |s| s.sim.dt_s = 0.0,
             "invalid simulator config: dt_s must be in [0.01, 10.0], got 0.0",
         ),
-        // These four hung (steps without end, a population without
+        // These five hung (steps without end, a population without
         // bound) or panicked with `capacity overflow` before their limits.
         (
             "dt_1e300",
@@ -242,6 +242,14 @@ fn run_refuses_an_invalid_scenario() {
             "patrol_2e62",
             |s| s.patrol.cars = 1 << 62,
             "scenario patrol needs cars <= 1000, got 4611686018427387904",
+        ),
+        (
+            "max_time_1e300",
+            |s| {
+                s.demand.volume_pct = 0.0;
+                s.max_time_s = 1e300;
+            },
+            "scenario max_time_s must be in (0, 50000.0] (100000 steps of dt_s 0.5), got 1e300",
         ),
         (
             "bernoulli_1.5",
@@ -270,6 +278,11 @@ fn run_refuses_an_invalid_scenario() {
             "grid_0_lanes",
             |s| s.map = grid(3, 0, 10.0),
             "scenario map needs lanes >= 1, got 0",
+        ),
+        (
+            "grid_over_cap",
+            |s| s.map = grid(16_667, 2, 10.0),
+            "scenario map has 100002 node-lanes, more than its cap of 100000",
         ),
         (
             "ring_1_node",

@@ -44,12 +44,6 @@ pub struct CheckpointConfig {
     /// double-counting the paper's lossy-communication extension exists to
     /// prevent.
     pub compensate_loss: bool,
-    /// Stop an inbound counter from any patrol-carried *status* snapshot
-    /// (the paper's literal Theorem 3 reading). Off by default: the safe
-    /// integration lets patrol cars act as label carriers instead; see
-    /// DESIGN.md §4. Enabling this is an ablation that can miscount
-    /// vehicles still in transit on the segment.
-    pub patrol_stale_stop: bool,
 }
 
 impl Default for CheckpointConfig {
@@ -59,7 +53,6 @@ impl Default for CheckpointConfig {
             filter: ClassFilter::ALL,
             adjust_mode: AdjustMode::NetInversion,
             compensate_loss: true,
-            patrol_stale_stop: false,
         }
     }
 }
@@ -91,6 +84,5 @@ mod tests {
         assert_eq!(c.variant, ProtocolVariant::Extended);
         assert_eq!(c.adjust_mode, AdjustMode::NetInversion);
         assert!(c.compensate_loss);
-        assert!(!c.patrol_stale_stop);
     }
 }

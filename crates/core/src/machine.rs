@@ -707,11 +707,9 @@ impl CheckpointMachine {
         status: &PatrolStatus,
         out: &mut Dispatches<'_>,
     ) {
-        // In the default integration patrol cars act as label carriers and
-        // this only harvests predecessor knowledge; with
-        // `patrol_stale_stop` it additionally stops any counting direction
-        // whose origin the patrol saw active (the paper's literal
-        // Theorem 3 reading — unsafe under slow traffic, see DESIGN.md §4).
+        // A status never stops a counting direction: the patrol car's own
+        // label handoff carries the wave (DESIGN.md §4), so a status is
+        // only reported.
         out.emit(
             now,
             ProtocolEvent::PatrolStatusRelay {
@@ -720,22 +718,6 @@ impl CheckpointMachine {
                 observed: status.observations.len() as u32,
             },
         );
-        if self.cfg.patrol_stale_stop {
-            for &(e, origin) in &self.inbound {
-                if st.inbound_state.get(&e) == Some(&InboundState::Counting)
-                    && status.status_of(origin) == Some(true)
-                {
-                    st.inbound_state.insert(e, InboundState::Stopped);
-                    out.emit(
-                        now,
-                        ProtocolEvent::InboundStopped {
-                            node: self.id.0,
-                            edge: e.0,
-                        },
-                    );
-                }
-            }
-        }
         self.after_change(st, now, out);
     }
 

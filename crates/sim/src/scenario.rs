@@ -136,6 +136,22 @@ impl Default for TransportMode {
 /// the patrol cycle, so the fleet is bounded before any is built.
 pub const MAX_PATROL_CARS: usize = 1000;
 
+/// Largest map a scenario may ask for, in node-lanes: a grid's nodes times
+/// its lanes per direction, and the nodes of every other map, whose
+/// builder fixes one lane (two on midtown's two-way streets). Checked
+/// before the map is built.
+pub const MAX_MAP_NODE_LANES: usize = 100_000;
+
+/// The lower cap on a random city's nodes (one lane each): its builder
+/// holds a node-pair table, sorts every other node per node and scans all
+/// pairs once per bridge it adds, so its time grows faster than the
+/// square of the nodes.
+pub const MAX_RANDOM_CITY_NODES: usize = 500;
+
+/// Most steps a run may take: `max_time_s / dt_s`. The paper's presets,
+/// the longest runs in use, take 57,600 (8 h at the default 0.5 s).
+pub const MAX_STEPS: u32 = 100_000;
+
 /// Police patrol deployment (Theorems 3/4).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PatrolSpec {
@@ -174,12 +190,12 @@ impl Scenario {
     /// the map sizes the builders assert on, the map itself
     /// ([`RoadNetwork::validate`]), explicit seeds inside it and listed
     /// once, the traffic config ([`SimConfig::validate`]), the demand
-    /// ([`Demand::validate`]), the patrol fleet ([`MAX_PATROL_CARS`]) and
-    /// every channel probability. A scenario that passes assembles into a
-    /// `vcountd` tenant without a panic, and its traffic runs in steps of
-    /// bounded size and count. Map sizes are checked only against what the
-    /// map builders can index (32-bit node ids, the random city's
-    /// node-pair table): a huge map is not refused.
+    /// ([`Demand::validate`]), the time budget ([`MAX_STEPS`]), the patrol
+    /// fleet ([`MAX_PATROL_CARS`]) and every channel probability. A
+    /// scenario that passes assembles into a `vcountd` tenant without a
+    /// panic, and its traffic runs in steps of bounded size and count. The
+    /// map size ([`MAX_MAP_NODE_LANES`], [`MAX_RANDOM_CITY_NODES`]) is
+    /// checked before the map is built.
     pub fn validate(&self) -> Result<RoadNetwork, String> {
         if self.patrol.cars > MAX_PATROL_CARS {
             return Err(format!(
@@ -187,7 +203,7 @@ impl Scenario {
                 self.patrol.cars
             ));
         }
-        let (mins, nodes) = match &self.map {
+        let (mins, size, cap) = match &self.map {
             MapSpec::Grid {
                 cols, rows, lanes, ..
             } => (
@@ -196,27 +212,27 @@ impl Scenario {
                     ("rows", *rows, 1),
                     ("lanes", (*lanes).into(), 1),
                 ],
-                cols.checked_mul(*rows),
+                cols.saturating_mul(*rows).saturating_mul((*lanes).into()),
+                MAX_MAP_NODE_LANES,
             ),
-            MapSpec::DirectedRing { nodes, .. } => (vec![("nodes", *nodes, 2)], Some(*nodes)),
+            MapSpec::DirectedRing { nodes, .. } => {
+                (vec![("nodes", *nodes, 2)], *nodes, MAX_MAP_NODE_LANES)
+            }
             MapSpec::Manhattan(cfg) => (
                 vec![("avenues", cfg.avenues, 2), ("streets", cfg.streets, 2)],
-                cfg.avenues.checked_mul(cfg.streets),
+                cfg.avenues.saturating_mul(cfg.streets),
+                MAX_MAP_NODE_LANES,
             ),
-            MapSpec::Random(cfg) => (
-                vec![],
-                cfg.nodes
-                    .checked_mul(cfg.nodes)
-                    .filter(|&pairs| pairs <= isize::MAX as usize)
-                    .map(|_| cfg.nodes),
-            ),
-            MapSpec::Fig1Triangle { .. } => (vec![], Some(3)),
+            MapSpec::Random(cfg) => (vec![], cfg.nodes, MAX_RANDOM_CITY_NODES),
+            MapSpec::Fig1Triangle { .. } => (vec![], 3, MAX_MAP_NODE_LANES),
         };
         if let Some((name, size, min)) = mins.into_iter().find(|&(_, size, min)| size < min) {
             return Err(format!("scenario map needs {name} >= {min}, got {size}"));
         }
-        if nodes.is_none_or(|n| n > u32::MAX as usize) {
-            return Err("scenario map is too large to build".into());
+        if size > cap {
+            return Err(format!(
+                "scenario map has {size} node-lanes, more than its cap of {cap}"
+            ));
         }
         let net = self.map.build(self.closed);
         net.validate()
@@ -239,6 +255,13 @@ impl Scenario {
         self.sim
             .validate()
             .map_err(|e| format!("invalid simulator config: {e}"))?;
+        let budget_s = f64::from(MAX_STEPS) * self.sim.dt_s;
+        if !(self.max_time_s > 0.0 && self.max_time_s <= budget_s) {
+            return Err(format!(
+                "scenario max_time_s must be in (0, {budget_s:?}] ({MAX_STEPS} steps of dt_s {:?}), got {:?}",
+                self.sim.dt_s, self.max_time_s
+            ));
+        }
         self.demand
             .validate()
             .map_err(|e| format!("invalid demand: {e}"))?;

@@ -1,5 +1,5 @@
-//! Behavioural tests of the runner: progress accounting, signalised
-//! traffic, metrics consistency, and seed deployments.
+//! Behavioural tests of the runner: progress accounting, metrics
+//! consistency, and seed deployments.
 
 mod common;
 
@@ -7,7 +7,7 @@ use common::normalized;
 use vcount_core::{CheckpointConfig, ProtocolVariant};
 use vcount_roadnet::builders::ManhattanConfig;
 use vcount_sim::{Goal, MapSpec, PatrolSpec, Runner, Scenario, SeedSpec};
-use vcount_traffic::{Demand, SignalTiming, SimConfig};
+use vcount_traffic::{Demand, SimConfig};
 use vcount_v2x::ChannelKind;
 
 fn grid_scenario(seed: u64) -> Scenario {
@@ -53,44 +53,6 @@ fn progress_counters_are_monotone_and_converge() {
     assert_eq!(p.active, p.checkpoints);
     assert_eq!(p.stable, p.checkpoints);
     assert_eq!(p.collected_seeds, r.seeds().len());
-}
-
-#[test]
-fn signalised_traffic_stays_exact() {
-    let mut s = grid_scenario(33);
-    s.sim.signals = Some(SignalTiming {
-        green_s: 20.0,
-        all_red_s: 2.0,
-    });
-    let mut r = Runner::builder(&s).build();
-    let m = r.run(Goal::Collection, s.max_time_s);
-    assert!(m.collection_done_s.is_some(), "signals must not deadlock");
-    assert!(
-        m.exact(),
-        "signals reorder admissions but preserve FIFO per direction"
-    );
-}
-
-#[test]
-fn signals_slow_the_wave_down() {
-    let base = grid_scenario(35);
-    let mut with_signals = grid_scenario(35);
-    with_signals.sim.signals = Some(SignalTiming {
-        green_s: 45.0,
-        all_red_s: 5.0,
-    });
-    let run = |s: &Scenario| {
-        let mut r = Runner::builder(s).build();
-        r.run(Goal::Constitution, s.max_time_s)
-            .constitution_done_s
-            .expect("converges")
-    };
-    let free = run(&base);
-    let signalised = run(&with_signals);
-    assert!(
-        signalised > free,
-        "long red phases must delay constitution: {signalised} <= {free}"
-    );
 }
 
 #[test]

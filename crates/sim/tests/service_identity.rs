@@ -150,10 +150,35 @@ fn simple_variant_is_transport_invariant() {
     assert_service_matches_batch(&scen, None, "simple");
 }
 
+/// Also with a Start that still carries the keys of two deleted knobs:
+/// `sim.signals`, here a plan that is never green, and
+/// `protocol.patrol_stale_stop`. Both parse and are ignored like any
+/// unknown key, so the tenant runs the scenario without them.
 #[test]
 fn extended_variant_is_transport_invariant() {
     let scen = grid_scenario(ProtocolVariant::Extended, 53);
     assert_service_matches_batch(&scen, None, "extended");
+    let signals = r#""signals":{"green_s":0.0,"all_red_s":2.0},"#;
+    let stale_stop = r#""patrol_stale_stop":true,"#;
+    let clean = serde_json::to_string(&scen).unwrap();
+    let old_keys = clean
+        .replacen(r#""sim":{"#, &format!(r#""sim":{{{signals}"#), 1)
+        .replacen(
+            r#""protocol":{"#,
+            &format!(r#""protocol":{{{stale_stop}"#),
+            1,
+        );
+    assert_eq!(
+        old_keys.len(),
+        clean.len() + signals.len() + stale_stop.len(),
+        "both keys were inserted"
+    );
+    let old: Scenario = serde_json::from_str(&old_keys).expect("old keys are ignored");
+    let (batch_stream, batch_metrics) = capture_batch(&scen, None);
+    let (service_stream, service_metrics) =
+        capture_service(&old, None, Goal::Collection, ServiceConfig::default());
+    assert_eq!(service_stream, batch_stream, "old keys changed the stream");
+    assert_metrics_identical(&service_metrics, &batch_metrics, "old keys");
 }
 
 #[test]

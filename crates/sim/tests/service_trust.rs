@@ -15,6 +15,7 @@ use vcount_core::ProtocolVariant;
 use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::engine::{Envelope, Watch};
+use vcount_sim::scenario::{MAX_MAP_NODE_LANES, MAX_RANDOM_CITY_NODES};
 use vcount_sim::{
     serve_connections, serve_stream, Blackout, ChaosFault, Conn, CrashFault, EngineSnapshot,
     EventRow, FaultPlan, Goal, Listener, MapSpec, ObservationBatch, ObservationSource, RunManager,
@@ -1021,6 +1022,12 @@ fn start_mutations() -> Vec<StartMutation> {
             ..ManhattanConfig::small()
         })
     }
+    fn random(nodes: usize) -> MapSpec {
+        MapSpec::Random(RandomCityConfig {
+            nodes,
+            ..RandomCityConfig::default()
+        })
+    }
     fn burst(i: usize, p: f64) -> ChannelKind {
         let mut ps = [0.05, 0.8, 0.1, 0.2];
         ps[i] = p;
@@ -1059,16 +1066,37 @@ fn start_mutations() -> Vec<StartMutation> {
             }),
         ]);
     }
-    // Too many nodes for 32-bit ids, or for the random city's pair table.
+    // One node-lane past its cap on each map kind, and sizes whose build
+    // would exhaust memory: each is refused before its map is built.
+    let over = MAX_MAP_NODE_LANES + 1;
     out.extend([
+        start_mutation("grid one node-lane over the cap", false, move |s, _| {
+            s.map = grid(over.div_ceil(2), 1, 2)
+        }),
+        start_mutation("ring one node over the cap", false, move |s, _| {
+            s.map = MapSpec::DirectedRing {
+                nodes: over,
+                spacing_m: 100.0,
+                speed_mps: 10.0,
+            }
+        }),
+        start_mutation("midtown one node over the cap", false, move |s, _| {
+            s.map = midtown(over.div_ceil(2), 2)
+        }),
+        start_mutation("random city one node over its cap", false, |s, _| {
+            s.map = random(MAX_RANDOM_CITY_NODES + 1)
+        }),
         start_mutation("grid of 2^32 nodes", false, |s, _| {
             s.map = grid(1 << 16, 1 << 16, 1)
         }),
+        start_mutation("grid of 60,000 x 60,000 nodes", false, |s, _| {
+            s.map = grid(60_000, 60_000, 1)
+        }),
+        start_mutation("random city of 100,000 nodes", false, |s, _| {
+            s.map = random(100_000)
+        }),
         start_mutation("random city of usize::MAX nodes", false, |s, _| {
-            s.map = MapSpec::Random(RandomCityConfig {
-                nodes: usize::MAX,
-                ..RandomCityConfig::default()
-            })
+            s.map = random(usize::MAX)
         }),
     ]);
     for p in [-0.5, 1.5] {
@@ -1104,6 +1132,9 @@ fn start_mutations() -> Vec<StartMutation> {
             s.demand.volume_pct = 1e300
         }),
         start_mutation("patrol cars 2^62", false, |s, _| s.patrol.cars = 1 << 62),
+        start_mutation("max_time_s 1e300", false, |s, _| s.max_time_s = 1e300),
+        start_mutation("max_time_s -1", false, |s, _| s.max_time_s = -1.0),
+        start_mutation("max_time_s 0", false, |s, _| s.max_time_s = 0.0),
         start_mutation("explicit seed 16", false, |s, _| {
             s.seeds = SeedSpec::Explicit(vec![16])
         }),
@@ -1134,9 +1165,6 @@ fn start_mutations() -> Vec<StartMutation> {
 /// fed alongside stays byte-identical to its solo run. The Resume table
 /// covers every field check of the engine half: its checkpoint table,
 /// ledger, carried messages, watches and fault images.
-///
-/// Out of scope: sizes a builder can index (a huge grid or fleet has no
-/// bound below that).
 #[test]
 fn mutated_starts_and_resumes_never_panic() {
     let scen = grid_scenario(ProtocolVariant::Simple, 154);

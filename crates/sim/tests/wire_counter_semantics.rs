@@ -53,8 +53,10 @@ fn relay_status_counts_one_encode_and_one_decode() {
     let status = ex.relay_status(v);
     let c = ex.counters();
 
-    assert_eq!(status.status_of(NodeId(2)), Some(false));
-    assert_eq!(status.status_of(NodeId(5)), Some(false));
+    assert_eq!(
+        status.observations,
+        [(NodeId(5), false), (NodeId(2), false)]
+    );
     let wire_len = Message::Patrol(status.clone()).encode().len() as u64;
 
     assert_eq!(

@@ -1,6 +1,5 @@
 //! Simulator and demand configuration.
 
-use crate::signals::SignalTiming;
 use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 
@@ -73,10 +72,6 @@ pub struct SimConfig {
     /// Emit [`crate::events::TrafficEvent::Overtake`] events (needed only
     /// by the per-event adjustment ablation; costs extra bookkeeping).
     pub detect_overtakes: bool,
-    /// Fixed-time traffic signals at major intersections (`None` =
-    /// unsignalised network, the default). Signals delay admissions but
-    /// preserve per-direction FIFO order, so counting stays exact.
-    pub signals: Option<SignalTiming>,
     /// RNG seed: identical config + seed ⇒ identical trajectory stream.
     pub seed: u64,
 }
@@ -94,7 +89,6 @@ impl Default for SimConfig {
             u_turn_prob: 0.02,
             spawn_rate_hz: 0.05,
             detect_overtakes: false,
-            signals: None,
             seed: 1,
         }
     }

@@ -17,7 +17,6 @@ pub mod config;
 pub mod events;
 pub mod order;
 pub mod rng;
-pub mod signals;
 pub mod simulator;
 pub mod snapshot;
 pub mod vehicle;
@@ -25,7 +24,6 @@ pub mod vehicle;
 pub use config::{Demand, SimConfig};
 pub use events::TrafficEvent;
 pub use rng::ReplayRng;
-pub use signals::{SignalPlan, SignalTiming};
 pub use simulator::Simulator;
 pub use snapshot::{Loop, SimSnapshot, Spot, VehicleTable};
 pub use vehicle::{sample_class, RoutePolicy, VehState, Vehicle};

@@ -11,7 +11,6 @@ use crate::config::{Demand, SimConfig};
 use crate::events::TrafficEvent;
 use crate::order::{count_inversions, for_each_inversion};
 use crate::rng::ReplayRng;
-use crate::signals::SignalPlan;
 use crate::snapshot::{SimSnapshot, VehicleTable};
 use crate::vehicle::{sample_class, RoutePolicy, VehState, Vehicle};
 use rand::{Rng, SeedableRng};
@@ -36,8 +35,6 @@ pub struct Simulator {
     events: Vec<TrafficEvent>,
     /// Previous cross-lane order per edge (overtake detection only).
     prev_order: Vec<Vec<VehicleId>>,
-    /// Fixed-time signal plan, when configured.
-    signals: Option<SignalPlan>,
     /// Overtake-detection scratch.
     detect: DetectScratch,
     /// Scratch: route candidates under consideration at an intersection.
@@ -171,7 +168,6 @@ impl Simulator {
             .collect();
         let queues = vec![VecDeque::new(); net.node_count()];
         let prev_order = vec![Vec::new(); net.edge_count()];
-        let signals = cfg.signals.map(|t| SignalPlan::build(&net, t));
         let mut sim = Simulator {
             net,
             cfg,
@@ -184,7 +180,6 @@ impl Simulator {
             queues,
             events: Vec::new(),
             prev_order,
-            signals,
             detect: DetectScratch::default(),
             route_scratch: Vec::new(),
         };
@@ -248,7 +243,6 @@ impl Simulator {
         for lane in lanes.iter_mut().flatten() {
             lane.sort_unstable_by(Slot::lane_order);
         }
-        let signals = cfg.signals.map(|t| SignalPlan::build(&net, t));
         Ok(Simulator {
             rng: ReplayRng::resume(cfg.seed, snap.rng_draws),
             time_s: snap.time_s,
@@ -262,7 +256,6 @@ impl Simulator {
                 .collect(),
             prev_order: snap.prev_order.clone(),
             events: Vec::new(),
-            signals,
             net,
             cfg,
             demand,
@@ -587,21 +580,12 @@ impl Simulator {
             };
             let mut admitted = 0;
             while admitted < quota {
-                // With signals, serve the first queued vehicle whose
-                // approach is green; per-approach FIFO order (what the
-                // label wave relies on) is preserved because same-edge
-                // vehicles keep their relative positions.
-                let Some(pos) = self.queues[ni].iter().position(|&(_, from)| {
-                    self.signals
-                        .as_ref()
-                        .is_none_or(|p| p.is_green(node, from, self.time_s))
-                }) else {
+                let Some(&(vid, from_edge)) = self.queues[ni].front() else {
                     break;
                 };
-                let (vid, from_edge) = self.queues[ni][pos];
                 match self.decide_route(vid, node, Some(from_edge)) {
                     RouteDecision::Exit => {
-                        self.queues[ni].remove(pos);
+                        self.queues[ni].pop_front();
                         self.events.push(TrafficEvent::Entered {
                             vehicle: vid,
                             node,
@@ -612,7 +596,7 @@ impl Simulator {
                         self.vehicles[vid.index()].state = VehState::Outside;
                     }
                     RouteDecision::Onto(edge, lane) => {
-                        self.queues[ni].remove(pos);
+                        self.queues[ni].pop_front();
                         self.events.push(TrafficEvent::Entered {
                             vehicle: vid,
                             node,
@@ -1219,7 +1203,6 @@ mod tests {
 #[cfg(test)]
 mod extended_tests {
     use super::*;
-    use crate::signals::SignalTiming;
     use vcount_roadnet::builders::grid;
     use vcount_roadnet::{NodeKind, Point};
 
@@ -1297,25 +1280,5 @@ mod extended_tests {
             admitted <= 2,
             "one admission per step allowed, got {admitted} over 2 steps"
         );
-    }
-
-    #[test]
-    fn signalised_simulation_still_moves_traffic() {
-        let net = grid(4, 4, 150.0, 2, 9.0);
-        let cfg = SimConfig {
-            signals: Some(SignalTiming::default()),
-            seed: 7,
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(net, cfg, Demand::at_volume(60.0));
-        let mut entered = 0usize;
-        for _ in 0..1200 {
-            entered += sim
-                .step()
-                .iter()
-                .filter(|e| matches!(e, TrafficEvent::Entered { .. }))
-                .count();
-        }
-        assert!(entered > 100, "signals must not freeze the network");
     }
 }

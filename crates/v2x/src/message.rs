@@ -77,15 +77,6 @@ impl PatrolStatus {
         self.observations.retain(|(n, _)| *n != node);
         self.observations.push((node, active));
     }
-
-    /// The last observed status of `node`, if any.
-    pub fn status_of(&self, node: NodeId) -> Option<bool> {
-        self.observations
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == node)
-            .map(|(_, a)| *a)
-    }
 }
 
 /// A V2V/V2I message.
@@ -328,10 +319,7 @@ mod tests {
         p.observe(NodeId(2), false);
         p.observe(NodeId(1), false); // supersedes
         roundtrip(Message::Patrol(p.clone()));
-        assert_eq!(p.status_of(NodeId(1)), Some(false));
-        assert_eq!(p.status_of(NodeId(2)), Some(false));
-        assert_eq!(p.status_of(NodeId(9)), None);
-        assert_eq!(p.observations.len(), 2);
+        assert_eq!(p.observations, [(NodeId(2), false), (NodeId(1), false)]);
     }
 
     #[test]

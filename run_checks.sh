@@ -22,6 +22,10 @@ run() {
 
 run cargo build --release
 run cargo test -q --workspace
+# Some unit tests pin release-only behaviour (`#[cfg(not(debug_assertions))]`,
+# e.g. the exchange's double-handoff counter), so the engine crate's unit
+# tests also run in release.
+run cargo test --release -q -p vcount-sim --lib
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
 
