@@ -249,11 +249,10 @@ fn engine_scenario(cols: usize, rows: usize, demand_pct: f64, seed: u64) -> Scen
 /// *every* announce and report forced through the directional relay
 /// (`RelayOnly`), and a dense patrol fleet whose status snapshots — the
 /// largest wire message, growing toward one entry per checkpoint — are
-/// re-encoded and re-radioed at every stop. The per-step cost is
-/// dominated by the Exchange (encode/enqueue/deliver/decode), which is
-/// exactly the path the zero-copy plane optimises: roughly two thirds of
-/// the wall clock is message-plane work, versus a few percent in the
-/// `exchange…` grid cases.
+/// re-radioed at every stop. The per-step cost is dominated by the
+/// Exchange (enqueue, deliver and the counted wire codec): roughly two
+/// thirds of the wall clock is message-plane work, versus a few percent
+/// in the `exchange…` grid cases.
 fn fanout_scenario(nodes: usize, demand_pct: f64, seed: u64) -> Scenario {
     Scenario {
         map: MapSpec::DirectedRing {

@@ -197,7 +197,7 @@ fn run_refuses_an_invalid_scenario() {
     let scenario: Scenario =
         serde_json::from_str(&std::fs::read_to_string(&good).unwrap()).unwrap();
     type Poison = (&'static str, fn(&mut Scenario), &'static str);
-    let cases: [Poison; 16] = [
+    let cases: [Poison; 18] = [
         (
             "bad_map",
             |s| s.map = grid(3, 1, 0.0),
@@ -268,6 +268,35 @@ fn run_refuses_an_invalid_scenario() {
             },
             "channel Burst { p_good: 0.05, p_bad: 2.0, p_g2b: 0.1, p_b2g: 0.2 }: \
              probability 2 is outside [0, 1]",
+        ),
+        // Each placed its initial population without a bound: the first
+        // aborted on a 1.34 GB allocation, the second ran past 10 s.
+        (
+            "fig1_segment_1e300",
+            |s| {
+                s.map = MapSpec::Fig1Triangle {
+                    segment_m: 1e300,
+                    speed_mps: 10.0,
+                }
+            },
+            "scenario initial population (volume x density x lane-km) must be at most \
+             200000 vehicles, got inf",
+        ),
+        (
+            "grid_1e9_m_full",
+            |s| {
+                s.map = MapSpec::Grid {
+                    cols: 2,
+                    rows: 2,
+                    spacing_m: 1e9,
+                    lanes: 1,
+                    speed_mps: 10.0,
+                };
+                s.demand.volume_pct = 500.0;
+                s.demand.vehicles_per_lane_km = 200.0;
+            },
+            "scenario initial population (volume x density x lane-km) must be at most \
+             200000 vehicles, got 8000000000.0",
         ),
         (
             "grid_0_cols",

@@ -303,6 +303,13 @@ impl RoadNetwork {
         self.edges.iter()
     }
 
+    /// Total lane-kilometres: each edge's length times its lanes.
+    pub fn lane_km(&self) -> f64 {
+        self.edges()
+            .map(|e| e.length_m * e.lanes as f64 / 1000.0)
+            .sum()
+    }
+
     /// All edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
         (0..self.edges.len() as u32).map(EdgeId)

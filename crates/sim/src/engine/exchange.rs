@@ -2,41 +2,41 @@
 //!
 //! Every message between checkpoints — the vehicle-carried activation
 //! label, vehicle-carried subtree reports, directional V2V relay traffic,
-//! and patrol-carried circuitous messages — is encoded once on send into
-//! a slab-backed [`PayloadStore`] and queued as a copyable [`Routed`]
-//! key. Slots are recycled, so the steady-state send path allocates
-//! nothing (pinned by `tests/hotpath_alloc.rs`). Decode is lazy: a
-//! payload is parsed only when its recipient actually consumes it —
-//! deliveries to crashed checkpoints and chaos-dropped duplicates are
-//! discarded unparsed and counted under `skipped_decode` instead of
-//! `decoded` ([`Exchange::set_eager_decode`] forces the old
-//! parse-everything behavior as a reference path;
-//! `tests/lazy_decode_identity.rs` proves the event stream cannot tell
-//! the difference).
+//! and patrol-carried circuitous messages — waits here as a typed value:
+//! a carrier holds an `Option<Label>`, report queues hold [`Report`]s, and
+//! the relay and patrol queues hold [`Routed`] announces and reports. Each
+//! message names its own destination, and every entry is `Copy`, so queue
+//! shuffles (compaction, chaos duplication, the due-scratch buffers) never
+//! clone and the steady-state send path allocates nothing (pinned by
+//! `tests/send_alloc.rs`).
+//!
+//! The messages leave the process only inside a snapshot, so the wire
+//! codec is counted, not run: a send counts one `encoded` and
+//! [`Message::encoded_len`] bytes, a delivery its recipient consumes
+//! counts one `decoded`, and one whose recipient never consumes it (a
+//! down checkpoint) counts one `skipped_decode`. Debug builds round-trip
+//! every send through the codec and check the decode and the length.
 //!
 //! The exchange also owns the segment watches (in-flight overtake
 //! collaboration state) and the wire counters surfaced through
 //! [`crate::metrics::RunTelemetry`]. Everything here serializes into an
-//! [`ExchangeSnapshot`] for snapshot/resume: payload refs are resolved
-//! to owned bytes on snapshot and re-interned into a fresh store on
-//! restore, so the snapshot wire format is unchanged from the owned-
-//! payload era.
+//! [`ExchangeSnapshot`] for snapshot/resume: [`Exchange::snapshot`] is the
+//! only encoder of a queued message and [`Exchange::restore`] the only
+//! decoder, and each payload keeps the wire form it has on the air.
 
 use super::Engine;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vcount_core::ActionKind;
 use vcount_roadnet::{EdgeId, NodeId, RoadNetwork};
-use vcount_v2x::message::TAG_REPORT;
-use vcount_v2x::{Label, Message, PatrolStatus, PayloadRef, PayloadStore, SegmentWatch, VehicleId};
+use vcount_v2x::{Announce, Label, Message, PatrolStatus, Report, SegmentWatch, VehicleId};
 
-/// A wire-encoded message plus its routing header, in owned form — the
-/// snapshot/serde image of a queued message. In-memory queues hold
-/// [`Routed`] slab keys instead; envelopes are materialized only when an
-/// [`ExchangeSnapshot`] is taken.
+/// A queued message in wire form plus its destination: the snapshot
+/// image of a queued report or [`Routed`] message. In-memory queues hold
+/// typed values; envelopes exist only inside an [`ExchangeSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Envelope {
-    /// Destination checkpoint.
+    /// Destination checkpoint: the one the payload names.
     pub to: NodeId,
     /// The payload in [`vcount_v2x::Message`] wire form.
     pub payload: Vec<u8>,
@@ -52,22 +52,39 @@ pub struct RelayInFlight {
     pub env: Envelope,
 }
 
-/// A queued message in memory: destination plus a slab key into the
-/// exchange's [`PayloadStore`]. Copyable — queue shuffles (compaction,
-/// chaos reorder, patrol pickup) move 12 bytes instead of a heap buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct Routed {
-    /// Destination checkpoint.
-    pub to: NodeId,
-    /// Slab key of the wire payload.
-    pub payload: PayloadRef,
+/// A message the relay or a patrol car carries from checkpoint to
+/// checkpoint: a predecessor announcement or a subtree report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routed {
+    /// A predecessor announcement.
+    Announce(Announce),
+    /// A subtree report.
+    Report(Report),
+}
+
+impl Routed {
+    /// The destination checkpoint the message names.
+    pub(crate) fn to(self) -> NodeId {
+        match self {
+            Routed::Announce(a) => a.to,
+            Routed::Report(r) => r.to,
+        }
+    }
+
+    /// The message as it goes on the air.
+    fn message(self) -> Message {
+        match self {
+            Routed::Announce(a) => Message::Announce(a),
+            Routed::Report(r) => Message::Report(r),
+        }
+    }
 }
 
 /// A relay entry in memory (the serde image is [`RelayInFlight`]).
 #[derive(Debug, Clone, Copy)]
 struct RelayEntry {
     due_s: f64,
-    routed: Routed,
+    msg: Routed,
 }
 
 /// An open segment watch: the label's origin checkpoint plus the V2V
@@ -83,34 +100,31 @@ pub struct Watch {
 /// Wire-level traffic counters (surfaced as telemetry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireCounters {
-    /// Messages encoded onto the wire.
+    /// Messages sent on the wire.
     pub encoded: u64,
-    /// Messages decoded off the wire (actually parsed by a consumer).
+    /// Messages whose recipient consumed them.
     pub decoded: u64,
-    /// Total payload bytes encoded.
+    /// Total payload bytes sent.
     pub bytes: u64,
     /// Messages delivered through the directional relay.
     pub relay_messages: u64,
     /// Carried labels silently overwritten by a second handoff to the same
     /// vehicle — always a protocol anomaly (each overwrite loses a label).
     pub label_overwrites: u64,
-    /// Messages discarded without parsing — lazy decode's dividend. A
-    /// message lands here instead of `decoded` when its recipient was
-    /// down (crashed/blacked out) or the payload was a dropped duplicate.
+    /// Messages whose recipient never consumed them: delivered to a down
+    /// (crashed or blacked-out) checkpoint.
     pub skipped_decode: u64,
 }
 
 /// The in-flight message store. See the module docs for the invariants.
 #[derive(Debug)]
 pub struct Exchange {
-    /// Slab-backed payload bytes behind every queued [`Routed`] key.
-    store: PayloadStore,
     /// Carried activation label per vehicle (phase 2).
-    carried_label: Vec<Option<PayloadRef>>,
+    carried_label: Vec<Option<Label>>,
     /// Reports carried per vehicle.
-    carried_reports: Vec<Vec<Routed>>,
+    carried_reports: Vec<Vec<Report>>,
     /// Reports waiting at a node for a carrier onto a specific edge.
-    pending_reports: Vec<Vec<(EdgeId, Routed)>>,
+    pending_reports: Vec<Vec<(EdgeId, Report)>>,
     /// Circuitous messages waiting at a node for a patrol car (Alg. 4).
     pending_patrol: Vec<Vec<Routed>>,
     /// Directional V2V relay traffic in flight.
@@ -127,20 +141,19 @@ pub struct Exchange {
     /// Distinct from `due_patrol_scratch`: a patrol arrival takes both
     /// buffers in the same interaction, and a single shared slot would
     /// hand the second take a fresh allocation every time.
-    due_reports_scratch: Vec<Routed>,
+    due_reports_scratch: Vec<Report>,
     /// Reused due-patrol buffer (see `due_reports_scratch`).
     due_patrol_scratch: Vec<Routed>,
-    /// Parse discarded deliveries anyway (the reference path the lazy
-    /// plane is tested against): not simulation state — never
-    /// serialized, and the event stream is byte-identical either way.
-    eager_decode: bool,
+    /// Reused encode buffer of the debug builds' round-trip check in
+    /// [`Exchange::count_send`]; not simulation state.
+    wire_check: Vec<u8>,
     counters: WireCounters,
 }
 
-/// Serializable image of an [`Exchange`] (every queue and counter; slab
-/// refs are resolved to owned payload bytes, and the scratch buffers are
-/// rebuilt empty on restore). What vehicles carry is stored as sparse
-/// rows keyed by vehicle: a vehicle that carries nothing has no row.
+/// Serializable image of an [`Exchange`] (every queue and counter, each
+/// queued message in wire form; the scratch buffers are rebuilt empty on
+/// restore). What vehicles carry is stored as sparse rows keyed by
+/// vehicle: a vehicle that carries nothing has no row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExchangeSnapshot {
     /// `[vehicle, payload]`, one row per vehicle carrying a label, in
@@ -170,7 +183,6 @@ impl Exchange {
     /// checkpoints.
     pub fn new(vehicles: usize, nodes: usize) -> Self {
         Exchange {
-            store: PayloadStore::new(),
             carried_label: vec![None; vehicles],
             carried_reports: vec![Vec::new(); vehicles],
             pending_reports: vec![Vec::new(); nodes],
@@ -182,17 +194,9 @@ impl Exchange {
             due_relay_scratch: Vec::new(),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
-            eager_decode: false,
+            wire_check: Vec::new(),
             counters: WireCounters::default(),
         }
-    }
-
-    /// Forces discarded deliveries to be parsed anyway, restoring the
-    /// pre-lazy decode behavior. Affects only the `decoded` /
-    /// `skipped_decode` counter split and the work done — never the
-    /// event stream (`tests/lazy_decode_identity.rs`).
-    pub fn set_eager_decode(&mut self, eager: bool) {
-        self.eager_decode = eager;
     }
 
     /// Grows the per-vehicle queues to cover `n` vehicles (open-system
@@ -209,49 +213,35 @@ impl Exchange {
         self.counters
     }
 
-    /// Encodes `msg` into a recycled slab slot, counting the wire
-    /// traffic. Steady state allocates nothing: the slot's buffer keeps
-    /// its capacity across messages.
-    fn encode(&mut self, msg: &Message) -> PayloadRef {
-        let r = self.store.insert_with(|buf| msg.encode_into(buf));
+    /// Counts one transmission of `msg`: one encode and its
+    /// [`Message::encoded_len`] bytes, with no payload written. Debug
+    /// builds encode it into one reused buffer and check the length and
+    /// the decode, so the counted codec stays the real one and the send
+    /// path stays allocation-free.
+    fn count_send(&mut self, msg: &Message) {
+        let len = msg.encoded_len();
         self.counters.encoded += 1;
-        self.counters.bytes += self.store.get(r).len() as u64;
-        r
-    }
-
-    /// Parses a queued payload at its consumption point and releases the
-    /// slot. The only path that pays a decode in the lazy (default) mode.
-    /// Payloads are self-produced, so a decode failure is a codec bug, not
-    /// bad input; the decode reads straight from the slab slot, so the
-    /// per-delivery hot path stays allocation-free (pinned by
-    /// `tests/send_alloc.rs`).
-    pub fn consume_payload(&mut self, r: PayloadRef) -> Message {
-        self.counters.decoded += 1;
-        let msg = self
-            .store
-            .lazy(r)
-            .decode()
-            .expect("exchange-owned payloads always decode");
-        self.store.free(r);
-        msg
-    }
-
-    /// Drops a queued payload whose recipient will never consume it
-    /// (down checkpoint, discarded duplicate). Lazy mode releases the
-    /// slot unparsed and counts `skipped_decode`; eager mode pays the
-    /// decode it would have cost, keeping `decoded` comparable to the
-    /// pre-lazy plane.
-    pub fn discard_payload(&mut self, r: PayloadRef) {
-        if self.eager_decode {
-            self.counters.decoded += 1;
-            self.store
-                .lazy(r)
-                .decode()
-                .expect("exchange-owned payloads always decode");
-        } else {
-            self.counters.skipped_decode += 1;
+        self.counters.bytes += len as u64;
+        if cfg!(debug_assertions) {
+            let buf = &mut self.wire_check;
+            buf.clear();
+            msg.encode_into(buf);
+            assert_eq!(buf.len(), len, "encoded_len mismatch");
+            let back = Message::decode(&mut buf.as_slice());
+            assert_eq!(back.as_ref(), Ok(msg), "wire round-trip mismatch");
         }
-        self.store.free(r);
+    }
+
+    /// Counts `n` delivered messages their recipient consumes: one decode
+    /// each.
+    pub fn count_consumed(&mut self, n: usize) {
+        self.counters.decoded += n as u64;
+    }
+
+    /// Counts `n` delivered messages whose recipient never consumes them
+    /// (a down checkpoint): one skipped decode each.
+    pub fn count_discarded(&mut self, n: usize) {
+        self.counters.skipped_decode += n as u64;
     }
 
     /// Stores a delivered label on its carrier vehicle. A vehicle must
@@ -260,67 +250,42 @@ impl Exchange {
     /// an overwrite would silently lose the first label, so it is counted
     /// as a telemetry anomaly rather than ignored.
     pub fn hand_label(&mut self, vehicle: VehicleId, label: Label) {
-        let r = self.encode(&Message::Label(label));
-        let prev = self.carried_label[vehicle.index()].replace(r);
+        self.count_send(&Message::Label(label));
+        let prev = self.carried_label[vehicle.index()].replace(label);
         debug_assert!(
             prev.is_none(),
             "vehicle {vehicle} already carries a label — double handoff overwrites it"
         );
-        if let Some(p) = prev {
+        if prev.is_some() {
             self.counters.label_overwrites += 1;
-            self.store.free(p);
         }
     }
 
-    /// Takes and decodes the label `vehicle` carries, if any.
+    /// Takes the label `vehicle` carries, if any, counting its decode.
     pub fn take_label(&mut self, vehicle: VehicleId) -> Option<Label> {
-        let r = self.carried_label[vehicle.index()].take()?;
-        match self.consume_payload(r) {
-            Message::Label(l) => Some(l),
-            other => unreachable!("label slot held {other:?}"),
-        }
+        let label = self.carried_label[vehicle.index()].take()?;
+        self.count_consumed(1);
+        Some(label)
     }
 
-    /// Drops the label `vehicle` carries without parsing it (the carrier
-    /// reached a down checkpoint — nobody will consume the label).
-    /// Returns whether a label was dropped.
+    /// Drops the label `vehicle` carries (the carrier reached a down
+    /// checkpoint — nobody will consume the label), counting a skipped
+    /// decode. Returns whether a label was dropped.
     pub fn discard_label(&mut self, vehicle: VehicleId) -> bool {
-        match self.carried_label[vehicle.index()].take() {
-            Some(r) => {
-                self.discard_payload(r);
-                true
-            }
-            None => false,
+        let dropped = self.carried_label[vehicle.index()].take().is_some();
+        if dropped {
+            self.count_discarded(1);
         }
-    }
-
-    /// Counts a transmission this exchange both produces and consumes in
-    /// the same call: one encode, one decode and the message's
-    /// [`Message::encoded_len`] bytes, exactly as if it had crossed the
-    /// air, while no payload is written or parsed. Debug builds still
-    /// round-trip the message through the slab and check that the decode
-    /// matches and that the length is the one counted.
-    fn self_transmit(&mut self, msg: &Message) {
-        let len = msg.encoded_len();
-        self.counters.encoded += 1;
-        self.counters.decoded += 1;
-        self.counters.bytes += len as u64;
-        if cfg!(debug_assertions) {
-            let r = self.store.insert_with(|buf| msg.encode_into(buf));
-            assert_eq!(self.store.get(r).len(), len, "encoded_len mismatch");
-            let back = self.store.lazy(r).decode();
-            assert_eq!(back.as_ref(), Ok(msg), "self-transmit round-trip mismatch");
-            self.store.free(r);
-        }
+        dropped
     }
 
     /// The handoff acknowledgement a civilian vehicle radios back on
-    /// successful label receipt (the codec's ack leg). The ack is
-    /// produced and consumed by the same exchange, so it is counted as
-    /// one encode and one decode of its 9 wire bytes, and never encoded
-    /// (see `self_transmit`).
+    /// successful label receipt (the codec's ack leg), counted as one
+    /// encode and one decode of its 9 wire bytes: the exchange both sends
+    /// and consumes it.
     pub fn ack_handoff(&mut self, vehicle: VehicleId) {
-        self.self_transmit(&Message::Ack { vehicle });
+        self.count_send(&Message::Ack { vehicle });
+        self.count_consumed(1);
     }
 
     /// Opens a segment watch for a label handed off onto `edge`.
@@ -338,26 +303,23 @@ impl Exchange {
         self.watches.remove(&edge)
     }
 
-    /// Posts a report at `from`, waiting for a vehicle departing onto
-    /// `edge` toward `to`.
-    pub fn post_report(&mut self, from: NodeId, edge: EdgeId, to: NodeId, msg: &Message) {
-        let payload = self.encode(msg);
-        self.pending_reports[from.index()].push((edge, Routed { to, payload }));
+    /// Posts `report` at `from`, waiting for a vehicle departing onto
+    /// `edge` toward the report's destination.
+    pub fn post_report(&mut self, from: NodeId, edge: EdgeId, report: Report) {
+        self.count_send(&Message::Report(report));
+        self.pending_reports[from.index()].push((edge, report));
     }
 
     /// Posts a circuitous message at `from`, waiting for a patrol car.
-    pub fn post_patrol(&mut self, from: NodeId, to: NodeId, msg: &Message) {
-        let payload = self.encode(msg);
-        self.pending_patrol[from.index()].push(Routed { to, payload });
+    pub fn post_patrol(&mut self, from: NodeId, msg: Routed) {
+        self.count_send(&msg.message());
+        self.pending_patrol[from.index()].push(msg);
     }
 
     /// Queues a message on the directional relay, due at `due_s`.
-    pub fn queue_relay(&mut self, due_s: f64, to: NodeId, msg: &Message) {
-        let payload = self.encode(msg);
-        self.relay.push(RelayEntry {
-            due_s,
-            routed: Routed { to, payload },
-        });
+    pub fn queue_relay(&mut self, due_s: f64, msg: Routed) {
+        self.count_send(&msg.message());
+        self.relay.push(RelayEntry { due_s, msg });
     }
 
     /// Moves the reports waiting at `node` for edge `onto` into the
@@ -383,10 +345,14 @@ impl Exchange {
     /// Takes the reports `vehicle` carries that are addressed to `node`,
     /// preserving order on both sides. Return the buffer with
     /// [`Exchange::recycle_reports`] when done.
-    pub fn take_due_reports(&mut self, vehicle: VehicleId, node: NodeId) -> Vec<Routed> {
+    pub fn take_due_reports(&mut self, vehicle: VehicleId, node: NodeId) -> Vec<Report> {
         let mut due = std::mem::take(&mut self.due_reports_scratch);
         due.clear();
-        Self::split_due(&mut self.carried_reports[vehicle.index()], node, &mut due);
+        split_due(
+            &mut self.carried_reports[vehicle.index()],
+            |r| r.to == node,
+            &mut due,
+        );
         due
     }
 
@@ -398,28 +364,13 @@ impl Exchange {
         let mut due = std::mem::take(&mut self.due_patrol_scratch);
         due.clear();
         if let Some(list) = self.patrol_carried.get_mut(&vehicle) {
-            Self::split_due(list, node, &mut due);
+            split_due(list, |m| m.to() == node, &mut due);
         }
         due
     }
 
-    /// Stable in-place split: messages addressed to `node` move into
-    /// `due`, the rest compact in place — no per-arrival allocation.
-    fn split_due(list: &mut Vec<Routed>, node: NodeId, due: &mut Vec<Routed>) {
-        let mut kept = 0usize;
-        for i in 0..list.len() {
-            if list[i].to == node {
-                due.push(list[i]);
-            } else {
-                list.swap(kept, i);
-                kept += 1;
-            }
-        }
-        list.truncate(kept);
-    }
-
     /// Returns a [`Exchange::take_due_reports`] buffer for reuse.
-    pub fn recycle_reports(&mut self, mut scratch: Vec<Routed>) {
+    pub fn recycle_reports(&mut self, mut scratch: Vec<Report>) {
         scratch.clear();
         self.due_reports_scratch = scratch;
     }
@@ -433,17 +384,16 @@ impl Exchange {
     /// Drops every message queued *at* `node` (reports awaiting a carrier
     /// and circuitous messages awaiting a patrol car), returning how many
     /// were lost — a crashed checkpoint loses its volatile queues. The
-    /// payloads were never delivered, so they never enter the
-    /// `decoded`/`skipped_decode` split; their slots return to the slab.
+    /// messages were never delivered, so they never enter the
+    /// `decoded`/`skipped_decode` split.
     pub fn drop_node_queues(&mut self, node: NodeId) -> usize {
-        let i = node.index();
-        let n = self.pending_reports[i].len() + self.pending_patrol[i].len();
-        for (_, r) in self.pending_reports[i].drain(..) {
-            self.store.free(r.payload);
-        }
-        for r in self.pending_patrol[i].drain(..) {
-            self.store.free(r.payload);
-        }
+        let (reports, patrol) = (
+            &mut self.pending_reports[node.index()],
+            &mut self.pending_patrol[node.index()],
+        );
+        let n = reports.len() + patrol.len();
+        reports.clear();
+        patrol.clear();
         n
     }
 
@@ -474,30 +424,19 @@ impl Exchange {
     /// Chaos injection on the patrol-carried path: duplicates the most
     /// recently picked-up message and/or reverses the carried queue. The
     /// protocol tolerates both (announces are idempotent, reports are
-    /// highest-sequence-wins). Duplication byte-copies the payload into
-    /// its own slot — two queue entries must never share one slab key,
-    /// or the first consume would invalidate the second.
+    /// highest-sequence-wins). The duplicate is a copy the air never
+    /// carried, so it counts no send.
     pub fn chaos_patrol_carried(&mut self, vehicle: VehicleId, duplicate: bool, reverse: bool) {
+        let Some(list) = self.patrol_carried.get_mut(&vehicle) else {
+            return;
+        };
         if duplicate {
-            let last = self
-                .patrol_carried
-                .get(&vehicle)
-                .and_then(|list| list.last().copied());
-            if let Some(last) = last {
-                let dup = Routed {
-                    to: last.to,
-                    payload: self.store.duplicate(last.payload),
-                };
-                self.patrol_carried
-                    .get_mut(&vehicle)
-                    .expect("checked above")
-                    .push(dup);
+            if let Some(&last) = list.last() {
+                list.push(last);
             }
         }
         if reverse {
-            if let Some(list) = self.patrol_carried.get_mut(&vehicle) {
-                list.reverse();
-            }
+            list.reverse();
         }
     }
 
@@ -522,14 +461,13 @@ impl Exchange {
     }
 
     /// The status snapshot a patrol car radios to the checkpoint it is
-    /// visiting. The transmission is self-produced and consumed in the
-    /// same call, so — like [`Exchange::ack_handoff`] — it is counted as
-    /// one encode and one decode of its full wire length without being
-    /// encoded: the status handed back *is* the status a decoder would
-    /// have produced (see `self_transmit`).
+    /// visiting. The exchange both sends and consumes it in this call, so
+    /// — like [`Exchange::ack_handoff`] — it is counted as one encode and
+    /// one decode of its full wire length.
     pub fn relay_status(&mut self, vehicle: VehicleId) -> PatrolStatus {
         let msg = Message::Patrol(self.patrol_status.entry(vehicle).or_default().clone());
-        self.self_transmit(&msg);
+        self.count_send(&msg);
+        self.count_consumed(1);
         let Message::Patrol(status) = msg else {
             unreachable!("built as a patrol status above")
         };
@@ -546,7 +484,7 @@ impl Exchange {
         while i < self.relay.len() {
             if self.relay[i].due_s <= now {
                 self.counters.relay_messages += 1;
-                due.push(self.relay.swap_remove(i).routed);
+                due.push(self.relay.swap_remove(i).msg);
             } else {
                 i += 1;
             }
@@ -566,59 +504,56 @@ impl Exchange {
         self.carried_reports[vehicle.index()].is_empty()
     }
 
-    /// Whether any report payload is still in transit anywhere (on a
-    /// vehicle, waiting at a node, in the relay, or on a patrol car).
-    /// Collection is final only when the last re-report has landed.
-    /// Inspects only the lazy tag byte — no payload is parsed.
+    /// Whether any report is still in transit anywhere (on a vehicle,
+    /// waiting at a node, in the relay, or on a patrol car). Collection is
+    /// final only when the last re-report has landed.
     pub fn reports_in_flight(&self) -> bool {
-        let store = &self.store;
-        let is_report = |r: &Routed| store.lazy(r.payload).tag() == Some(TAG_REPORT);
-        self.carried_reports.iter().flatten().any(is_report)
-            || self
-                .pending_reports
-                .iter()
-                .flatten()
-                .any(|(_, r)| is_report(r))
-            || self.relay.iter().any(|e| is_report(&e.routed))
+        let is_report = |m: &Routed| matches!(m, Routed::Report(_));
+        self.carried_reports.iter().any(|list| !list.is_empty())
+            || self.pending_reports.iter().any(|list| !list.is_empty())
+            || self.relay.iter().any(|e| is_report(&e.msg))
             || self.pending_patrol.iter().flatten().any(is_report)
             || self.patrol_carried.values().flatten().any(is_report)
     }
 
-    /// Serializable image of every queue and counter (slab refs resolve
-    /// to owned payload bytes — the snapshot format is identical to the
-    /// owned-payload era's).
+    /// Serializable image of every queue and counter, each queued message
+    /// encoded in its wire form.
     pub fn snapshot(&self) -> ExchangeSnapshot {
-        let env = |r: &Routed| Envelope {
+        let report = |r: &Report| Envelope {
             to: r.to,
-            payload: self.store.get(r.payload).to_vec(),
+            payload: wire(&Message::Report(*r)),
+        };
+        let routed = |m: &Routed| Envelope {
+            to: m.to(),
+            payload: wire(&m.message()),
         };
         let carriers = (0..).map(VehicleId);
         ExchangeSnapshot {
             carried_label: carriers
                 .clone()
                 .zip(&self.carried_label)
-                .filter_map(|(v, slot)| slot.map(|r| (v, self.store.get(r).to_vec())))
+                .filter_map(|(v, slot)| slot.map(|l| (v, wire(&Message::Label(l)))))
                 .collect(),
             carried_reports: carriers
                 .zip(&self.carried_reports)
-                .flat_map(|(v, list)| list.iter().map(move |r| (v, env(r))))
+                .flat_map(|(v, list)| list.iter().map(move |r| (v, report(r))))
                 .collect(),
             pending_reports: self
                 .pending_reports
                 .iter()
-                .map(|list| list.iter().map(|(e, r)| (*e, env(r))).collect())
+                .map(|list| list.iter().map(|(e, r)| (*e, report(r))).collect())
                 .collect(),
             pending_patrol: self
                 .pending_patrol
                 .iter()
-                .map(|list| list.iter().map(env).collect())
+                .map(|list| list.iter().map(routed).collect())
                 .collect(),
             relay: self
                 .relay
                 .iter()
                 .map(|e| RelayInFlight {
                     due_s: e.due_s,
-                    env: env(&e.routed),
+                    env: routed(&e.msg),
                 })
                 .collect(),
             watches: self.watches.clone(),
@@ -626,64 +561,93 @@ impl Exchange {
             patrol_carried: self
                 .patrol_carried
                 .iter()
-                .map(|(v, list)| (*v, list.iter().map(env).collect()))
+                .map(|(v, list)| (*v, list.iter().map(routed).collect()))
                 .collect(),
             counters: self.counters,
         }
     }
 
     /// Rebuilds an exchange from a snapshot taken on `net` over a
-    /// population of `population` vehicles, interning every payload into
-    /// a fresh slab (scratch buffers start empty). A snapshot is outside
-    /// input, so it is checked before anything is interned: a payload that
-    /// does not decode to the kind its queue carries, a node or edge
-    /// outside `net`, a vehicle past the population, carrier rows out of
-    /// order, or a table of the wrong shape is an error, not a panic on
-    /// some later step.
+    /// population of `population` vehicles, decoding every payload once
+    /// into the type its queue holds (scratch buffers start empty). A
+    /// snapshot is outside input, so a payload that does not decode to the
+    /// kind its queue carries, an envelope whose destination is not the
+    /// one its payload names, a node or edge outside `net`, a vehicle past
+    /// the population, carrier rows out of order, or a table of the wrong
+    /// shape is an error, not a panic on some later step.
     pub fn restore(
         snap: &ExchangeSnapshot,
         net: &RoadNetwork,
         population: usize,
     ) -> Result<Self, String> {
         validate(snap, net, population)?;
-        let mut store = PayloadStore::new();
-        let mut carried_label: Vec<Option<PayloadRef>> = vec![None; population];
-        for (v, payload) in &snap.carried_label {
-            carried_label[v.index()] = Some(store.insert(payload));
-        }
-        let mut routed = |env: &Envelope| Routed {
-            to: env.to,
-            payload: store.insert(&env.payload),
+        let nodes = net.node_count();
+        let report = |env: &Envelope, what: &str| {
+            decode(&env.payload, Some(env.to), nodes, what, |m| match m {
+                Message::Report(r) => Ok(r),
+                other => Err(other),
+            })
         };
-        let mut carried_reports: Vec<Vec<Routed>> = vec![Vec::new(); population];
+        let routed = |env: &Envelope| {
+            decode(
+                &env.payload,
+                Some(env.to),
+                nodes,
+                "relay or patrol",
+                |m| match m {
+                    Message::Announce(a) => Ok(Routed::Announce(a)),
+                    Message::Report(r) => Ok(Routed::Report(r)),
+                    other => Err(other),
+                },
+            )
+        };
+        let routed_list = |list: &Vec<Envelope>| -> Result<Vec<Routed>, String> {
+            list.iter().map(routed).collect()
+        };
+
+        let mut carried_label = vec![None; population];
+        for (v, bytes) in &snap.carried_label {
+            let label = decode(bytes, None, nodes, "carried label", |m| match m {
+                Message::Label(l) => Ok(l),
+                other => Err(other),
+            })?;
+            carried_label[v.index()] = Some(label);
+        }
+        let mut carried_reports = vec![Vec::new(); population];
         for (v, env) in &snap.carried_reports {
-            carried_reports[v.index()].push(routed(env));
+            carried_reports[v.index()].push(report(env, "carried report")?);
         }
         let pending_reports = snap
             .pending_reports
             .iter()
-            .map(|list| list.iter().map(|(e, env)| (*e, routed(env))).collect())
-            .collect();
+            .map(|list| {
+                list.iter()
+                    .map(|(e, env)| Ok((*e, report(env, "pending report")?)))
+                    .collect::<Result<Vec<_>, String>>()
+            })
+            .collect::<Result<_, String>>()?;
         let pending_patrol = snap
             .pending_patrol
             .iter()
-            .map(|list| list.iter().map(&mut routed).collect())
-            .collect();
-        let relay = snap
-            .relay
-            .iter()
-            .map(|r| RelayEntry {
-                due_s: r.due_s,
-                routed: routed(&r.env),
-            })
-            .collect();
+            .map(routed_list)
+            .collect::<Result<_, String>>()?;
         let patrol_carried = snap
             .patrol_carried
             .iter()
-            .map(|(v, list)| (*v, list.iter().map(&mut routed).collect()))
-            .collect();
+            .map(|(v, list)| Ok((*v, routed_list(list)?)))
+            .collect::<Result<_, String>>()?;
+        let relay = snap
+            .relay
+            .iter()
+            .map(|r| {
+                let msg = routed(&r.env)?;
+                Ok(RelayEntry {
+                    due_s: r.due_s,
+                    msg,
+                })
+            })
+            .collect::<Result<_, String>>()?;
         Ok(Exchange {
-            store,
             carried_label,
             carried_reports,
             pending_reports,
@@ -695,51 +659,76 @@ impl Exchange {
             due_relay_scratch: Vec::new(),
             due_reports_scratch: Vec::new(),
             due_patrol_scratch: Vec::new(),
-            eager_decode: false,
+            wire_check: Vec::new(),
             counters: snap.counters,
         })
     }
 }
 
-/// The messages an exchange queue may hold.
-#[derive(Clone, Copy)]
-enum Carries {
-    /// A vehicle's carried activation label.
-    Label,
-    /// Carried and pending reports.
-    Report,
-    /// The relay and the patrol queues.
-    AnnounceOrReport,
+/// Stable in-place split: entries `is_due` accepts move into `due`, the
+/// rest compact in place — no per-arrival allocation.
+fn split_due<T: Copy>(list: &mut Vec<T>, is_due: impl Fn(&T) -> bool, due: &mut Vec<T>) {
+    let mut kept = 0usize;
+    for i in 0..list.len() {
+        if is_due(&list[i]) {
+            due.push(list[i]);
+        } else {
+            list.swap(kept, i);
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
 }
 
-/// The restore-time checks behind [`Exchange::restore`].
+/// The wire form of `msg`, as a snapshot stores it.
+fn wire(msg: &Message) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(msg.encoded_len());
+    msg.encode_into(&mut payload);
+    payload
+}
+
+/// Decodes one snapshot payload into the type its queue holds: `typed`
+/// accepts the kinds the queue carries and hands any other back. The
+/// bytes must hold exactly one such message, every node it names must be
+/// one of the map's `nodes`, and an envelope's destination `to` must be
+/// on the map and be the one the message names.
+fn decode<T>(
+    bytes: &[u8],
+    to: Option<NodeId>,
+    nodes: usize,
+    what: &str,
+    typed: fn(Message) -> Result<T, Message>,
+) -> Result<T, String> {
+    let node = |n: NodeId| in_map(n.index(), nodes, "node", what);
+    to.map_or(Ok(()), node)?;
+    let mut buf = bytes;
+    let msg =
+        Message::decode(&mut buf).map_err(|e| format!("{what} payload does not decode: {e}"))?;
+    if !buf.is_empty() {
+        return Err(format!("{what} payload has {} trailing bytes", buf.len()));
+    }
+    let (dest, named) = match &msg {
+        Message::Label(l) => (None, [Some(l.origin), l.origin_pred, Some(l.seed)]),
+        Message::Report(r) => (Some(r.to), [Some(r.from), Some(r.to), None]),
+        Message::Announce(a) => (Some(a.to), [Some(a.to), Some(a.from), a.pred]),
+        Message::Patrol(_) | Message::Ack { .. } => (None, [None; 3]),
+    };
+    let value = typed(msg).map_err(|other| format!("{what} queue holds {other:?}"))?;
+    named.into_iter().flatten().try_for_each(node)?;
+    match (to, dest) {
+        (Some(to), Some(dest)) if to != dest => Err(format!(
+            "{what} envelope names node {} but its payload is addressed to node {}",
+            to.0, dest.0
+        )),
+        _ => Ok(value),
+    }
+}
+
+/// The restore-time checks behind [`Exchange::restore`] that need no
+/// payload: table shapes, carrier rows, edges, vehicles and watches.
 fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork, population: usize) -> Result<(), String> {
     let nodes = net.node_count();
     let edges = net.edge_count();
-    let node = |n: NodeId, what: &str| in_map(n.index(), nodes, "node", what);
-    let edge = |e: EdgeId, what: &str| in_map(e.index(), edges, "edge", what);
-    let payload = |bytes: &[u8], what: &str, carries: Carries| -> Result<(), String> {
-        let mut buf = bytes;
-        let msg = Message::decode(&mut buf)
-            .map_err(|e| format!("{what} payload does not decode: {e}"))?;
-        if !buf.is_empty() {
-            return Err(format!("{what} payload has {} trailing bytes", buf.len()));
-        }
-        let named = match (carries, msg) {
-            (Carries::Label, Message::Label(l)) => [Some(l.origin), l.origin_pred, Some(l.seed)],
-            (Carries::Report | Carries::AnnounceOrReport, Message::Report(r)) => {
-                [Some(r.from), Some(r.to), None]
-            }
-            (Carries::AnnounceOrReport, Message::Announce(a)) => [Some(a.to), Some(a.from), a.pred],
-            (_, other) => return Err(format!("{what} queue holds {other:?}")),
-        };
-        named.into_iter().flatten().try_for_each(|n| node(n, what))
-    };
-    let envelope = |env: &Envelope, what: &str, carries: Carries| {
-        node(env.to, what)?;
-        payload(&env.payload, what, carries)
-    };
-
     for (what, len) in [
         ("pending report", snap.pending_reports.len()),
         ("pending patrol", snap.pending_patrol.len()),
@@ -752,12 +741,6 @@ fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork, population: usize) -> Re
     carriers(labels, population, "carried label", true)?;
     let reports = snap.carried_reports.iter().map(|(v, _)| *v);
     carriers(reports, population, "carried report", false)?;
-    for (_, bytes) in &snap.carried_label {
-        payload(bytes, "carried label", Carries::Label)?;
-    }
-    for (_, env) in &snap.carried_reports {
-        envelope(env, "carried report", Carries::Report)?;
-    }
     let patrol_cars = snap.patrol_status.keys().chain(snap.patrol_carried.keys());
     if let Some(v) = patrol_cars.copied().find(|v| v.index() >= population) {
         return Err(format!(
@@ -765,18 +748,12 @@ fn validate(snap: &ExchangeSnapshot, net: &RoadNetwork, population: usize) -> Re
             v.0
         ));
     }
-    for (e, env) in snap.pending_reports.iter().flatten() {
-        edge(*e, "pending report")?;
-        envelope(env, "pending report", Carries::Report)?;
-    }
-    let routed = snap.pending_patrol.iter().flatten();
-    let routed = routed.chain(snap.patrol_carried.values().flatten());
-    for env in routed.chain(snap.relay.iter().map(|r| &r.env)) {
-        envelope(env, "relay or patrol", Carries::AnnounceOrReport)?;
+    for (e, _) in snap.pending_reports.iter().flatten() {
+        in_map(e.index(), edges, "edge", "pending report")?;
     }
     for (e, w) in &snap.watches {
-        edge(*e, "segment watch")?;
-        node(w.origin, "segment watch")?;
+        in_map(e.index(), edges, "edge", "segment watch")?;
+        in_map(w.origin.index(), nodes, "node", "segment watch")?;
         if let Some(v) = w.sw.vehicles().find(|v| v.index() >= population) {
             return Err(format!(
                 "segment watch on edge {} names vehicle {} past the {population} vehicles",
@@ -831,34 +808,35 @@ fn in_map(i: usize, count: usize, kind: &str, what: &str) -> Result<(), String> 
 /// delivering changes no delivery order.
 pub fn exchange(engine: &mut Engine) {
     let due = engine.exchange.take_due_relay(engine.now);
-    for r in &due {
-        deliver_routed(engine, r.to, r.payload);
+    for &msg in &due {
+        deliver_routed(engine, msg);
     }
     engine.exchange.recycle_relay(due);
 }
 
-/// Consumes a routed payload at its destination checkpoint and feeds the
-/// resulting observation through the machine (shared by the relay and
-/// the patrol delivery paths). A message addressed to a crashed (down)
-/// checkpoint is discarded unparsed and counted — the run becomes
-/// explicitly degraded rather than silently miscounting.
-pub(crate) fn deliver_routed(engine: &mut Engine, to: NodeId, payload: PayloadRef) {
+/// Delivers a routed message at its destination checkpoint and feeds it
+/// through the machine (shared by the relay and the patrol delivery
+/// paths). A message addressed to a crashed (down) checkpoint is
+/// discarded and counted — the run becomes explicitly degraded rather
+/// than silently miscounting.
+pub(crate) fn deliver_routed(engine: &mut Engine, msg: Routed) {
+    let to = msg.to();
     if engine.faults.down(to) {
         crate::faults::drop_messages(engine, to, 1);
-        engine.exchange.discard_payload(payload);
+        engine.exchange.count_discarded(1);
         return;
     }
-    let kind = match engine.exchange.consume_payload(payload) {
-        Message::Announce(a) => ActionKind::Announce {
+    engine.exchange.count_consumed(1);
+    let kind = match msg {
+        Routed::Announce(a) => ActionKind::Announce {
             from: a.from,
             pred: a.pred,
         },
-        Message::Report(r) => ActionKind::Report {
+        Routed::Report(r) => ActionKind::Report {
             from: r.from,
             total: r.subtree_total,
             seq: r.seq,
         },
-        other => unreachable!("exchange routes only announces and reports, got {other:?}"),
     };
     super::apply_action(engine, to, kind);
 }
@@ -866,15 +844,18 @@ pub(crate) fn deliver_routed(engine: &mut Engine, to: NodeId, payload: PayloadRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcount_v2x::Report;
 
-    fn report_msg(to: NodeId) -> Message {
-        Message::Report(Report {
+    fn report(to: NodeId) -> Report {
+        Report {
             from: NodeId(0),
             to,
             subtree_total: 1,
             seq: 1,
-        })
+        }
+    }
+
+    fn routed(to: NodeId) -> Routed {
+        Routed::Report(report(to))
     }
 
     fn label() -> Label {
@@ -926,34 +907,20 @@ mod tests {
     }
 
     #[test]
-    fn eager_mode_decodes_discards() {
-        let mut ex = Exchange::new(1, 2);
-        ex.set_eager_decode(true);
-        ex.hand_label(VehicleId(0), label());
-        assert!(ex.discard_label(VehicleId(0)));
-        let c = ex.counters();
-        assert_eq!((c.decoded, c.skipped_decode), (1, 0));
-    }
-
-    #[test]
     fn due_scratch_slots_survive_simultaneous_takes() {
         let mut ex = Exchange::new(1, 3);
         let v = VehicleId(0);
         let n = NodeId(1);
         // One carried report and one patrol-carried message, both due at n.
-        let msg = report_msg(n);
-        ex.post_report(NodeId(0), EdgeId(0), n, &msg);
+        ex.post_report(NodeId(0), EdgeId(0), report(n));
         ex.load_reports(NodeId(0), v, EdgeId(0));
-        ex.post_patrol(NodeId(0), n, &msg);
+        ex.post_patrol(NodeId(0), routed(n));
         ex.pickup_patrol(v, NodeId(0));
 
         // A patrol arrival holds both buffers at once.
         let r = ex.take_due_reports(v, n);
         let p = ex.take_due_patrol(v, n);
         assert_eq!((r.len(), p.len()), (1, 1));
-        for routed in r.iter().chain(p.iter()) {
-            ex.discard_payload(routed.payload);
-        }
         ex.recycle_reports(r);
         ex.recycle_patrol(p);
 
@@ -972,10 +939,9 @@ mod tests {
     #[test]
     fn drop_node_queues_counts_and_clears_only_that_node() {
         let mut ex = Exchange::new(1, 3);
-        let msg = report_msg(NodeId(2));
-        ex.post_report(NodeId(1), EdgeId(0), NodeId(2), &msg);
-        ex.post_patrol(NodeId(1), NodeId(2), &msg);
-        ex.post_patrol(NodeId(0), NodeId(2), &msg);
+        ex.post_report(NodeId(1), EdgeId(0), report(NodeId(2)));
+        ex.post_patrol(NodeId(1), routed(NodeId(2)));
+        ex.post_patrol(NodeId(0), routed(NodeId(2)));
         assert_eq!(ex.drop_node_queues(NodeId(1)), 2);
         assert_eq!(ex.drop_node_queues(NodeId(1)), 0);
         // Node 0's queue is untouched.
@@ -1000,12 +966,15 @@ mod tests {
     #[test]
     fn swap_relay_due_tail_flips_delivery_order() {
         let mut ex = Exchange::new(1, 3);
-        ex.queue_relay(10.0, NodeId(1), &report_msg(NodeId(1)));
-        ex.queue_relay(20.0, NodeId(2), &report_msg(NodeId(2)));
+        ex.queue_relay(10.0, routed(NodeId(1)));
+        ex.queue_relay(20.0, routed(NodeId(2)));
         ex.swap_relay_due_tail();
         // The later-queued message is now due first.
         let early = ex.take_due_relay(15.0);
-        assert_eq!(early.iter().map(|r| r.to).collect::<Vec<_>>(), [NodeId(2)]);
+        assert_eq!(
+            early.iter().map(|m| m.to()).collect::<Vec<_>>(),
+            [NodeId(2)]
+        );
         ex.recycle_relay(early);
         ex.swap_relay_due_tail(); // single message: no-op
         assert!(ex.take_due_relay(15.0).is_empty());
@@ -1015,18 +984,15 @@ mod tests {
     fn chaos_patrol_carried_duplicates_and_reverses() {
         let mut ex = Exchange::new(1, 4);
         let v = VehicleId(0);
-        ex.post_patrol(NodeId(0), NodeId(2), &report_msg(NodeId(2)));
-        ex.post_patrol(NodeId(0), NodeId(3), &report_msg(NodeId(3)));
+        ex.post_patrol(NodeId(0), routed(NodeId(2)));
+        ex.post_patrol(NodeId(0), routed(NodeId(3)));
         ex.pickup_patrol(v, NodeId(0));
+        let sent = ex.counters();
         ex.chaos_patrol_carried(v, true, true);
+        assert_eq!(ex.counters(), sent, "a chaos duplicate is never sent");
         // Duplicate of the newest (to node 3), then reversed.
         let due3 = ex.take_due_patrol(v, NodeId(3));
-        assert_eq!(due3.len(), 2);
-        // The duplicate got its own slab slot: consuming the original must
-        // not invalidate the copy.
-        let first = ex.consume_payload(due3[0].payload);
-        let second = ex.consume_payload(due3[1].payload);
-        assert_eq!(first, second);
+        assert_eq!(*due3, [routed(NodeId(3)); 2]);
         ex.recycle_patrol(due3);
         let due2 = ex.take_due_patrol(v, NodeId(2));
         assert_eq!(due2.len(), 1);
@@ -1039,14 +1005,10 @@ mod tests {
         let mut ex = Exchange::new(1, 4);
         // Interleaved destinations, all due.
         for &(due, to) in &[(1.0, 2u32), (2.0, 1), (3.0, 2), (4.0, 3)] {
-            ex.queue_relay(due, NodeId(to), &report_msg(NodeId(to)));
+            ex.queue_relay(due, routed(NodeId(to)));
         }
         let due = ex.take_due_relay(10.0);
-        let mut seen = Vec::new();
-        for r in &due {
-            seen.push(r.to.0);
-            ex.discard_payload(r.payload);
-        }
+        let seen: Vec<u32> = due.iter().map(|m| m.to().0).collect();
         ex.recycle_relay(due);
         // swap_remove drain order: take index 0 (to 2); the swap brings the
         // newest entry (to 3) to the front — take it; the next swap brings
@@ -1061,18 +1023,25 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_through_the_slab() {
+    fn snapshot_round_trips_through_the_codec() {
         let mut ex = Exchange::new(2, 3);
         ex.hand_label(VehicleId(1), label());
-        ex.post_report(NodeId(0), EdgeId(0), NodeId(1), &report_msg(NodeId(1)));
-        ex.post_patrol(NodeId(2), NodeId(0), &report_msg(NodeId(0)));
-        ex.queue_relay(5.0, NodeId(2), &report_msg(NodeId(2)));
+        ex.post_report(NodeId(0), EdgeId(0), report(NodeId(1)));
+        let announce = Routed::Announce(Announce {
+            to: NodeId(0),
+            from: NodeId(2),
+            pred: Some(NodeId(1)),
+        });
+        ex.post_patrol(NodeId(2), announce);
+        ex.queue_relay(5.0, routed(NodeId(2)));
         ex.pickup_patrol(VehicleId(0), NodeId(2));
         let snap = ex.snapshot();
         let mut back = Exchange::restore(&snap, &net(), 2).unwrap();
         assert_eq!(back.counters(), ex.counters());
         assert!(back.reports_in_flight());
         assert_eq!(back.take_label(VehicleId(1)), Some(label()));
+        assert_eq!(*back.take_due_patrol(VehicleId(0), NodeId(0)), [announce]);
+        assert_eq!(*back.take_due_relay(5.0), [routed(NodeId(2))]);
         // Re-snapshotting the restored exchange reproduces the image.
         let again = Exchange::restore(&snap, &net(), 2).unwrap().snapshot();
         assert_eq!(
@@ -1087,8 +1056,8 @@ mod tests {
         use vcount_v2x::{AdjustMode, SegmentWatch};
         let mut ex = Exchange::new(2, 3);
         ex.hand_label(VehicleId(1), label());
-        ex.post_report(NodeId(0), EdgeId(0), NodeId(1), &report_msg(NodeId(1)));
-        ex.queue_relay(5.0, NodeId(2), &report_msg(NodeId(2)));
+        ex.post_report(NodeId(0), EdgeId(0), report(NodeId(1)));
+        ex.queue_relay(5.0, routed(NodeId(2)));
         let sw = SegmentWatch::new(AdjustMode::NetInversion, VehicleId(0), []);
         ex.insert_watch(EdgeId(1), NodeId(0), sw);
         let good = ex.snapshot();
@@ -1103,10 +1072,12 @@ mod tests {
             }),
             ("names node 7", |s| s.relay[0].env.to = NodeId(7)),
             ("names node 9", |s| {
-                let mut buf = Vec::new();
-                report_msg(NodeId(9)).encode_into(&mut buf);
-                s.relay[0].env.payload = buf;
+                s.relay[0].env.payload = wire(&Message::Report(report(NodeId(9))));
             }),
+            (
+                "relay or patrol envelope names node 1 but its payload is addressed to node 2",
+                |s| s.relay[0].env.to = NodeId(1),
+            ),
             ("pending report names edge 99", |s| {
                 s.pending_reports[0][0].0 = EdgeId(99)
             }),

@@ -13,10 +13,10 @@
 //!    machines (label delivery, lossy handoffs, segment watches,
 //!    baselines);
 //! 3. [`dispatch()`] — route the transport commands checkpoints emit into
-//!    the [`Exchange`], encoding each payload with the
-//!    [`vcount_v2x::Message`] wire codec;
-//! 4. [`exchange()`] — deliver relay messages that came due, decoding each
-//!    payload back at the receiving checkpoint;
+//!    the [`Exchange`] as typed messages, counting each one's
+//!    [`vcount_v2x::Message`] wire cost;
+//! 4. [`exchange()`] — deliver relay messages that came due to their
+//!    receiving checkpoints;
 //! 5. [`audit()`] — drain buffered protocol events into the ground-truth
 //!    oracle and the observability sinks.
 //!
@@ -39,7 +39,7 @@ pub mod snapshot;
 
 pub use audit::{audit, AuditLog};
 pub use dispatch::dispatch;
-pub use exchange::{exchange, Envelope, Exchange, ExchangeSnapshot, Watch, WireCounters};
+pub use exchange::{exchange, Envelope, Exchange, ExchangeSnapshot, Routed, Watch, WireCounters};
 pub use observe::observe;
 pub use snapshot::{EngineSnapshot, SNAPSHOT_SCHEMA};
 
@@ -71,7 +71,7 @@ pub struct Engine {
     pub(crate) classes: ClassTable,
     /// One checkpoint state machine per intersection.
     pub(crate) cps: Vec<Checkpoint>,
-    /// The message layer owning every in-flight payload.
+    /// The message layer owning every in-flight message.
     pub(crate) exchange: Exchange,
     /// Ground-truth attribution ledger.
     pub(crate) oracle: Oracle,

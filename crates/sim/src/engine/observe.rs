@@ -14,7 +14,7 @@ use vcount_core::ActionKind;
 use vcount_obs::ProtocolEvent;
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_traffic::TrafficEvent;
-use vcount_v2x::{AdjustMode, Message, SegmentWatch, VehicleId};
+use vcount_v2x::{AdjustMode, SegmentWatch, VehicleId};
 
 /// Replays the step's event batch through the protocol, in order. `index`
 /// is the engine-derived event index over the same batch (see
@@ -49,22 +49,17 @@ fn on_entered(engine: &mut Engine, vehicle: VehicleId, node: NodeId, from: Optio
 
     // Deliver carried reports addressed to this node. A down checkpoint
     // cannot receive: the carrier surrenders them anyway (real radios
-    // broadcast blind), the loss is counted, and the payloads are
-    // discarded unparsed — a dead recipient never pays a decode.
+    // broadcast blind), and the loss is counted — a dead recipient never
+    // consumes them.
     let due = engine.exchange.take_due_reports(vehicle, node);
     if node_down {
         if !due.is_empty() {
             drop_messages(engine, node, due.len());
-            for env in &due {
-                engine.exchange.discard_payload(env.payload);
-            }
+            engine.exchange.count_discarded(due.len());
         }
     } else {
-        for env in &due {
-            let r = match engine.exchange.consume_payload(env.payload) {
-                Message::Report(r) => r,
-                other => unreachable!("carried report queue held {other:?}"),
-            };
+        engine.exchange.count_consumed(due.len());
+        for r in &due {
             apply_action(
                 engine,
                 node,
@@ -84,8 +79,8 @@ fn on_entered(engine: &mut Engine, vehicle: VehicleId, node: NodeId, from: Optio
         // the patrol keeps its cargo and moves on — circuitous delivery
         // is deferred, not lost.)
         let due = engine.exchange.take_due_patrol(vehicle, node);
-        for env in &due {
-            deliver_routed(engine, env.to, env.payload);
+        for &msg in &due {
+            deliver_routed(engine, msg);
         }
         engine.exchange.recycle_patrol(due);
         engine.exchange.pickup_patrol(vehicle, node);
@@ -121,10 +116,9 @@ fn on_entered(engine: &mut Engine, vehicle: VehicleId, node: NodeId, from: Optio
     // Label delivery + phase 3/4/5 processing; the oracle attribution
     // (counted / interaction-in) is derived from the emitted events. The
     // vehicle surrenders its label regardless: a down checkpoint loses it
-    // (counted — that label's wave stalls until compensation or re-seed,
-    // and the payload is discarded unparsed), and any observation the
-    // checkpoint would have counted is recorded as suppressed, so a
-    // possible miscount is never silent.
+    // (counted — that label's wave stalls until compensation or re-seed),
+    // and any observation the checkpoint would have counted is recorded
+    // as suppressed, so a possible miscount is never silent.
     if node_down {
         if engine.exchange.discard_label(vehicle) {
             engine.faults.note_label_dropped();

@@ -101,15 +101,15 @@ pub struct RunTelemetry {
     pub border_exits: u64,
     /// Messages delivered through the directional V2V relay.
     pub relay_messages: u64,
-    /// Payloads encoded to the wire format by the exchange.
+    /// Messages the exchange sent on the wire.
     pub messages_encoded: u64,
-    /// Payloads decoded from the wire format on delivery.
+    /// Messages whose recipient consumed them.
     pub messages_decoded: u64,
-    /// Payloads discarded without decoding (lazy decode: the recipient
-    /// was down or the message was a dropped duplicate).
+    /// Messages whose recipient never consumed them.
     #[serde(default)]
     pub messages_skipped_decode: u64,
-    /// Total wire bytes produced by the exchange's encoder.
+    /// Total wire bytes of the messages sent, each counted from
+    /// `Message::encoded_len`.
     pub wire_bytes: u64,
     /// Carried labels overwritten by a double handoff (always an anomaly).
     #[serde(default)]

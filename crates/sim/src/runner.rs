@@ -111,7 +111,6 @@ pub struct RunnerBuilder {
     goal: Goal,
     faults: Option<FaultPlan>,
     record: bool,
-    eager_decode: bool,
     external: bool,
 }
 
@@ -126,7 +125,6 @@ impl RunnerBuilder {
             goal: Goal::Collection,
             faults: None,
             record: false,
-            eager_decode: false,
             external: false,
         }
     }
@@ -155,17 +153,6 @@ impl RunnerBuilder {
     /// first refresh.
     pub fn external(mut self, on: bool) -> Self {
         self.external = on;
-        self
-    }
-
-    /// Forces every discarded delivery to be parsed anyway, disabling the
-    /// exchange's lazy decode — the reference path the lazy plane is
-    /// tested against. The event stream is byte-identical either way
-    /// (pinned by `tests/lazy_decode_identity.rs`); only the
-    /// `messages_decoded` / `messages_skipped_decode` telemetry split and
-    /// the work done change.
-    pub fn eager_decode(mut self, on: bool) -> Self {
-        self.eager_decode = on;
         self
     }
 
@@ -225,7 +212,6 @@ impl RunnerBuilder {
             goal: _,
             faults,
             record,
-            eager_decode,
             external,
         } = self;
         if snapshot.is_some() && (faults.is_some() || record) {
@@ -300,7 +286,6 @@ impl RunnerBuilder {
             None => runner.activate_seeds(),
             Some(snap) => runner.restore(snap)?,
         }
-        runner.engine.exchange.set_eager_decode(eager_decode);
         Ok(runner)
     }
 

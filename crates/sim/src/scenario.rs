@@ -148,6 +148,12 @@ pub const MAX_MAP_NODE_LANES: usize = 100_000;
 /// square of the nodes.
 pub const MAX_RANDOM_CITY_NODES: usize = 500;
 
+/// Most vehicles a scenario may place before its first step: volume ×
+/// density × the built map's lane-km. The simulator inserts them into
+/// sorted lanes one at a time, so building a population takes time
+/// quadratic in its size per lane.
+pub const MAX_INITIAL_VEHICLES: usize = 200_000;
+
 /// Most steps a run may take: `max_time_s / dt_s`. The paper's presets,
 /// the longest runs in use, take 57,600 (8 h at the default 0.5 s).
 pub const MAX_STEPS: u32 = 100_000;
@@ -190,7 +196,9 @@ impl Scenario {
     /// the map sizes the builders assert on, the map itself
     /// ([`RoadNetwork::validate`]), explicit seeds inside it and listed
     /// once, the traffic config ([`SimConfig::validate`]), the demand
-    /// ([`Demand::validate`]), the time budget ([`MAX_STEPS`]), the patrol
+    /// ([`Demand::validate`]), the initial population
+    /// ([`MAX_INITIAL_VEHICLES`], checked on the built map before any
+    /// vehicle is placed), the time budget ([`MAX_STEPS`]), the patrol
     /// fleet ([`MAX_PATROL_CARS`]) and every channel probability. A
     /// scenario that passes assembles into a `vcountd` tenant without a
     /// panic, and its traffic runs in steps of bounded size and count. The
@@ -265,6 +273,13 @@ impl Scenario {
         self.demand
             .validate()
             .map_err(|e| format!("invalid demand: {e}"))?;
+        let population = self.demand.initial_population(net.lane_km());
+        if !population.is_finite() || population > MAX_INITIAL_VEHICLES as f64 {
+            return Err(format!(
+                "scenario initial population (volume x density x lane-km) must be at most \
+                 {MAX_INITIAL_VEHICLES} vehicles, got {population:?}"
+            ));
+        }
         let probabilities = match self.channel {
             ChannelKind::Perfect => vec![],
             ChannelKind::Bernoulli(p) => vec![p],

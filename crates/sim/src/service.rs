@@ -101,7 +101,9 @@ pub enum ServiceRequest {
         /// count never changed the output.
         #[serde(default)]
         shards: usize,
-        /// Disable lazy decode (a differential knob, not semantics).
+        /// Accepted and ignored, kept for wire compatibility with feeders
+        /// that still send it: the exchange queues typed messages and has
+        /// no decode mode.
         #[serde(default)]
         eager_decode: bool,
         /// Optional fault-injection plan.
@@ -363,11 +365,11 @@ impl RunManager {
                 scenario,
                 goal,
                 shards: _,
-                eager_decode,
+                eager_decode: _,
                 faults,
                 trace,
             } => {
-                let mut builder = Runner::builder(&scenario).eager_decode(eager_decode);
+                let mut builder = Runner::builder(&scenario);
                 if let Some(plan) = faults {
                     builder = builder.faults(plan);
                 }

@@ -15,8 +15,9 @@ mod counting_alloc;
 
 use counting_alloc::allocations_in;
 use vcount_roadnet::{EdgeId, NodeId};
+use vcount_sim::engine::Routed;
 use vcount_sim::Exchange;
-use vcount_v2x::{Label, Message, VehicleId};
+use vcount_v2x::{Report, VehicleId};
 
 #[test]
 fn paired_due_takes_do_not_allocate() {
@@ -24,17 +25,18 @@ fn paired_due_takes_do_not_allocate() {
     let nodes = WINDOW + 2;
     let mut ex = Exchange::new(1, nodes);
     let v = VehicleId(0);
-    let msg = Message::Label(Label {
-        origin: NodeId(0),
-        origin_pred: None,
-        seed: NodeId(0),
-    });
+    let report = |to: usize| Report {
+        from: NodeId(0),
+        to: NodeId(to as u32),
+        subtree_total: 1,
+        seq: 1,
+    };
 
-    // Preload one envelope per destination onto the carried queues (this
-    // part allocates freely: payload encoding, queue growth).
+    // Preload one report per destination onto the carried queues (this
+    // part allocates freely: queue growth).
     for i in 1..nodes {
-        ex.post_report(NodeId(0), EdgeId(0), NodeId(i as u32), &msg);
-        ex.post_patrol(NodeId(0), NodeId(i as u32), &msg);
+        ex.post_report(NodeId(0), EdgeId(0), report(i));
+        ex.post_patrol(NodeId(0), Routed::Report(report(i)));
     }
     ex.load_reports(NodeId(0), v, EdgeId(0));
     ex.pickup_patrol(v, NodeId(0));
@@ -58,7 +60,7 @@ fn paired_due_takes_do_not_allocate() {
         taken
     });
 
-    assert_eq!(taken, 2 * WINDOW, "measurement window missed envelopes");
+    assert_eq!(taken, 2 * WINDOW, "measurement window missed messages");
     assert_eq!(
         delta, 0,
         "paired take/recycle cycles allocated {delta} times over {WINDOW} \

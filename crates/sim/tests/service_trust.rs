@@ -14,6 +14,7 @@ use vcount_core::table::ACTIVE;
 use vcount_core::ProtocolVariant;
 use vcount_roadnet::builders::{ManhattanConfig, RandomCityConfig};
 use vcount_roadnet::{EdgeId, NodeId};
+use vcount_sim::engine::exchange::RelayInFlight;
 use vcount_sim::engine::{Envelope, Watch};
 use vcount_sim::scenario::{MAX_MAP_NODE_LANES, MAX_RANDOM_CITY_NODES};
 use vcount_sim::{
@@ -23,7 +24,7 @@ use vcount_sim::{
     WireClient,
 };
 use vcount_traffic::{Loop, Spot};
-use vcount_v2x::{AdjustMode, ChannelKind, PatrolStatus, SegmentWatch, VehicleId};
+use vcount_v2x::{AdjustMode, ChannelKind, Message, PatrolStatus, Report, SegmentWatch, VehicleId};
 
 /// Applies one request; event lines go to `events`, everything else (the
 /// terminal response — possibly an Error, which is what these tests are
@@ -1098,6 +1099,29 @@ fn start_mutations() -> Vec<StartMutation> {
         start_mutation("random city of usize::MAX nodes", false, |s, _| {
             s.map = random(usize::MAX)
         }),
+        // Initial populations past their cap, refused before any vehicle
+        // is placed.
+        start_mutation("fig1 with 1e300 m segments", false, |s, _| {
+            s.map = MapSpec::Fig1Triangle {
+                segment_m: 1e300,
+                speed_mps: 10.0,
+            }
+        }),
+        start_mutation(
+            "2 x 2 grid of 1e9 m at 500 % and 200 vehicles per lane-km",
+            false,
+            |s, _| {
+                s.map = MapSpec::Grid {
+                    cols: 2,
+                    rows: 2,
+                    spacing_m: 1e9,
+                    lanes: 2,
+                    speed_mps: 10.0,
+                };
+                s.demand.volume_pct = 500.0;
+                s.demand.vehicles_per_lane_km = 200.0;
+            },
+        ),
     ]);
     for p in [-0.5, 1.5] {
         out.push(start_mutation(
@@ -1427,6 +1451,24 @@ fn mutated_starts_and_resumes_never_panic() {
                     assert!(rows.len() > 1, "no carried label to precede");
                 },
                 "snapshot exchange: carried label row ",
+            ),
+            (
+                "relay envelope addressed to another node than its payload",
+                |s| {
+                    let report = Message::Report(Report {
+                        from: NodeId(0),
+                        to: NodeId(2),
+                        subtree_total: 1,
+                        seq: 1,
+                    });
+                    let env = Envelope {
+                        to: NodeId(1),
+                        payload: report.encode().to_vec(),
+                    };
+                    s.exchange.relay.push(RelayInFlight { due_s: 1e9, env });
+                },
+                "snapshot exchange: relay or patrol envelope names node 1 but its payload \
+                 is addressed to node 2",
             ),
             (
                 "watch on a vehicle past the population",

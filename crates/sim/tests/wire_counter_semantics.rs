@@ -1,18 +1,18 @@
 //! Pins the wire-counter semantics of the self-delivery paths
-//! (`ack_handoff`, `relay_status`) and the lazy/eager decode split.
+//! (`ack_handoff`, `relay_status`) and of a discarded delivery.
 //!
 //! The exchange both produces and consumes those two transmissions in
-//! the same call, so a release build never encodes them: it counts them
-//! from `Message::encoded_len`. They still model a real transmission, so
-//! their counters must read exactly as if the bytes had crossed the air:
-//! one `encoded`, one `decoded`, the full payload length in `bytes`, and
-//! never a `skipped_decode`. This test is the regression fence: if a
-//! refactor drops (or double-counts) a leg of the short circuit, the
-//! telemetry silently changes meaning and every downstream overhead
-//! analysis drifts. Counter *values* are asserted, not just deltas being
-//! nonzero. Run in a debug build, it also drives both paths through the
-//! exchange's round-trip check (encode, decode, compare, and match the
-//! counted length).
+//! the same call, and like every queued message they are counted from
+//! `Message::encoded_len`, never encoded in a release build. They still
+//! model a real transmission, so their counters must read exactly as if
+//! the bytes had crossed the air: one `encoded`, one `decoded`, the full
+//! payload length in `bytes`, and never a `skipped_decode`. This test is
+//! the regression fence: if a refactor drops (or double-counts) a leg of
+//! the count, the telemetry silently changes meaning and every downstream
+//! overhead analysis drifts. Counter *values* are asserted, not just
+//! deltas being nonzero. Run in a debug build, it also drives every send
+//! through the exchange's round-trip check (encode, decode, compare, and
+//! match the counted length).
 
 use vcount_roadnet::{EdgeId, NodeId};
 use vcount_sim::Exchange;
@@ -92,49 +92,32 @@ fn relay_status_counts_one_encode_and_one_decode() {
     assert_eq!(c2.bytes, c.bytes + wire_len);
 }
 
-/// The lazy/eager split never changes `encoded`/`bytes`, and partitions
-/// deliveries exactly: consumed messages are `decoded` in both modes,
-/// discarded ones are `skipped_decode` lazily and `decoded` eagerly.
+/// A delivery whose recipient is down counts `skipped_decode`, not
+/// `decoded`: sends and bytes count every message, and the two delivery
+/// counters partition the messages delivered.
 #[test]
-fn discard_splits_decoded_by_strategy() {
-    let msg = Message::Report(Report {
+fn discards_count_as_skipped_decodes() {
+    let report = Report {
         from: NodeId(0),
         to: NodeId(1),
         subtree_total: 5,
         seq: 1,
-    });
-    let run = |eager: bool| {
-        let mut ex = Exchange::new(1, 4);
-        ex.set_eager_decode(eager);
-        let v = VehicleId(0);
-        for _ in 0..3 {
-            ex.post_report(NodeId(0), EdgeId(0), NodeId(1), &msg);
-        }
-        ex.load_reports(NodeId(0), v, EdgeId(0));
-        let due = ex.take_due_reports(v, NodeId(1));
-        assert_eq!(due.len(), 3);
-        // Consume one, discard two (their recipient is "down").
-        assert_eq!(ex.consume_payload(due[0].payload), msg);
-        ex.discard_payload(due[1].payload);
-        ex.discard_payload(due[2].payload);
-        ex.recycle_reports(due);
-        ex.counters()
     };
-
-    let lazy = run(false);
-    let eager = run(true);
-
-    assert_eq!(lazy.encoded, 3);
-    assert_eq!((lazy.decoded, lazy.skipped_decode), (1, 2));
-    assert_eq!(eager.encoded, 3);
-    assert_eq!((eager.decoded, eager.skipped_decode), (3, 0));
-    assert_eq!(
-        lazy.bytes, eager.bytes,
-        "wire volume is strategy-independent"
-    );
-    assert_eq!(
-        lazy.decoded + lazy.skipped_decode,
-        eager.decoded,
-        "the split must partition the same delivery set"
-    );
+    let mut ex = Exchange::new(1, 4);
+    let v = VehicleId(0);
+    for _ in 0..3 {
+        ex.post_report(NodeId(0), EdgeId(0), report);
+    }
+    ex.load_reports(NodeId(0), v, EdgeId(0));
+    let due = ex.take_due_reports(v, NodeId(1));
+    assert_eq!(*due, [report; 3]);
+    // Consume one, discard two (their recipient is "down").
+    ex.count_consumed(1);
+    ex.count_discarded(2);
+    ex.recycle_reports(due);
+    let c = ex.counters();
+    assert_eq!(c.encoded, 3);
+    assert_eq!((c.decoded, c.skipped_decode), (1, 2));
+    let report_len = Message::Report(report).encode().len() as u64;
+    assert_eq!(c.bytes, 3 * report_len, "every send counts its bytes");
 }

@@ -170,9 +170,16 @@ impl Demand {
         }
     }
 
+    /// Initial vehicle count for a network with `lane_km` total lane-km,
+    /// before the cast to a count saturates it: what a bound is checked
+    /// against.
+    pub fn initial_population(&self, lane_km: f64) -> f64 {
+        ((self.volume_pct / 100.0) * self.vehicles_per_lane_km * lane_km).round()
+    }
+
     /// Initial vehicle count for a network with `lane_km` total lane-km.
     pub fn initial_vehicles(&self, lane_km: f64) -> usize {
-        ((self.volume_pct / 100.0) * self.vehicles_per_lane_km * lane_km).round() as usize
+        self.initial_population(lane_km) as usize
     }
 
     /// Volume scaling factor applied to spawn rates.

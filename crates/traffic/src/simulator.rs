@@ -402,12 +402,7 @@ impl Simulator {
     }
 
     fn populate(&mut self) {
-        let lane_km: f64 = self
-            .net
-            .edges()
-            .map(|e| e.length_m * e.lanes as f64 / 1000.0)
-            .sum();
-        let n = self.demand.initial_vehicles(lane_km);
+        let n = self.demand.initial_vehicles(self.net.lane_km());
         // Cumulative lane-metre weights over (edge, lane) slots.
         let mut slots: Vec<(EdgeId, u8, f64)> = Vec::new();
         let mut total = 0.0;

@@ -6,9 +6,7 @@
 //! * [`ids`] — VANET node identity and the exterior characteristics
 //!   checkpoints may observe (no VIN, no ownership data);
 //! * [`message`] — the label / report / patrol payloads with a binary wire
-//!   codec;
-//! * [`payload`] — slab-backed payload storage and lazy decode for the
-//!   zero-copy message plane;
+//!   codec, the form a message takes on the air and in a snapshot;
 //! * [`channel`] — loss models including the paper's 30% Bernoulli channel
 //!   and ack-confirmed handoff semantics;
 //! * [`collaboration`] — relative-position collaboration turning overtakes
@@ -22,10 +20,8 @@ pub mod channel;
 pub mod collaboration;
 pub mod ids;
 pub mod message;
-pub mod payload;
 
 pub use channel::{Bernoulli, ChannelKind, GilbertElliott, Handoff, LossModel, Perfect};
 pub use collaboration::{AdjustMode, Adjustment, SegmentWatch};
 pub use ids::{BodyType, Brand, ClassFilter, Color, VehicleClass, VehicleId};
 pub use message::{Announce, DecodeError, Label, Message, PatrolStatus, Report};
-pub use payload::{LazyPayload, PayloadRef, PayloadStore};

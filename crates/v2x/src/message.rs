@@ -150,8 +150,8 @@ impl Message {
     }
 
     /// Appends the wire form of the message to `buf`. Generic over
-    /// [`BufMut`] so arena-style writers (e.g. a payload slab's `Vec<u8>`
-    /// slots) can encode in place without an intermediate copy.
+    /// [`BufMut`] so a caller can encode into a reused `Vec<u8>` without
+    /// an intermediate copy.
     pub fn encode_into<B: BufMut>(&self, buf: &mut B) {
         match self {
             Message::Label(l) => {

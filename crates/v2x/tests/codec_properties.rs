@@ -1,5 +1,4 @@
-//! Property tests of the wire codec, the slab payload arena, and the
-//! loss models.
+//! Property tests of the wire codec and the loss models.
 
 use bytes::{Buf, BytesMut};
 use proptest::prelude::*;
@@ -7,8 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vcount_roadnet::NodeId;
 use vcount_v2x::{
-    Announce, Bernoulli, DecodeError, Label, LossModel, Message, PatrolStatus, PayloadRef,
-    PayloadStore, Report, VehicleId,
+    Announce, Bernoulli, DecodeError, Label, LossModel, Message, PatrolStatus, Report, VehicleId,
 };
 
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -159,94 +157,6 @@ proptest! {
         let fails = (0..n).filter(|_| !ch.attempt(&mut rng).delivered()).count();
         let rate = fails as f64 / n as f64;
         prop_assert!((rate - p).abs() < 0.05, "p={p} observed={rate}");
-    }
-
-    /// Arena encodes are indistinguishable from owned encodes: a message
-    /// sequence written into one shared [`PayloadStore`] yields, per ref,
-    /// exactly the bytes `encode()` would have produced, and the lazy
-    /// view round-trips every message without an intermediate copy.
-    #[test]
-    fn arena_encode_matches_owned_encode(ms in proptest::collection::vec(arb_message(), 1..24)) {
-        for m in &ms {
-            if let Message::Label(l) = m {
-                prop_assume!(l.origin.0 != u32::MAX);
-            }
-        }
-        let mut store = PayloadStore::new();
-        let refs: Vec<PayloadRef> = ms
-            .iter()
-            .map(|m| store.insert_with(|buf| m.encode_into(buf)))
-            .collect();
-        for (m, &r) in ms.iter().zip(&refs) {
-            let owned = m.encode();
-            prop_assert_eq!(store.get(r), &owned[..]);
-            let lazy = store.lazy(r);
-            prop_assert_eq!(lazy.len(), owned.len());
-            prop_assert_eq!(lazy.decode().unwrap(), m.clone());
-        }
-        for r in refs {
-            store.free(r);
-        }
-        prop_assert_eq!(store.live(), 0);
-    }
-
-    /// No aliasing: a live slot's bytes never change while unrelated
-    /// payloads are appended, freed, and recycled around it.
-    #[test]
-    fn arena_slices_survive_unrelated_churn(
-        pinned in proptest::collection::vec(arb_message(), 1..12),
-        churn in proptest::collection::vec((arb_message(), any::<bool>()), 1..64),
-    ) {
-        for m in pinned.iter().chain(churn.iter().map(|(m, _)| m)) {
-            if let Message::Label(l) = m {
-                prop_assume!(l.origin.0 != u32::MAX);
-            }
-        }
-        let mut store = PayloadStore::new();
-        let refs: Vec<PayloadRef> = pinned
-            .iter()
-            .map(|m| store.insert_with(|buf| m.encode_into(buf)))
-            .collect();
-        let baseline: Vec<Vec<u8>> = refs.iter().map(|&r| store.get(r).to_vec()).collect();
-
-        // Unrelated churn: every insert may later be freed (recycling its
-        // slot for a subsequent insert) — the pinned refs are never touched.
-        let mut transient: Vec<PayloadRef> = Vec::new();
-        for (m, drop_one) in &churn {
-            transient.push(store.insert_with(|buf| m.encode_into(buf)));
-            if *drop_one && transient.len() > 1 {
-                let r = transient.swap_remove(0);
-                store.free(r);
-            }
-        }
-
-        for ((m, &r), bytes) in pinned.iter().zip(&refs).zip(&baseline) {
-            prop_assert_eq!(store.get(r), &bytes[..], "pinned slot mutated by unrelated churn");
-            prop_assert_eq!(store.lazy(r).decode().unwrap(), m.clone());
-        }
-    }
-
-    /// `duplicate` is an independent copy: freeing and recycling the
-    /// source slot leaves the duplicate's bytes intact.
-    #[test]
-    fn arena_duplicates_outlive_source_recycling(m in arb_message(), other in arb_message()) {
-        for msg in [&m, &other] {
-            if let Message::Label(l) = msg {
-                prop_assume!(l.origin.0 != u32::MAX);
-            }
-        }
-        let mut store = PayloadStore::new();
-        let src = store.insert_with(|buf| m.encode_into(buf));
-        let dup = store.duplicate(src);
-        let bytes = store.get(dup).to_vec();
-
-        store.free(src);
-        let recycled = store.insert_with(|buf| other.encode_into(buf));
-
-        prop_assert_eq!(store.get(dup), &bytes[..], "duplicate aliased its source slot");
-        prop_assert_eq!(store.lazy(dup).decode().unwrap(), m.clone());
-        store.free(dup);
-        store.free(recycled);
     }
 }
 

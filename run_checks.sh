@@ -2,9 +2,12 @@
 # CI-equivalent checks: build, tests, clippy, fmt.
 #
 # The committed .cargo/config.toml patches every external dependency to the
-# offline stubs under devtools/stubs/ (this container cannot reach the
-# crates.io registry). On a networked machine, delete that file to build and
-# test against the real crates — the commands below work either way.
+# offline stubs under devtools/stubs/, so the checks need no crates.io
+# mirror. They pass only with the stubs: golden_stream.rs, the FNV golden
+# digests and every seeded count pin the draws of the stub `rand::StdRng`
+# (splitmix64, not the real crate's ChaCha12; see devtools/stubs/README.md).
+# Built against the real crates, those pins fail until the workspace owns
+# its RNG (ROADMAP item 3).
 set -euo pipefail
 cd "$(dirname "$0")"
 
